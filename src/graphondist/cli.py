@@ -29,13 +29,7 @@ from .connectivity import (
     is_connected,
     support_graph,
 )
-from .core import (
-    GridGraphon,
-    IntervalSet,
-    MathDomainError,
-    StepGraphon,
-    ValidationError,
-)
+from .core import GridGraphon, IntervalSet, MathDomainError, ValidationError
 from .io import load_graphon
 from .linalg import EXPONENTIAL, RESOLVENT
 from .metrics import (
@@ -284,7 +278,7 @@ def cmd_varadhan(cfg: RunConfig) -> int:
     pixels = np.where(np.isfinite(fld.matrix), fld.matrix, maxval)
     _write_pgm(cfg.out / "varadhan_layers.pgm", pixels, maxval, meta)
 
-    mu = w.block_measures
+    mu = w.partition.measures
     layer_sizes = {}
     for level in range(1, fld.layer_count + 1):
         mask = fld.matrix == level
@@ -308,9 +302,10 @@ def _transform_family(name: str):
 
 
 def _slope_transform_mode(cfg: RunConfig, w) -> int:
-    if not isinstance(w, StepGraphon):
+    if isinstance(w, GridGraphon):
         raise ValidationError("transform mode requires a step graphon")
-    pattern = support_graph(w, cfg.epsilon).matrix.astype(float)
+    support = support_graph(w, cfg.epsilon)
+    pattern = support.matrix.astype(float)
     n = pattern.shape[0]
     rng = np.random.default_rng(cfg.seed)
     if cfg.weights == "random":
@@ -321,7 +316,7 @@ def _slope_transform_mode(cfg: RunConfig, w) -> int:
         weights = pattern
         diag = np.zeros(n)
     family = _transform_family(cfg.transform)
-    walk = block_distance_matrix(support_graph(w, cfg.epsilon))
+    walk = block_distance_matrix(support)
     expected = walk.copy()
     np.fill_diagonal(expected, 0.0)
     tgrid = cfg.tgrid if cfg.tgrid is not None else default_t_grid()
@@ -392,7 +387,7 @@ def cmd_metrics(cfg: RunConfig) -> int:
     cfg.out.mkdir(parents=True, exist_ok=True)
     wrote = []
     if cfg.sets:
-        if not isinstance(w, StepGraphon):
+        if isinstance(w, GridGraphon):
             raise ValidationError(
                 "communicability metrics require a step graphon"
             )
@@ -423,7 +418,7 @@ def cmd_metrics(cfg: RunConfig) -> int:
                         {"meta": meta, "embeddings": entries})
             wrote.append("metrics_embedding.json")
     if cfg.cutnorm:
-        if not isinstance(w, StepGraphon):
+        if isinstance(w, GridGraphon):
             raise ValidationError("cut norm requires a step graphon")
         meta = _metadata(cfg, {"cutnorm": True})
         _write_json(cfg.out / "metrics_cutnorm.json",
@@ -439,15 +434,16 @@ def cmd_connectivity(cfg: RunConfig) -> int:
     connected = is_connected(w, eps)
     diam = diameter(w, eps)
     meta = _metadata(cfg, {"epsilon": eps})
+    grid = isinstance(w, GridGraphon)
     payload = {
         "meta": meta,
         "connected": connected,
         "diameter": diam if math.isfinite(diam) else "unbounded",
         "epsilon": eps,
-        "resolution": "cell" if isinstance(w, GridGraphon) else "block",
+        "resolution": "cell" if grid else "block",
         # block-level decisions are exact for step graphons; the cell
         # support graph of a grid is a discretization
-        "exact": isinstance(w, StepGraphon),
+        "exact": not grid,
     }
     cfg.out.mkdir(parents=True, exist_ok=True)
     _write_json(cfg.out / "connectivity.json", payload)

@@ -52,7 +52,7 @@ def support_graph(w, epsilon: float | None = None) -> SupportGraph:
     eps = default_epsilon(w) if epsilon is None else float(epsilon)
     if eps < 0.0:
         raise ValueError("support threshold must be nonnegative")
-    return SupportGraph(w.block_values > eps, eps)
+    return SupportGraph(w.blocks > eps, eps)
 
 
 def _path_distances(adj: np.ndarray) -> np.ndarray:

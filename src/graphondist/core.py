@@ -1,13 +1,13 @@
-"""Step/grid graphon representations and the block operator algebra.
+"""The step graphon carrier (grids included) and the block operator algebra.
 
-A graphon is a symmetric measurable function W : [0,1]^2 -> [0,1].  Two
-computable carriers are provided:
-
-* :class:`StepGraphon` -- block-constant on a finite interval partition;
-  represents a finite weighted graph exactly, and every operation on it is
-  evaluated in closed form (no quadrature).
-* :class:`GridGraphon` -- an n x n uniform-cell discretization of a general
-  graphon, sampled at cell centers (midpoint rule).
+A graphon is a symmetric measurable function W : [0,1]^2 -> [0,1].  One
+computable carrier is provided: :class:`StepGraphon`, block-constant on a
+finite interval partition.  It represents a finite weighted graph exactly,
+and every operation on it is evaluated in closed form (no quadrature).
+:class:`GridGraphon` constructs the same carrier on the uniform partition
+from an n x n discretization of a general graphon (cell-center samples);
+its type records that provenance, so reports can flag grid results as
+discretizations.
 
 The operator algebra (``lift``, ``step``, ``mat``, ``coarsen``,
 ``comp_power``, ``degree``, ``apply_adjacency``) follows the standard
@@ -64,7 +64,8 @@ class Partition:
 
     Block i is the half-open interval [b_{i-1}, b_i); the last block is
     closed on the right so that every point of [0,1] belongs to exactly one
-    block.
+    block.  Equal measures give the exact breakpoints k/n; a running sum
+    would drift by an ulp and give blocks spurious overlaps.
     """
 
     measures: np.ndarray
@@ -74,15 +75,18 @@ class Partition:
         mu = np.asarray(self.measures, dtype=float).reshape(-1)
         if mu.size == 0:
             raise ValidationError("partition needs at least one block")
-        if float(mu.min()) <= 0.0:
+        if not np.all(mu > 0.0):
             raise ValidationError("partition measures must all be positive")
         total = float(mu.sum())
         if abs(total - 1.0) > _SUM_TOL:
             raise ValidationError(
                 f"partition measures must sum to 1 (got {total!r})"
             )
-        bp = np.concatenate(([0.0], np.cumsum(mu)))
-        bp[-1] = 1.0
+        if np.all(mu == mu[0]):
+            bp = np.arange(mu.size + 1) / mu.size
+        else:
+            bp = np.concatenate(([0.0], np.cumsum(mu)))
+            bp[-1] = 1.0
         object.__setattr__(self, "measures", _readonly(mu))
         object.__setattr__(self, "breakpoints", _readonly(bp))
 
@@ -100,8 +104,8 @@ class Partition:
         """Block index containing x (scalar or array); endpoints per the
         half-open convention, x = 1 falls in the last block."""
         xv = np.asarray(x, dtype=float)
-        if xv.size and (float(xv.min()) < 0.0 or float(xv.max()) > 1.0):
-            raise ValidationError("coordinates must lie in [0,1]")
+        if not np.all((xv >= 0.0) & (xv <= 1.0)):
+            raise ValidationError("coordinates must be finite and lie in [0,1]")
         idx = np.searchsorted(self.breakpoints, xv, side="right") - 1
         idx = np.clip(idx, 0, self.size - 1)
         return int(idx) if np.ndim(x) == 0 else idx
@@ -185,13 +189,15 @@ class IntervalSet:
 @dataclass(frozen=True, eq=False)
 class StepGraphon:
     """Block-constant graphon: an interval partition plus a symmetric block
-    matrix with entries in [0,1]."""
+    matrix with finite entries in [0,1]."""
 
     partition: Partition
     blocks: np.ndarray
 
     def __post_init__(self):
         a = np.asarray(self.blocks, dtype=float)
+        if not np.all(np.isfinite(a)):
+            raise ValidationError("block matrix entries must be finite")
         _check_symmetric(a, _SYM_TOL, "block matrix")
         if a.shape[0] != self.partition.size:
             raise ValidationError(
@@ -205,70 +211,22 @@ class StepGraphon:
     def size(self) -> int:
         return self.partition.size
 
-    # shared representation accessors (mirrored by GridGraphon)
-    @property
-    def block_measures(self) -> np.ndarray:
-        return self.partition.measures
 
-    @property
-    def block_values(self) -> np.ndarray:
-        return self.blocks
-
-    @property
-    def breakpoints(self) -> np.ndarray:
-        return self.partition.breakpoints
-
-    def locate(self, x):
-        return self.partition.locate(x)
-
-
-@dataclass(frozen=True, eq=False)
-class GridGraphon:
+class GridGraphon(StepGraphon):
     """Uniform n x n cell discretization of a graphon, one value per cell
-    pair (midpoint samples or cell averages, per the producer)."""
+    pair (midpoint samples or cell averages, per the producer): a step
+    graphon on the uniform partition whose type marks it as approximate."""
 
-    resolution: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        n = int(self.resolution)
-        if n < 1:
-            raise ValidationError("grid resolution must be >= 1")
-        v = np.asarray(self.values, dtype=float)
-        _check_symmetric(v, _SYM_TOL, "grid values")
-        if v.shape[0] != n:
-            raise ValidationError(
-                f"grid values shape {v.shape} does not match resolution {n}"
-            )
-        v = _check_unit_range((v + v.T) / 2.0, "grid values")
-        object.__setattr__(self, "resolution", n)
-        object.__setattr__(self, "values", _readonly(v))
+    def __init__(self, resolution: int, values):
+        super().__init__(Partition.uniform(int(resolution)), values)
 
     @property
-    def size(self) -> int:
-        return self.resolution
+    def resolution(self) -> int:
+        return self.size
 
     @property
-    def block_measures(self) -> np.ndarray:
-        return np.full(self.resolution, 1.0 / self.resolution)
-
-    @property
-    def block_values(self) -> np.ndarray:
-        return self.values
-
-    @property
-    def breakpoints(self) -> np.ndarray:
-        return np.linspace(0.0, 1.0, self.resolution + 1)
-
-    def locate(self, x):
-        xv = np.asarray(x, dtype=float)
-        if xv.size and (float(xv.min()) < 0.0 or float(xv.max()) > 1.0):
-            raise ValidationError("coordinates must lie in [0,1]")
-        idx = np.minimum((xv * self.resolution).astype(int), self.resolution - 1)
-        return int(idx) if np.ndim(x) == 0 else idx
-
-
-Graphon = StepGraphon | GridGraphon
+    def values(self) -> np.ndarray:
+        return self.blocks
 
 
 @dataclass(frozen=True, eq=False)
@@ -286,6 +244,10 @@ class BlockFunction:
                 f"size {self.partition.size}"
             )
         object.__setattr__(self, "values", _readonly(v))
+
+    def __array__(self, dtype=None, copy=None):
+        """The block values, so numpy functions accept a BlockFunction."""
+        return np.array(self.values, dtype=dtype, copy=copy)
 
 
 # ---------------------------------------------------------------------------
@@ -312,91 +274,76 @@ def _overlap_matrix(bp_rows: np.ndarray, bp_cols: np.ndarray) -> np.ndarray:
     return np.maximum(0.0, hi - lo)
 
 
-def mat(partition: Partition, w: Graphon) -> np.ndarray:
+def mat(partition: Partition, w: StepGraphon) -> np.ndarray:
     """Block-average matrix of a graphon over a partition.
 
-    Entry (i,j) is the mean of W over P_i x P_j.  For step and grid carriers
-    this is evaluated by exact intersection of the two interval partitions,
-    so no quadrature error is introduced.  When the partitions coincide the
-    averages are the block values themselves; returning them directly keeps
-    `mat . step = id` and coarsen idempotence exact to the bit.
+    Entry (i,j) is the mean of W over P_i x P_j, evaluated by exact
+    intersection of the two interval partitions, so no quadrature error is
+    introduced.  When the partitions coincide the averages are the block
+    values themselves; returning them directly keeps `mat . step = id` and
+    coarsen idempotence exact to the bit.
     """
-    if np.array_equal(partition.breakpoints, w.breakpoints):
-        return w.block_values.copy()
-    overlap = _overlap_matrix(partition.breakpoints, w.breakpoints)
-    mass = overlap @ w.block_values @ overlap.T
+    bp = w.partition.breakpoints
+    if np.array_equal(partition.breakpoints, bp):
+        return w.blocks.copy()
+    overlap = _overlap_matrix(partition.breakpoints, bp)
+    mass = overlap @ w.blocks @ overlap.T
     mu = partition.measures
     return mass / np.outer(mu, mu)
 
 
-def coarsen(partition: Partition, w: Graphon) -> StepGraphon:
+def coarsen(partition: Partition, w: StepGraphon) -> StepGraphon:
     """L2-orthogonal projection of a graphon onto P-step graphons."""
     return StepGraphon(partition, mat(partition, w))
 
 
-def comp_power(w: Graphon, m: int) -> Graphon:
+def comp_power(w: StepGraphon, m: int) -> StepGraphon:
     """Kernel of the m-th power of the adjacency operator.
 
-    For a step graphon with block matrix A and measures mu the result is the
-    step graphon with blocks ``M^(m-1) @ A`` where ``M = A @ diag(mu)``; for
-    a grid graphon the midpoint-rule analogue ``(V/n)^(m-1) @ V``.
+    With block matrix A and measures mu the result has blocks
+    ``M^(m-1) @ A`` where ``M = A @ diag(mu)`` (for a grid, the
+    midpoint-rule analogue ``(V/n)^(m-1) @ V``).  The result has the
+    carrier type of ``w``, so a grid stays a grid.
     """
     m = int(m)
     if m < 1:
         raise ValidationError("composition power requires m >= 1 "
                               "(the identity operator has no integral kernel)")
-    a = w.block_values
-    mm = a * w.block_measures[None, :]
+    a = w.blocks
+    mm = a * w.partition.measures[None, :]
     out = a
     for _ in range(m - 1):
         out = mm @ out
-    out = np.clip(out, 0.0, 1.0)
-    if isinstance(w, StepGraphon):
-        return StepGraphon(w.partition, out)
-    return GridGraphon(w.resolution, out)
+    # the base initializer keeps w's type without its own constructor
+    result = object.__new__(type(w))
+    StepGraphon.__init__(result, w.partition, np.clip(out, 0.0, 1.0))
+    return result
 
 
-def degree(w: Graphon):
-    """Degree function k(x) = integral of W(x, .).
-
-    Returns a :class:`BlockFunction` for step graphons and a plain vector of
-    per-cell values for grid graphons.
-    """
-    k = w.block_values @ w.block_measures
-    if isinstance(w, StepGraphon):
-        return BlockFunction(w.partition, k)
-    return k
+def degree(w: StepGraphon) -> BlockFunction:
+    """Degree function k(x) = integral of W(x, .), one value per block."""
+    return BlockFunction(w.partition, w.blocks @ w.partition.measures)
 
 
-def apply_adjacency(w: Graphon, f):
+def apply_adjacency(w: StepGraphon, f: BlockFunction) -> BlockFunction:
     """Apply the adjacency operator to a block-constant function.
 
     The action on block values is ``A @ (mu * f)``; functions orthogonal to
     the step subspace are annihilated and are not representable here.
     """
-    if isinstance(w, StepGraphon):
-        if not isinstance(f, BlockFunction):
-            raise ValidationError("step graphons act on BlockFunction inputs")
-        if f.partition.size != w.size or np.max(
-            np.abs(f.partition.measures - w.partition.measures)
-        ) > _SUM_TOL:
-            raise ValidationError("function partition does not match graphon")
-        vals = w.blocks @ (w.partition.measures * f.values)
-        return BlockFunction(w.partition, vals)
-    fv = np.asarray(f, dtype=float).reshape(-1)
-    if fv.shape[0] != w.resolution:
-        raise ValidationError(
-            f"vector length {fv.shape[0]} does not match grid resolution "
-            f"{w.resolution}"
-        )
-    return w.values @ fv / w.resolution
+    if not isinstance(f, BlockFunction):
+        raise ValidationError("graphons act on BlockFunction inputs")
+    if f.partition.size != w.size or np.max(
+        np.abs(f.partition.measures - w.partition.measures)
+    ) > _SUM_TOL:
+        raise ValidationError("function partition does not match graphon")
+    vals = w.blocks @ (w.partition.measures * f.values)
+    return BlockFunction(w.partition, vals)
 
 
-def evaluate(w: Graphon, x, y):
-    """Point value W(x,y) by block/cell lookup (scalars or arrays)."""
-    xi = w.locate(x)
-    yi = w.locate(y)
-    out = w.block_values[xi, yi]
+def evaluate(w: StepGraphon, x, y):
+    """Point value W(x,y) by block lookup (scalars or arrays)."""
+    out = w.blocks[w.partition.locate(x), w.partition.locate(y)]
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -407,8 +354,6 @@ def permute_blocks(w: StepGraphon, sigma) -> StepGraphon:
     result onto block sigma[i] of the input; adjacency operators of the two
     graphons are unitarily equivalent.
     """
-    if not isinstance(w, StepGraphon):
-        raise ValidationError("permute_blocks applies to step graphons")
     perm = np.asarray(sigma, dtype=int).reshape(-1)
     if sorted(perm.tolist()) != list(range(w.size)):
         raise ValidationError(f"not a permutation of 0..{w.size - 1}: {sigma!r}")
@@ -417,9 +362,9 @@ def permute_blocks(w: StepGraphon, sigma) -> StepGraphon:
     return StepGraphon(Partition(mu), blocks)
 
 
-def to_grid(w: Graphon, resolution: int) -> GridGraphon:
+def to_grid(w: StepGraphon, resolution: int) -> GridGraphon:
     """Render a graphon onto a uniform grid by cell-center sampling."""
     n = int(resolution)
     centers = (np.arange(n) + 0.5) / n
-    idx = w.locate(centers)
-    return GridGraphon(n, w.block_values[np.ix_(idx, idx)])
+    idx = w.partition.locate(centers)
+    return GridGraphon(n, w.blocks[np.ix_(idx, idx)])

@@ -123,13 +123,17 @@ def graphon_from_dict(data: dict, grid_resolution: int = 512):
     )
 
 
+def _reject_constant(name: str):
+    raise ValidationError(f"non-finite JSON constant {name} in graphon file")
+
+
 def load_graphon(source, grid_resolution: int = 512):
     """Load a graphon from an already-parsed dict or a JSON file path."""
     if isinstance(source, dict):
         return graphon_from_dict(source, grid_resolution)
     text = Path(source).read_text(encoding="utf-8")
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"invalid graphon JSON in {source}: {exc}") from exc
     if not isinstance(data, dict):
@@ -138,14 +142,14 @@ def load_graphon(source, grid_resolution: int = 512):
 
 
 def graphon_to_dict(w) -> dict:
-    if isinstance(w, StepGraphon):
-        return {"kind": "step",
-                "measures": w.partition.measures.tolist(),
-                "blocks": w.blocks.tolist()}
     if isinstance(w, GridGraphon):
         return {"kind": "grid",
                 "resolution": w.resolution,
                 "values": w.values.tolist()}
+    if isinstance(w, StepGraphon):
+        return {"kind": "step",
+                "measures": w.partition.measures.tolist(),
+                "blocks": w.blocks.tolist()}
     raise ValidationError(f"cannot serialize {type(w).__name__}")
 
 

@@ -1,6 +1,7 @@
-"""Self-contained dense numerics: symmetric eigendecomposition (cyclic
-Jacobi), matrix exponential (scaling and squaring), and truncated analytic
-matrix transforms with an entrywise convergence guard."""
+"""Dense numerics: symmetric eigendecomposition (numpy's LAPACK ``eigh``
+with a fixed sign convention), matrix exponential (scaling and squaring),
+and truncated analytic matrix transforms with an entrywise convergence
+guard."""
 
 from __future__ import annotations
 
@@ -28,53 +29,25 @@ class SpectralData:
                            _readonly(np.asarray(self.eigenvectors, float)))
 
 
-def _offdiag_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.sqrt(np.sum(off * off)))
-
-
 def sym_eig(b) -> SpectralData:
-    """Full eigendecomposition of a symmetric matrix by cyclic Jacobi
-    rotations.  Sweeps run until the off-diagonal Frobenius norm falls below
-    1e-12 times the matrix norm."""
+    """Full eigendecomposition of a symmetric matrix (LAPACK ``eigh``).
+
+    Eigenvalues come in descending order.  Each eigenvector is signed so
+    that its largest-magnitude entry is positive (the first such entry on
+    ties), which makes the output independent of the solver's sign choice.
+    """
     b = np.asarray(b, dtype=float)
     if b.ndim != 2 or b.shape[0] != b.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {b.shape}")
     scale = max(1.0, float(np.max(np.abs(b))) if b.size else 1.0)
     if b.size and float(np.max(np.abs(b - b.T))) > 1e-9 * scale:
         raise ValidationError("matrix is not symmetric within 1e-9")
-    n = b.shape[0]
-    a = (b + b.T) / 2.0
-    v = np.eye(n)
-    if n == 1:
-        return SpectralData(np.array([a[0, 0]]), v)
-
-    fro = float(np.sqrt(np.sum(a * a))) or 1.0
-    for _ in range(100):
-        if _offdiag_norm(a) <= 1e-12 * fro:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-18 * fro:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rp, rq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * rp - s * rq
-                a[:, q] = s * rp + c * rq
-                rp, rq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                a[p, q] = a[q, p] = 0.0
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    lam = np.diag(a).copy()
-    order = np.argsort(-lam)
-    return SpectralData(lam[order], v[:, order])
+    lam, v = np.linalg.eigh((b + b.T) / 2.0)
+    lam, v = lam[::-1], v[:, ::-1]
+    if v.size:
+        lead = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+        v = v * np.where(lead < 0.0, -1.0, 1.0)
+    return SpectralData(lam, v)
 
 
 def expm(x) -> np.ndarray:

@@ -19,7 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .connectivity import _path_distances
 from .core import (
+    GridGraphon,
     IntervalSet,
     Partition,
     StepGraphon,
@@ -33,6 +35,14 @@ _CUT_NORM_MAX_BLOCKS = 24
 _CUT_DISTANCE_MAX_BLOCKS = 8
 
 
+def _require_step(w: StepGraphon) -> None:
+    if isinstance(w, GridGraphon):
+        raise ValidationError(
+            "communicability metrics need a step graphon; coarsen or load "
+            "the kernel as one first"
+        )
+
+
 def _symmetrized_operator(w: StepGraphon) -> np.ndarray:
     """B = D^{1/2} A D^{1/2}: symmetric matrix unitarily equivalent to the
     action of the adjacency operator on block averages."""
@@ -43,11 +53,7 @@ def _symmetrized_operator(w: StepGraphon) -> np.ndarray:
 def _indicator_split(w: StepGraphon, x: IntervalSet, y: IntervalSet):
     """Masses, block-average coefficients and orthogonal-part norm of
     f = 1_X - 1_Y."""
-    if not isinstance(w, StepGraphon):
-        raise ValidationError(
-            "communicability metrics need a step graphon; coarsen or load "
-            "the kernel as one first"
-        )
+    _require_step(w)
     mu = w.partition.measures
     xm = x.block_masses(w.partition)
     ym = y.block_masses(w.partition)
@@ -99,11 +105,7 @@ def communicability_embedding(w: StepGraphon, x: IntervalSet,
     Eigenfunctions are recovered from the symmetrized block operator as step
     functions with block values ``v_k[i] / sqrt(mu_i)``.
     """
-    if not isinstance(w, StepGraphon):
-        raise ValidationError(
-            "communicability metrics need a step graphon; coarsen or load "
-            "the kernel as one first"
-        )
+    _require_step(w)
     k = int(truncation)
     if not (0 <= k <= w.size):
         raise ValidationError(
@@ -120,11 +122,10 @@ def communicability_embedding(w: StepGraphon, x: IntervalSet,
 
 def neighbourhood_distance(w, x: float, y: float) -> float:
     """L1 distance between the kernel slices W(x, .) and W(y, .)."""
-    a = w.block_values
-    mu = w.block_measures
-    xi = w.locate(float(x))
-    yi = w.locate(float(y))
-    return float(np.sum(np.abs(a[xi] - a[yi]) * mu))
+    a = w.blocks
+    xi = w.partition.locate(float(x))
+    yi = w.partition.locate(float(y))
+    return float(np.sum(np.abs(a[xi] - a[yi]) * w.partition.measures))
 
 
 def similarity_distance(w, x: float, y: float) -> float:
@@ -151,9 +152,10 @@ def merge_twins(w: StepGraphon, tol: float = 1e-9) -> StepGraphon:
     while current.size > 1:
         mu = current.partition.measures
         rd = _row_distances(current.blocks, mu)
-        close = rd < tol
-        np.fill_diagonal(close, True)
-        groups = _components(close)
+        # components of the closeness relation, ordered by first member
+        reach = np.isfinite(_path_distances(rd < tol))
+        groups = [np.flatnonzero(row) for i, row in enumerate(reach)
+                  if row.argmax() == i]
         if len(groups) == current.size:
             return current
         n_new = len(groups)
@@ -167,26 +169,6 @@ def merge_twins(w: StepGraphon, tol: float = 1e-9) -> StepGraphon:
                 ) / float(mass.sum())
         current = StepGraphon(Partition(mu_new), blocks_new)
     return current
-
-
-def _components(adj: np.ndarray) -> list[np.ndarray]:
-    """Connected components of a boolean relation, ordered by first member."""
-    n = adj.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    groups = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        comp = np.zeros(n, dtype=bool)
-        comp[start] = True
-        while True:
-            grown = comp | adj[comp].any(axis=0)
-            if (grown == comp).all():
-                break
-            comp = grown
-        seen |= comp
-        groups.append(np.flatnonzero(comp))
-    return groups
 
 
 def _masked_cut_norm(weighted: np.ndarray) -> float:

@@ -24,7 +24,7 @@ from .core import (
     GridGraphon,
     IntervalSet,
     MathDomainError,
-    StepGraphon,
+    Partition,
     ValidationError,
     _readonly,
     degree,
@@ -43,19 +43,21 @@ class DistanceField:
     """
 
     kind: str
-    breakpoints: np.ndarray
+    partition: Partition
     matrix: np.ndarray
     connected: bool
 
     def __post_init__(self):
-        object.__setattr__(self, "breakpoints",
-                           _readonly(np.asarray(self.breakpoints, float)))
         object.__setattr__(self, "matrix",
                            _readonly(np.asarray(self.matrix, float)))
 
     @property
     def size(self) -> int:
         return int(self.matrix.shape[0])
+
+    @property
+    def breakpoints(self) -> np.ndarray:
+        return self.partition.breakpoints
 
     @property
     def within_block(self) -> np.ndarray:
@@ -68,19 +70,10 @@ class DistanceField:
         finite = self.matrix[np.isfinite(self.matrix)]
         return int(finite.max()) if finite.size else 0
 
-    def _locate(self, x):
-        xv = np.asarray(x, dtype=float)
-        if xv.size and (float(xv.min()) < 0.0 or float(xv.max()) > 1.0):
-            raise ValidationError("coordinates must lie in [0,1]")
-        idx = np.searchsorted(self.breakpoints, xv, side="right") - 1
-        return np.clip(idx, 0, self.size - 1)
-
     def pointwise(self, x, y):
         """Distance between points (scalars or broadcastable arrays);
         exactly 0 on coincident coordinates."""
-        xi = self._locate(x)
-        yi = self._locate(y)
-        d = self.matrix[xi, yi]
+        d = self.matrix[self.partition.locate(x), self.partition.locate(y)]
         out = np.where(np.asarray(x, float) == np.asarray(y, float), 0.0, d)
         if np.ndim(out) == 0:
             val = float(out)
@@ -98,7 +91,7 @@ def distance_field(w, epsilon: float | None = None) -> DistanceField:
     s = support_graph(w, epsilon)
     d = block_distance_matrix(s)
     kind = "grid" if isinstance(w, GridGraphon) else "step"
-    return DistanceField(kind, w.breakpoints, d, bool(np.isfinite(d).all()))
+    return DistanceField(kind, w.partition, d, bool(np.isfinite(d).all()))
 
 
 def varadhan_distance(w, x, y, epsilon: float | None = None):
@@ -108,18 +101,6 @@ def varadhan_distance(w, x, y, epsilon: float | None = None):
     two points, with the within-block rule on the diagonal.
     """
     return distance_field(w, epsilon).pointwise(x, y)
-
-
-def _block_masses(w, u: IntervalSet) -> np.ndarray:
-    if isinstance(w, StepGraphon):
-        return u.block_masses(w.partition)
-    bp = w.breakpoints
-    masses = np.zeros(w.size)
-    for a, b in u.intervals:
-        lo = np.maximum(bp[:-1], a)
-        hi = np.minimum(bp[1:], b)
-        masses += np.maximum(0.0, hi - lo)
-    return masses
 
 
 def set_distance(w, u: IntervalSet, v: IntervalSet, epsilon: float | None = None):
@@ -133,8 +114,8 @@ def set_distance(w, u: IntervalSet, v: IntervalSet, epsilon: float | None = None
         raise ValidationError("set distance requires nonempty interval sets")
     if u.intersection_measure(v) > 0.0:
         return 0
-    ub = _block_masses(w, u) > 0.0
-    vb = _block_masses(w, v) > 0.0
+    ub = u.block_masses(w.partition) > 0.0
+    vb = v.block_masses(w.partition) > 0.0
     d = block_distance_matrix(support_graph(w, epsilon))
     best = float(d[np.ix_(ub, vb)].min())
     return int(best) if math.isfinite(best) else UNREACHABLE
@@ -148,22 +129,23 @@ def heat_content(w, u: IntervalSet, v: IntervalSet, t: float,
     """Heat mass <1_V, e^{tG} 1_U> for G the adjacency operator, or
     <1_V, e^{-tL} 1_U> for L the combinatorial Laplacian.
 
-    Exact for step/grid carriers via the splitting of indicators into their
-    block-average part plus an orthogonal remainder: the adjacency operator
-    acts as a matrix on block averages and annihilates the remainder, while
-    the Laplacian acts as multiplication by the degree values there.  The
-    adjacency series has nonnegative terms only, so tiny leading orders
-    (t^d at walk distance d) are summed without cancellation.
+    Exact for step graphons, grids included, via the splitting of
+    indicators into their block-average part plus an orthogonal remainder:
+    the adjacency operator acts as a matrix on block averages and
+    annihilates the remainder, while the Laplacian acts as multiplication
+    by the degree values there.  The adjacency series has nonnegative terms
+    only, so tiny leading orders (t^d at walk distance d) are summed without
+    cancellation.
     """
     t = float(t)
     if t < 0.0:
         raise ValidationError("heat content requires t >= 0")
     if u.is_empty or v.is_empty:
         raise ValidationError("heat content requires nonempty interval sets")
-    mu = w.block_measures
-    a = w.block_values
-    um = _block_masses(w, u)
-    vm = _block_masses(w, v)
+    mu = w.partition.measures
+    a = w.blocks
+    um = u.block_masses(w.partition)
+    vm = v.block_masses(w.partition)
     overlap = u.intersection_measure(v)
 
     if generator == "adjacency":
@@ -201,13 +183,12 @@ def heat_content(w, u: IntervalSet, v: IntervalSet, t: float,
         )
 
     if generator == "laplacian":
-        k = degree(w)
-        kv = k.values if isinstance(w, StepGraphon) else k
+        kv = degree(w).values
         mmat = a * mu[None, :]
         lap = np.diag(kv) - mmat
         c = um / mu
         step_part = float(vm @ (expm(-t * lap) @ c))
-        per_block_overlap = _block_masses(w, u.intersect(v))
+        per_block_overlap = u.intersect(v).block_masses(w.partition)
         orth_part = float(np.sum(np.exp(-t * kv) *
                                  (per_block_overlap - um * vm / mu)))
         return step_part + orth_part

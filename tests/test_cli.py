@@ -306,6 +306,15 @@ def test_cli_missing_file_is_io_error(tmp_path):
                  "--out", str(tmp_path)]) == 4
 
 
+def test_cli_non_finite_json_constant_is_code_2(tmp_path):
+    bad = tmp_path / "nan.json"
+    bad.write_text('{"kind": "step", "measures": [0.5, 0.5], '
+                   '"blocks": [[NaN, 1.0], [1.0, 0.0]]}')
+    assert main(["connectivity", "--input", str(bad),
+                 "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "connectivity.json").exists()
+
+
 def test_cli_bad_arguments_exit_2(tmp_path):
     assert main(["unknown-command"]) == 2
 

@@ -1,0 +1,85 @@
+"""Byte-level golden outputs of the CLI under ``--reproducible``.
+
+The digests pin the exact files written by ``varadhan``, ``connectivity``
+and ``sample`` for one step and one grid description, so a refactor that
+changes any output byte fails here.  Inputs are passed as relative paths
+from a fixed working directory, which keeps ``meta.input`` stable.  Slope
+and metrics outputs are not pinned: their last float digits depend on the
+BLAS build.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from graphondist.cli import main
+
+STEP = {"kind": "step", "measures": [0.1, 0.2, 0.3, 0.4],
+        "blocks": [[0.9, 0.4, 0.0, 0.0],
+                   [0.4, 0.0, 0.7, 0.0],
+                   [0.0, 0.7, 0.0, 0.25],
+                   [0.0, 0.0, 0.25, 0.6]]}
+GRID = {"kind": "grid", "resolution": 8,
+        "values": [[0.75 if min(abs(i - j), 8 - abs(i - j)) <= 1 else 0.0
+                    for j in range(8)] for i in range(8)]}
+
+COMMANDS = {
+    "varadhan": ["varadhan"],
+    "connectivity": ["connectivity"],
+    "sample": ["sample", "--n", "40", "--trials", "2", "--seed", "3"],
+}
+
+GOLDEN = {
+    ("step", "connectivity"): {
+        "connectivity.json":
+            "bd67a89c8f1dab6bc244e7fb4fde4bff169a84f68ad88e1ef92f35c1c171ecb8",
+    },
+    ("step", "sample"): {
+        "sample_edges.txt":
+            "bf255921aba838d48c474426b4648d5913b351f5aa38277257d06579967cd531",
+        "sample_report.json":
+            "fb15abea14d09a87cbcee97da29304b0fdf1a3f3b7fac42f9839b90bce3bc06f",
+    },
+    ("step", "varadhan"): {
+        "varadhan_distance.csv":
+            "5f4061f208676b4fdf723f3f5c26c9d433f12684b2839431559eb0b6066d5bf6",
+        "varadhan_layers.pgm":
+            "ebc388bfb53ffef66da9b73cd1460a2abfc4e470db07cc1eac7d3ee4bb6e9f67",
+        "varadhan_summary.json":
+            "a5ea3510d5af8d45612739fca903fb7ce1d356926439df3f028ecc5610b9db15",
+    },
+    ("grid", "connectivity"): {
+        "connectivity.json":
+            "49045b7cd53b13b8b128b3fbb40b70afc2e520f1ae5e30ed177a34a8374cdd6e",
+    },
+    ("grid", "sample"): {
+        "sample_edges.txt":
+            "80801f59e52055cb23c5dc9cb22216fea418c4408bac14e7767f056846b3aaae",
+        "sample_report.json":
+            "c09db8d355041de2a65f7f2cd5a9d2f29fb535927345c30c7ee53dbd63d4adc6",
+    },
+    ("grid", "varadhan"): {
+        "varadhan_distance.csv":
+            "00e1b4a5b5b474f1949ec6f9e887f5e01ed02d7231fce1b196800c42c0de8f21",
+        "varadhan_layers.pgm":
+            "aabd1b70bf19e9352b8bf221eef09d0189ea8f7bae645e5f6e4a6dc104fe27cf",
+        "varadhan_summary.json":
+            "786ef184af2d2f7ed0850baf7a092e9a0489cf8bd142cfaa8c81fc54cf489ddd",
+    },
+}
+
+
+@pytest.mark.parametrize("kind", ["step", "grid"])
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_reproducible_outputs_match_golden_digests(tmp_path, monkeypatch,
+                                                   kind, command):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / f"{kind}.json").write_text(
+        json.dumps(STEP if kind == "step" else GRID))
+    argv = COMMANDS[command] + ["--input", f"{kind}.json", "--out", "out",
+                                "--reproducible"]
+    assert main(argv) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in sorted((tmp_path / "out").iterdir())}
+    assert digests == GOLDEN[kind, command]

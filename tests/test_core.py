@@ -90,10 +90,32 @@ def test_grid_graphon_validation():
     with pytest.raises(ValidationError):
         GridGraphon(2, np.array([[0.0, 1.0], [0.5, 0.0]]))
     g = GridGraphon(2, np.array([[0.2, 0.4], [0.4, 0.6]]))
-    assert np.allclose(g.block_measures, [0.5, 0.5])
+    assert np.allclose(g.partition.measures, [0.5, 0.5])
     # endpoint falls in the last cell
     assert evaluate(g, 1.0, 1.0) == pytest.approx(0.6)
     assert evaluate(g, 0.0, 1.0) == pytest.approx(0.4)
+
+
+def test_evaluate_rejects_nan():
+    with pytest.raises(ValidationError):
+        evaluate(bipartite_graphon(), np.nan, 0.1)
+
+
+def test_grid_locate_rejects_nan():
+    g = GridGraphon(4, np.full((4, 4), 0.5))
+    with pytest.raises(ValidationError):
+        g.partition.locate(np.nan)
+
+
+def test_carriers_reject_non_finite_values():
+    with pytest.raises(ValidationError):
+        lift([[np.nan]])
+    with pytest.raises(ValidationError):
+        er_graphon(np.nan)
+    with pytest.raises(ValidationError):
+        GridGraphon(2, [[0.5, np.inf], [np.inf, 0.5]])
+    with pytest.raises(ValidationError):
+        Partition(np.array([0.5, np.nan]))
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +370,9 @@ def test_degree_of_square_equals_adjacency_of_degree(rng):
 
 def test_grid_degree_and_adjacency():
     g = GridGraphon(4, np.full((4, 4), 0.8))
-    assert np.allclose(degree(g), 0.8)
-    assert np.allclose(apply_adjacency(g, np.ones(4)), 0.8)
+    assert np.allclose(degree(g).values, 0.8)
+    ones = BlockFunction(g.partition, np.ones(4))
+    assert np.allclose(apply_adjacency(g, ones).values, 0.8)
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,17 @@ def test_sym_eig_descending_order(rng):
     assert np.all(np.diff(lam) <= 1e-12)
 
 
+def test_sym_eig_sign_convention(rng):
+    # the largest-magnitude entry of each eigenvector is positive
+    b = rng.standard_normal((7, 7))
+    vec = sym_eig(b + b.T).eigenvectors
+    lead = vec[np.argmax(np.abs(vec), axis=0), np.arange(7)]
+    assert np.all(lead > 0.0)
+    # on a tie in magnitude the first index wins
+    vec = sym_eig(np.array([[0.0, 1.0], [1.0, 0.0]])).eigenvectors
+    assert vec[0, 0] > 0.0 and vec[0, 1] > 0.0 and vec[1, 1] < 0.0
+
+
 def test_sym_eig_forty_by_forty(rng):
     b = rng.standard_normal((40, 40))
     b = (b + b.T) / 2

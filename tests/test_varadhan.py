@@ -6,6 +6,7 @@ import pytest
 from graphondist import (
     EXPONENTIAL,
     RESOLVENT,
+    GridGraphon,
     IntervalSet,
     MathDomainError,
     Partition,
@@ -16,6 +17,7 @@ from graphondist import (
     degree,
     distance_field,
     er_graphon,
+    evaluate,
     expm,
     general_varadhan_slope,
     heat_content,
@@ -414,3 +416,36 @@ def test_general_slope_rejects_guard_violation():
     with pytest.raises(MathDomainError, match="convergence guard"):
         general_varadhan_slope(a, a, np.zeros(4), RESOLVENT, 0, 1,
                                np.array([0.5, 0.2, 0.1]))
+
+
+# ---------------------------------------------------------------------------
+# cell boundaries on homogeneous partitions
+# ---------------------------------------------------------------------------
+
+def test_set_distance_exact_on_homogeneous_breakpoints():
+    # [0.3, 0.4) is exactly vertex 3 of the 10-path; a breakpoint off by an
+    # ulp (0.30000000000000004) would also touch vertex 2, one step from 1
+    path = np.diag(np.ones(9), 1)
+    path = path + path.T
+    for w in (lift(path), GridGraphon(10, path)):
+        assert set_distance(w, I(0.3, 0.4), I(0.1, 0.2)) == 2
+
+
+def test_evaluate_and_distance_agree_on_cell_boundaries():
+    # cells of opposite parity are joined, so from the centre of cell 0 a
+    # point is at distance 1 exactly when its cell is odd; x = k/n lies in
+    # cell k (the last cell keeps x = 1)
+    n = 1000
+    idx = np.arange(n)
+    vals = ((idx[:, None] + idx[None, :]) % 2).astype(float)
+    x = np.arange(n + 1) / n
+    y = np.full(n + 1, 0.5 / n)
+    odd = np.minimum(np.arange(n + 1), n - 1) % 2
+    for w in (GridGraphon(n, vals), lift(vals)):
+        assert np.array_equal(evaluate(w, x, y), odd)
+        assert np.array_equal(varadhan_distance(w, x, y), 2 - odd)
+
+
+def test_pointwise_distance_rejects_nan():
+    with pytest.raises(ValidationError):
+        varadhan_distance(bipartite_graphon(), math.nan, 0.1)
