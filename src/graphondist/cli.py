@@ -37,7 +37,7 @@ from .metrics import (
     communicability_embedding,
     cut_norm,
 )
-from .sampler import RNG_ALGORITHM, compare_with_varadhan, sample_graph
+from .sampler import RNG_ALGORITHM, _compare_samples, sample_graph
 from .varadhan import (
     default_t_grid,
     distance_field,
@@ -96,8 +96,9 @@ def parse_t_grid(text: str) -> np.ndarray:
         lo, hi, k = float(lo_s), float(hi_s), int(k_s)
     except ValueError as exc:
         raise ValidationError(f"bad t grid {text!r}; expected 'a:b:k'") from exc
-    if lo <= 0 or hi <= 0 or k < 2:
-        raise ValidationError("t grid needs positive endpoints and k >= 2")
+    if not (0 < lo < math.inf and 0 < hi < math.inf and k >= 2):
+        raise ValidationError("t grid needs finite positive endpoints and "
+                              "k >= 2")
     lo, hi = min(lo, hi), max(lo, hi)
     return np.logspace(math.log10(hi), math.log10(lo), k)
 
@@ -154,14 +155,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _finite(flag: str, value: float | None) -> float | None:
+    """An optional float flag, rejected when NaN or infinite."""
+    if value is not None and not math.isfinite(value):
+        raise ValidationError(f"{flag} must be a finite number, got {value!r}")
+    return value
+
+
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(
         command=args.command,
         input=Path(args.input),
         out=Path(args.out),
         grid=args.grid,
-        epsilon=args.epsilon,
-        tolerance=args.tolerance,
+        epsilon=_finite("--epsilon", args.epsilon),
+        tolerance=_finite("--tolerance", args.tolerance),
         seed=args.seed,
         reproducible=args.reproducible,
         allow_disconnected=args.allow_disconnected,
@@ -170,7 +178,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         raise ValidationError("--grid must be a positive resolution")
     if args.command == "slope":
         cfg.tgrid = parse_t_grid(args.tgrid) if args.tgrid else None
-        cfg.expect = args.expect
+        cfg.expect = _finite("--expect", args.expect)
         cfg.transform = args.transform
         cfg.weights = args.weights
         if args.u:
@@ -468,8 +476,7 @@ def cmd_sample(cfg: RunConfig) -> int:
     payload = {"meta": meta, "edges": graph.edge_count,
                "vertices": graph.n}
     if connected:
-        payload["comparison"] = compare_with_varadhan(w, cfg.n, cfg.trials,
-                                                      cfg.seed)
+        payload["comparison"] = _compare_samples(w, cfg.trials, graph)
     _write_json(cfg.out / "sample_report.json", payload)
     return 0
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connectivity import _path_distances
+from .connectivity import _walk_distances
 from .core import ValidationError, _readonly, evaluate
 from .varadhan import distance_field
 
@@ -64,7 +64,7 @@ def sample_graph(w, n: int, seed: int) -> SampledGraph:
 def empirical_distance_profile(graph: SampledGraph) -> dict:
     """Histogram of pairwise shortest-path distances over unordered vertex
     pairs; unreachable pairs (across components) appear under ``inf``."""
-    d = _path_distances(graph.adjacency)
+    d = _walk_distances(graph.adjacency)
     n = graph.n
     iu = np.triu_indices(n, k=1)
     vals = d[iu]
@@ -86,14 +86,24 @@ def compare_with_varadhan(w, n: int, trials: int, seed: int) -> dict:
     the statistic that absorbs the systematic one-extra-hop deviation of
     finite samples.  Disconnected samples are reported, not fatal.
     """
+    return _compare_samples(w, trials, sample_graph(w, n, seed))
+
+
+def _compare_samples(w, trials: int, first: SampledGraph) -> dict:
+    """The report of ``compare_with_varadhan`` from an already drawn
+    trial-0 sample; trial t samples ``first.n`` vertices with seed
+    ``first.seed + t``."""
     trials = int(trials)
     if trials < 1:
         raise ValidationError("comparison requires at least one trial")
+    n, seed = first.n, first.seed
     field = distance_field(w)
     per_trial = []
     for trial in range(trials):
-        graph = sample_graph(w, n, seed + trial)
-        d = _path_distances(graph.adjacency)
+        graph = first if trial == 0 else sample_graph(w, n, seed + trial)
+        # only the strict upper triangle is read, so the within-vertex
+        # walk distances on the diagonal never enter the comparison
+        d = _walk_distances(graph.adjacency)
         expected = field.pointwise(graph.coordinates[:, None],
                                   graph.coordinates[None, :])
         iu = np.triu_indices(graph.n, k=1)

@@ -6,6 +6,12 @@ the adjacency operator with mass between them, ``min { m : <1_U, W^m 1_V> >
 whose support contains the pair.  Both are computed combinatorially on the
 block/cell support graph -- walk counting, never series summation.
 
+Each query walks only from its own sources, on the support-twin quotient of
+the support graph (cells with identical support rows merged into one of k
+classes, which is exact): a point query runs one BFS row per distinct cell
+of ``x`` and a set query one merged row, O(levels * k^2) per row; the whole
+field is O(levels * k^3).
+
 The heat-trace route (slope of log <1_V, e^{tW} 1_U> against log t as t
 shrinks) recovers the same integers and is provided as an independent
 verification path; the short-time limit is ill-conditioned in floating
@@ -19,7 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connectivity import UNREACHABLE, block_distance_matrix, support_graph
+from .connectivity import (
+    UNREACHABLE,
+    _source_rows,
+    _walk_distances,
+    block_distance_matrix,
+    support_graph,
+)
 from .core import (
     GridGraphon,
     IntervalSet,
@@ -74,11 +86,17 @@ class DistanceField:
         """Distance between points (scalars or broadcastable arrays);
         exactly 0 on coincident coordinates."""
         d = self.matrix[self.partition.locate(x), self.partition.locate(y)]
-        out = np.where(np.asarray(x, float) == np.asarray(y, float), 0.0, d)
-        if np.ndim(out) == 0:
-            val = float(out)
-            return int(val) if math.isfinite(val) else UNREACHABLE
-        return out
+        return _point_distances(x, y, d)
+
+
+def _point_distances(x, y, d):
+    """Block walk distances ``d`` of point pairs, set to exactly 0 on
+    coincident coordinates; a scalar pair gives an int or ``UNREACHABLE``."""
+    out = np.where(np.asarray(x, float) == np.asarray(y, float), 0.0, d)
+    if np.ndim(out) == 0:
+        val = float(out)
+        return int(val) if math.isfinite(val) else UNREACHABLE
+    return out
 
 
 def distance_field(w, epsilon: float | None = None) -> DistanceField:
@@ -98,16 +116,23 @@ def varadhan_distance(w, x, y, epsilon: float | None = None):
     """Pointwise Varadhan distance (scalars or arrays).
 
     0 iff x == y; otherwise the walk distance of the blocks containing the
-    two points, with the within-block rule on the diagonal.
+    two points, with the within-block rule on the diagonal.  One BFS row
+    runs from each distinct block of ``x``; the whole field is never built.
     """
-    return distance_field(w, epsilon).pointwise(x, y)
+    s = support_graph(w, epsilon)
+    ix = w.partition.locate(x)
+    iy = w.partition.locate(y)
+    cells, row = np.unique(ix, return_inverse=True)
+    walks = _walk_distances(s.matrix, _source_rows(s.size, cells))
+    return _point_distances(x, y, walks[row.reshape(np.shape(ix)), iy])
 
 
 def set_distance(w, u: IntervalSet, v: IntervalSet, epsilon: float | None = None):
     """Least adjacency power with mass between two interval sets.
 
     0 when the sets overlap on positive measure; otherwise the minimum walk
-    distance between any block touched by U and any block touched by V.
+    distance between any block touched by U and any block touched by V,
+    read off one BFS row whose sources are all the blocks U touches.
     ``UNREACHABLE`` when no power connects them (disconnected graphon).
     """
     if u.is_empty or v.is_empty:
@@ -116,8 +141,8 @@ def set_distance(w, u: IntervalSet, v: IntervalSet, epsilon: float | None = None
         return 0
     ub = u.block_masses(w.partition) > 0.0
     vb = v.block_masses(w.partition) > 0.0
-    d = block_distance_matrix(support_graph(w, epsilon))
-    best = float(d[np.ix_(ub, vb)].min())
+    walks = _walk_distances(support_graph(w, epsilon).matrix, ub[None, :])
+    best = float(walks[0, vb].min())
     return int(best) if math.isfinite(best) else UNREACHABLE
 
 

@@ -4,7 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from graphondist import distance_field, dump_graphon, lift, load_graphon
+from graphondist import (
+    ValidationError,
+    distance_field,
+    dump_graphon,
+    lift,
+    load_graphon,
+)
 from graphondist.cli import main, parse_interval_set, parse_t_grid, read_csv_matrix
 from conftest import cycle_adjacency
 
@@ -36,6 +42,9 @@ def test_parse_helpers():
     assert np.all(np.diff(grid) < 0)
     with pytest.raises(Exception):
         parse_interval_set("0-0.25")
+    for bad in ("nan:1e-3:4", "1e-5:inf:4", "0:1e-3:4", "1e-5:1e-3:1"):
+        with pytest.raises(ValidationError, match="finite positive"):
+            parse_t_grid(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +287,24 @@ def test_cmd_sample_bipartite(tmp_path):
     assert 0 <= int(u) < int(v) < 200
 
 
+def test_cmd_sample_draws_each_trial_once(tmp_path, monkeypatch):
+    from graphondist import cli, sampler
+
+    seeds = []
+    original = sampler.sample_graph
+
+    def counting(w, n, seed):
+        seeds.append(seed)
+        return original(w, n, seed)
+
+    monkeypatch.setattr(cli, "sample_graph", counting)
+    monkeypatch.setattr(sampler, "sample_graph", counting)
+    spec = write_spec(tmp_path, BIPARTITE)
+    assert main(["sample", "--input", str(spec), "--out", str(tmp_path / "s"),
+                 "--n", "30", "--trials", "3", "--seed", "5"]) == 0
+    assert seeds == [5, 6, 7]
+
+
 def test_cmd_sample_disconnected_needs_flag(tmp_path):
     spec = write_spec(tmp_path, DISCONNECTED)
     out = tmp_path / "s"
@@ -317,6 +344,30 @@ def test_cli_non_finite_json_constant_is_code_2(tmp_path):
 
 def test_cli_bad_arguments_exit_2(tmp_path):
     assert main(["unknown-command"]) == 2
+
+
+def test_cli_non_finite_epsilon_is_code_2(tmp_path):
+    spec = write_spec(tmp_path, BIPARTITE)
+    out = tmp_path / "eps"
+    assert main(["connectivity", "--input", str(spec), "--out", str(out),
+                 "--epsilon", "nan"]) == 2
+    assert not (out / "connectivity.json").exists()
+
+
+def test_cli_non_finite_tolerance_is_code_2(tmp_path):
+    spec = c6_file(tmp_path)
+    assert main(["slope", "--input", str(spec), "--out", str(tmp_path / "s"),
+                 "--u", "0:0.1667", "--v", "0.5:0.6667",
+                 "--tolerance", "inf"]) == 2
+
+
+def test_cli_non_finite_expect_is_code_2(tmp_path):
+    spec = c6_file(tmp_path)
+    out = tmp_path / "s"
+    assert main(["slope", "--input", str(spec), "--out", str(out),
+                 "--u", "0:0.1667", "--v", "0.5:0.6667",
+                 "--expect", "nan"]) == 2
+    assert not (out / "slope.json").exists()
 
 
 def test_cli_reproducible_outputs_are_byte_identical(tmp_path):

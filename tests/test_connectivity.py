@@ -4,6 +4,7 @@ import pytest
 from graphondist import (
     UNREACHABLE,
     Partition,
+    ValidationError,
     block_distance_matrix,
     bipartite_graphon,
     circular_band_graphon,
@@ -44,6 +45,12 @@ def test_support_graph_circular_band_width():
 def test_support_graph_negative_epsilon_rejected():
     with pytest.raises(ValueError):
         support_graph(bipartite_graphon(), -1.0)
+
+
+@pytest.mark.parametrize("eps", [float("nan"), float("inf"), -float("inf")])
+def test_support_graph_non_finite_epsilon_rejected(eps):
+    with pytest.raises(ValidationError):
+        support_graph(bipartite_graphon(), eps)
 
 
 # ---------------------------------------------------------------------------

@@ -235,6 +235,32 @@ def test_merge_twins_output_has_distinct_rows(rng):
                 assert dist >= tol
 
 
+def test_row_distances_match_the_full_broadcast(rng):
+    from graphondist.metrics import _row_distances
+
+    w = random_step_graphon(rng, 40)
+    a, mu = w.blocks, w.partition.measures
+    full = np.sum(np.abs(a[:, None, :] - a[None, :, :]) * mu[None, None, :],
+                  axis=2)
+    assert np.array_equal(_row_distances(a, mu), full)
+
+
+def test_merge_twins_memory_stays_quadratic(rng):
+    import tracemalloc
+
+    base = random_step_graphon(rng, 64, homogeneous=True).blocks
+    labels = rng.permutation(np.repeat(np.arange(64), 4))
+    w = lift(base[np.ix_(labels, labels)])
+    tracemalloc.start()
+    try:
+        merged = merge_twins(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert merged.size == 64
+    assert peak < 64e6  # a 256^3 float64 temporary alone is 134 MB
+
+
 # ---------------------------------------------------------------------------
 # cut norm / cut distance
 # ---------------------------------------------------------------------------
