@@ -214,6 +214,10 @@ def _metadata(cfg: RunConfig, options: dict) -> dict:
     return meta
 
 
+#: rows per chunk when gathering the distinct values of an output matrix
+_ROW_CHUNK = 64
+
+
 def _meta_lines(meta: dict) -> list[str]:
     return [f"# {key}: {json.dumps(meta[key], sort_keys=True)}"
             for key in sorted(meta)]
@@ -230,15 +234,35 @@ def _axis_labels(w) -> list[str]:
     return [f"block_{i}" for i in range(w.size)]
 
 
+def _formatted_rows(matrix: np.ndarray, fmt):
+    """The rows of a float matrix as lists of strings, formatting each
+    distinct value once.
+
+    Values are keyed by their bit pattern, so ``-0.0`` and ``0.0`` keep
+    their own strings.  The distinct keys are gathered ``_ROW_CHUNK`` rows
+    at a time and only one row of indices exists at a time, so nothing of
+    the matrix's size is allocated.
+    """
+    bits = np.ascontiguousarray(matrix, dtype=np.float64).view(np.uint64)
+    keys = np.unique(np.concatenate(
+        [np.unique(bits[lo:lo + _ROW_CHUNK])
+         for lo in range(0, bits.shape[0], _ROW_CHUNK)]))
+    table = np.array([fmt(v) for v in keys.view(np.float64).tolist()],
+                     dtype=object)
+    for row in bits:
+        yield table[np.searchsorted(keys, row)].tolist()
+
+
 def _write_csv(path: Path, matrix: np.ndarray, labels: list[str],
                meta: dict) -> None:
-    lines = _meta_lines(meta)
-    lines.append(",".join(["index"] + labels))
-    for label, row in zip(labels, matrix):
-        cells = [label] + ["inf" if math.isinf(v) else repr(float(v))
-                           for v in row]
-        lines.append(",".join(cells))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with path.open("w", encoding="utf-8") as f:
+        for line in _meta_lines(meta):
+            f.write(line + "\n")
+        f.write(",".join(["index"] + labels) + "\n")
+        rows = _formatted_rows(
+            matrix, lambda v: "inf" if math.isinf(v) else repr(v))
+        for label, cells in zip(labels, rows):
+            f.write(label + "," + ",".join(cells) + "\n")
 
 
 def read_csv_matrix(path) -> np.ndarray:
@@ -254,14 +278,29 @@ def read_csv_matrix(path) -> np.ndarray:
 
 def _write_pgm(path: Path, values: np.ndarray, maxval: int,
                meta: dict) -> None:
-    lines = ["P2"]
-    lines.extend(_meta_lines(meta))
     n_rows, n_cols = values.shape
-    lines.append(f"{n_cols} {n_rows}")
-    lines.append(str(max(1, maxval)))
-    for row in values:
-        lines.append(" ".join(str(int(v)) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with path.open("w", encoding="utf-8") as f:
+        f.write("P2\n")
+        for line in _meta_lines(meta):
+            f.write(line + "\n")
+        f.write(f"{n_cols} {n_rows}\n{max(1, maxval)}\n")
+        for cells in _formatted_rows(values, lambda v: str(int(v))):
+            f.write(" ".join(cells) + "\n")
+
+
+def _write_edges(path: Path, graph, meta: dict) -> None:
+    """One 'u v' line per edge u < v, in row-major order, after the
+    metadata lines."""
+    adj = graph.adjacency
+    names = np.array([str(i) for i in range(graph.n)], dtype=object)
+    with path.open("w", encoding="utf-8") as f:
+        for line in _meta_lines(meta):
+            f.write(line + "\n")
+        for u in range(graph.n):
+            cols = np.flatnonzero(adj[u, u + 1:]) + (u + 1)
+            if cols.size:
+                head = names[u] + " "
+                f.write(head + ("\n" + head).join(names[cols]) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -283,16 +322,15 @@ def cmd_varadhan(cfg: RunConfig) -> int:
 
     has_unreachable = not fld.connected
     maxval = fld.layer_count + (1 if has_unreachable else 0)
-    pixels = np.where(np.isfinite(fld.matrix), fld.matrix, maxval)
-    _write_pgm(cfg.out / "varadhan_layers.pgm", pixels, maxval, meta)
+    _write_pgm(cfg.out / "varadhan_layers.pgm",
+               np.where(np.isfinite(fld.matrix), fld.matrix, maxval),
+               maxval, meta)
 
-    mu = w.partition.measures
+    mass = np.outer(w.partition.measures, w.partition.measures)
     layer_sizes = {}
     for level in range(1, fld.layer_count + 1):
         mask = fld.matrix == level
-        layer_sizes[str(level)] = float(
-            np.sum(np.outer(mu, mu)[mask])
-        )
+        layer_sizes[str(level)] = float(np.sum(mass[mask]))
     summary = {
         "meta": meta,
         "connected": fld.connected,
@@ -469,10 +507,7 @@ def cmd_sample(cfg: RunConfig) -> int:
     graph = sample_graph(w, cfg.n, cfg.seed)
     meta = _metadata(cfg, {"n": cfg.n, "trials": cfg.trials,
                            "seed": cfg.seed, "rng": RNG_ALGORITHM})
-    edge_lines = _meta_lines(meta)
-    edge_lines.extend(f"{u} {v}" for u, v in graph.edge_list())
-    (cfg.out / "sample_edges.txt").write_text("\n".join(edge_lines) + "\n",
-                                              encoding="utf-8")
+    _write_edges(cfg.out / "sample_edges.txt", graph, meta)
     payload = {"meta": meta, "edges": graph.edge_count,
                "vertices": graph.n}
     if connected:

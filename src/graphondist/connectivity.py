@@ -12,7 +12,14 @@ The work is sized to the question.  Cells with identical support rows
 exact, since twins have the same neighbours.  ``is_connected`` runs one BFS
 from block 0, O(levels * k^2); ``diameter`` doubles walk lengths, O(log
 diameter) k x k boolean products; the whole matrix of
-``block_distance_matrix`` is O(levels * k^3).
+``block_distance_matrix`` takes L - 1 products when the largest walk
+distance L joins every pair, and L when some pair is unreachable (one
+closing product finds the next level empty), each about k^3 / 2.
+Those products are symmetric panel products: rows are taken in panels of
+``PANEL_ROWS``, each panel multiplies only the columns on and right of its
+diagonal block, and the block is mirrored below the diagonal.  That is
+exact because every matrix the walks keep (one BFS level, or the pairs
+joined by a walk of bounded length) is symmetric on a symmetric support.
 """
 
 from __future__ import annotations
@@ -31,6 +38,9 @@ UNREACHABLE = math.inf
 #: quadrature noise allowed for grids
 STEP_EPSILON = 1e-12
 GRID_EPSILON = 1e-9
+
+#: row panel height of the symmetric boolean product ``_compose``
+PANEL_ROWS = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,32 +101,56 @@ def _support_classes(adj: np.ndarray):
 
 
 def _compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Boolean matrix product: (a o b)[i, j] = any_l a[i, l] & b[l, j]."""
-    return (a.astype(np.float32) @ b.astype(np.float32)) > 0.0
+    """Boolean product (a o b)[i, j] = any_l a[i, l] & b[l, j] of two
+    n x n matrices, exact on and above the diagonal.
+
+    Rows go in panels of ``PANEL_ROWS``; panel [lo, hi) multiplies only the
+    columns lo: and its block right of the diagonal block is mirrored into
+    the lower triangle, which costs about half of one full product.  The
+    result is therefore exact wherever the part of a o b the caller keeps
+    is symmetric: ``R_a o R_b``, the pairs joined by a walk of length
+    2..a+b, and the BFS level ``(F_m o A) & ~R_m``, the pairs at walk
+    distance m + 1.  At n <= ``PANEL_ROWS`` it is one full product.
+    """
+    af = a.astype(np.float32, copy=False)
+    bf = af if b is a else b.astype(np.float32, copy=False)
+    n = af.shape[0]
+    out = np.empty((n, n), dtype=bool)
+    for lo in range(0, n, PANEL_ROWS):
+        hi = min(lo + PANEL_ROWS, n)
+        panel = (af[lo:hi] @ bf[:, lo:]) > 0.0
+        out[lo:hi, lo:] = panel
+        out[hi:, lo:hi] = panel[:, hi - lo:].T
+    return out
 
 
-def _bfs(adj: np.ndarray, sources: np.ndarray) -> np.ndarray:
+def _bfs(adj: np.ndarray, sources: np.ndarray | None = None) -> np.ndarray:
     """Level-synchronous BFS from boolean source sets, one per row.
 
     Row r holds the least m >= 1 such that some vertex of ``sources[r]``
     has a length-m walk to vertex j, inf where there is none.  The first
     frontier is the one-step neighbourhood of the sources, so a source
     reaches itself at 1 through a self-loop and at 2 through a neighbour.
+    ``None`` takes every vertex as its own source: level 1 is then ``adj``
+    itself and each later level one symmetric ``_compose``.  The walk stops
+    at the level that reaches the last entry, or at the first empty level.
     """
+    whole = sources is None
     adj_f = adj.astype(np.float32)
-    dist = np.full(sources.shape, np.inf)
-    reached = np.zeros(sources.shape, dtype=bool)
-    frontier = sources
-    level = 0
-    while True:
-        level += 1
-        new = (frontier.astype(np.float32) @ adj_f) > 0.0
-        new &= ~reached
-        if not new.any():
-            return dist
+    new = adj if whole else (sources.astype(np.float32) @ adj_f) > 0.0
+    dist = np.full(new.shape, np.inf)
+    reached = np.zeros(new.shape, dtype=bool)
+    level = 1
+    while new.any():
         dist[new] = level
         reached |= new
-        frontier = new
+        if reached.all():
+            break
+        new = (_compose(new, adj_f) if whole
+               else (new.astype(np.float32) @ adj_f) > 0.0)
+        new &= ~reached
+        level += 1
+    return dist
 
 
 def _walk_distances(adj: np.ndarray, sources: np.ndarray | None = None):
@@ -131,7 +165,7 @@ def _walk_distances(adj: np.ndarray, sources: np.ndarray | None = None):
     q, cls = _support_classes(np.asarray(adj, dtype=bool))
     twin_free = q.shape[0] == cls.shape[0]
     if sources is None:
-        d = _bfs(q, np.eye(q.shape[0], dtype=bool))
+        d = _bfs(q)
         return d if twin_free else d[np.ix_(cls, cls)]
     if twin_free:
         return _bfs(q, sources)
@@ -151,8 +185,8 @@ def _source_rows(n: int, cells) -> np.ndarray:
 
 def block_distance_matrix(s: SupportGraph) -> np.ndarray:
     """Walk distances d'(i,j) = least m >= 1 with a length-m walk from i
-    to j on the support graph, for every block pair: O(levels * k^3) on k
-    support classes.
+    to j on the support graph, for every block pair: about (L - 1) k^3 / 2
+    on k support classes with largest walk distance L.
 
     Off-diagonal entries coincide with shortest-path lengths.  A diagonal
     entry is 1 when the block carries a self-loop, otherwise 2 when the
@@ -182,7 +216,9 @@ def diameter(w, epsilon: float | None = None):
     Reach doubling on the support-twin quotient: with R_a the pairs joined
     by a walk of length 1..a, R_{a+b} = R_a | (R_a o R_b).  Squaring until
     R_{2^L} is all true and then descending bit by bit costs about
-    2 log2(diameter) boolean products instead of one per BFS level.
+    2 log2(diameter) boolean products instead of one per BFS level; each
+    is a half-cost ``_compose``, since R_a o R_b (the pairs joined by a
+    walk of length 2..a+b) is symmetric.
     """
     q, _ = _support_classes(support_graph(w, epsilon).matrix)
     reach = [q]  # reach[l]: pairs joined by a walk of length 1..2^l

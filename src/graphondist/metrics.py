@@ -169,23 +169,19 @@ def merge_twins(w: StepGraphon, tol: float = 1e-9) -> StepGraphon:
     while current.size > 1:
         mu = current.partition.measures
         rd = _row_distances(current.blocks, mu)
-        # components of the closeness relation, ordered by first member;
-        # every block belongs to its own, also when tol = 0
+        # components of the closeness relation; every block belongs to its
+        # own, also when tol = 0
         reach = np.isfinite(_walk_distances(rd < tol))
         reach |= np.eye(current.size, dtype=bool)
-        groups = [np.flatnonzero(row) for i, row in enumerate(reach)
-                  if row.argmax() == i]
-        if len(groups) == current.size:
+        first = reach.argmax(axis=1) == np.arange(current.size)
+        if first.all():
             return current
-        n_new = len(groups)
-        mu_new = np.array([mu[g].sum() for g in groups])
-        blocks_new = np.empty((n_new, n_new))
-        for gi, rows in enumerate(groups):
-            for gj, cols in enumerate(groups):
-                mass = mu[rows][:, None] * mu[cols][None, :]
-                blocks_new[gi, gj] = float(
-                    np.sum(current.blocks[np.ix_(rows, cols)] * mass)
-                ) / float(mass.sum())
+        # one-hot block -> component map E, components in order of first
+        # member: merged value = E^T (mu B mu) E / M M^T
+        onehot = reach[first].T.astype(float)
+        mu_new = mu @ onehot
+        mass = mu[:, None] * current.blocks * mu[None, :]
+        blocks_new = (onehot.T @ mass @ onehot) / np.outer(mu_new, mu_new)
         current = StepGraphon(Partition(mu_new), blocks_new)
     return current
 

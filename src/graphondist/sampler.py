@@ -42,10 +42,6 @@ class SampledGraph:
     def edge_count(self) -> int:
         return int(np.triu(self.adjacency, k=1).sum())
 
-    def edge_list(self) -> list[tuple[int, int]]:
-        rows, cols = np.nonzero(np.triu(self.adjacency, k=1))
-        return list(zip(rows.tolist(), cols.tolist()))
-
 
 def sample_graph(w, n: int, seed: int) -> SampledGraph:
     """Sample an n-vertex simple graph from a graphon, reproducibly."""

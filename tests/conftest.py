@@ -43,14 +43,15 @@ def bfs_oracle(adj) -> np.ndarray:
     """
     adj = np.asarray(adj)
     n = adj.shape[0]
+    neighbours = [np.flatnonzero(row).tolist() for row in adj]
     out = np.full((n, n), math.inf)
     for s in range(n):
         out[s, s] = 0.0
         queue = deque([s])
         while queue:
             u = queue.popleft()
-            for v in range(n):
-                if v != u and adj[u, v] and math.isinf(out[s, v]):
+            for v in neighbours[u]:
+                if v != u and math.isinf(out[s, v]):
                     out[s, v] = out[s, u] + 1.0
                     queue.append(v)
     return out

@@ -2,7 +2,9 @@
 
 The digests pin the exact files written by ``varadhan``, ``connectivity``
 and ``sample`` for one step and one grid description, so a refactor that
-changes any output byte fails here.  Inputs are passed as relative paths
+changes any output byte fails here; a 600-cell band and a 600-vertex
+sample pin outputs whose walks cross the row panels of the boolean
+product.  Inputs are passed as relative paths
 from a fixed working directory, which keeps ``meta.input`` stable.  Slope
 and metrics outputs are not pinned: their last float digits depend on the
 BLAS build.
@@ -23,6 +25,9 @@ STEP = {"kind": "step", "measures": [0.1, 0.2, 0.3, 0.4],
 GRID = {"kind": "grid", "resolution": 8,
         "values": [[0.75 if min(abs(i - j), 8 - abs(i - j)) <= 1 else 0.0
                     for j in range(8)] for i in range(8)]}
+
+BAND = {"kind": "builtin", "name": "circular_band",
+        "params": {"tau": 0.05, "resolution": 600}}
 
 COMMANDS = {
     "varadhan": ["varadhan"],
@@ -83,3 +88,39 @@ def test_reproducible_outputs_match_golden_digests(tmp_path, monkeypatch,
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in sorted((tmp_path / "out").iterdir())}
     assert digests == GOLDEN[kind, command]
+
+
+PANEL_COMMANDS = {
+    "varadhan": ["varadhan"],
+    "sample": ["sample", "--n", "600", "--trials", "2", "--seed", "3"],
+}
+
+PANEL_GOLDEN = {
+    "sample": {
+        "sample_edges.txt":
+            "648d513ec71ecd31c3a2e6585ef3cd1a7555afa3ba067ab7b437aaef409c2b69",
+        "sample_report.json":
+            "100efd6c595c82cfa5758146f35bfd9590bddfbae1ab350b18b8585140ecb154",
+    },
+    "varadhan": {
+        "varadhan_distance.csv":
+            "b90ed9e2abc01612b72b27d0784c38f09c366f1c950aa293e2224dd943fc1ca0",
+        "varadhan_layers.pgm":
+            "02944cc2ecc80bc1b8790663c3b470e102144d47ff8c29e23cc6cd87d69c4b2b",
+        "varadhan_summary.json":
+            "52a0407cf94c8462dbceedf4154720231203d0597b2b293fdcda8fe4ac593b8d",
+    },
+}
+
+
+@pytest.mark.parametrize("command", sorted(PANEL_COMMANDS))
+def test_outputs_across_row_panels_match_golden_digests(tmp_path, monkeypatch,
+                                                        command):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "band.json").write_text(json.dumps(BAND))
+    argv = PANEL_COMMANDS[command] + ["--input", "band.json", "--out", "out",
+                                      "--reproducible"]
+    assert main(argv) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in sorted((tmp_path / "out").iterdir())}
+    assert digests == PANEL_GOLDEN[command]

@@ -21,7 +21,7 @@ from graphondist import (
     similarity_distance,
     step,
 )
-from conftest import cycle_adjacency, random_step_graphon
+from conftest import bfs_oracle, cycle_adjacency, random_step_graphon
 
 I = lambda a, b: IntervalSet(((a, b),))
 
@@ -259,6 +259,46 @@ def test_merge_twins_memory_stays_quadratic(rng):
         tracemalloc.stop()
     assert merged.size == 64
     assert peak < 64e6  # a 256^3 float64 temporary alone is 134 MB
+
+
+def _loop_merge(w, tol):
+    """merge_twins as a definition: close-row components by queue BFS and
+    each merged value summed group pair by group pair."""
+    current = w
+    while current.size > 1:
+        mu, a = current.partition.measures, current.blocks
+        close = np.sum(np.abs(a[:, None, :] - a[None, :, :]) * mu, axis=2) < tol
+        reach = np.isfinite(bfs_oracle(close))
+        groups = [np.flatnonzero(row) for i, row in enumerate(reach)
+                  if row.argmax() == i]
+        if len(groups) == current.size:
+            return current
+        merged = np.empty((len(groups), len(groups)))
+        for gi, rows in enumerate(groups):
+            for gj, cols in enumerate(groups):
+                mass = mu[rows][:, None] * mu[cols][None, :]
+                merged[gi, gj] = (np.sum(a[np.ix_(rows, cols)] * mass)
+                                  / mass.sum())
+        current = step(Partition(np.array([mu[g].sum() for g in groups])),
+                       merged)
+    return current
+
+
+def test_merge_twins_matches_the_group_pair_loop(rng):
+    tol = 1e-6
+    for k, copies in [(3, 2), (8, 3), (64, 4)]:
+        base = random_step_graphon(rng, k).blocks
+        labels = rng.permutation(np.repeat(np.arange(k), copies))
+        noise = rng.uniform(-1e-9, 1e-9, (labels.size, labels.size))
+        blocks = np.clip(base[np.ix_(labels, labels)] + noise + noise.T,
+                         0.0, 1.0)
+        mu = rng.uniform(0.5, 1.5, labels.size)
+        w = step(Partition(mu / mu.sum()), blocks)
+        got, want = merge_twins(w, tol), _loop_merge(w, tol)
+        assert got.size == want.size < labels.size
+        assert np.allclose(got.partition.measures, want.partition.measures,
+                           rtol=0.0, atol=1e-12)
+        assert np.allclose(got.blocks, want.blocks, rtol=0.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from graphondist import (
     UNREACHABLE,
     IntervalSet,
     Partition,
+    SupportGraph,
     block_distance_matrix,
     circular_band_graphon,
     diameter,
@@ -22,6 +23,7 @@ from graphondist import (
     to_grid,
     varadhan_distance,
 )
+from graphondist import connectivity
 from conftest import bfs_oracle
 
 
@@ -146,3 +148,83 @@ def test_point_query_allocates_less_than_a_field():
     finally:
         tracemalloc.stop()
     assert peak < 2048 * 2048 * 8  # one n x n float64 field: 32 MB
+
+
+def panel_support(rng, k: int, connected: bool) -> np.ndarray:
+    """Symmetric boolean support with exactly k distinct rows: paths with
+    random chords and random self-loops; two of them and an isolated
+    block unless connected."""
+    while True:
+        a = np.zeros((k, k), dtype=bool)
+        cut = int(rng.integers(k // 4, 3 * k // 4))
+        pieces = [(0, k)] if connected else [(0, cut), (cut, k - 1)]
+        for lo, hi in pieces:
+            idx = np.arange(lo, hi - 1)
+            a[idx, idx + 1] = True
+            m = hi - lo
+            a[lo:hi, lo:hi] |= rng.random((m, m)) < 3.0 / m
+        a |= a.T
+        a[np.diag_indices(k)] = rng.random(k) < 0.3
+        if not connected:
+            a[k - 1, :] = a[:, k - 1] = False
+        if np.unique(a, axis=0).shape[0] == k:
+            return a
+
+
+def with_twins(rng, a: np.ndarray, extra: int) -> np.ndarray:
+    """The support on cells that repeat some of its blocks (support
+    twins), in shuffled order."""
+    labels = rng.permutation(np.concatenate(
+        [np.arange(a.shape[0]), rng.integers(0, a.shape[0], extra)]))
+    return a[np.ix_(labels, labels)]
+
+
+def test_field_and_diameter_across_panel_edges(rng):
+    # the walk runs on the support-twin quotient, so k is the number of
+    # classes: one below, at and one above a panel, and two panels plus one
+    for k in (255, 256, 257, 513):
+        for connected in (True, False):
+            cells = with_twins(rng, panel_support(rng, k, connected), 24)
+            want = walk_oracle(cells)
+            assert np.isfinite(want).all() == connected
+            got = block_distance_matrix(SupportGraph(cells, 0.0))
+            assert np.array_equal(got, want)
+            assert diameter(lift(cells.astype(float))) == \
+                (int(want.max()) if connected else UNREACHABLE)
+
+
+def count_products(monkeypatch, adj) -> int:
+    calls = []
+    compose = connectivity._compose
+
+    def counted(a, b):
+        calls.append(a.shape)
+        return compose(a, b)
+
+    monkeypatch.setattr(connectivity, "_compose", counted)
+    want = walk_oracle(adj)
+    assert np.array_equal(block_distance_matrix(SupportGraph(adj, 0.0)), want)
+    return len(calls)
+
+
+def path_support(k: int) -> np.ndarray:
+    a = np.zeros((k, k), dtype=bool)
+    idx = np.arange(k - 1)
+    a[idx, idx + 1] = a[idx + 1, idx] = True
+    return a
+
+
+def test_field_product_counts(monkeypatch):
+    # a path of L + 1 blocks: level 1 is the support itself, levels 2..L
+    # are one product each and the walk stops once every pair is reached
+    for length in (2, 3, 10, 40, 300):
+        assert count_products(monkeypatch, path_support(length + 1)) == \
+            length - 1
+    # two pieces: one closing product finds the last level empty
+    for length, other in [(2, 2), (5, 3), (12, 30)]:
+        a = np.zeros((length + other + 2,) * 2, dtype=bool)
+        a[:length + 1, :length + 1] = path_support(length + 1)
+        a[length + 1:, length + 1:] = path_support(other + 1)
+        assert count_products(monkeypatch, a) == max(length, other)
+    # a complete graph with self-loops is all reached at level 1
+    assert count_products(monkeypatch, np.ones((7, 7), dtype=bool)) == 0
