@@ -4,8 +4,10 @@ Subcommands: ``varadhan`` (distance matrix CSV + layer heatmap PGM + summary
 JSON), ``slope`` (log-log slope experiments, set-pair or matrix-transform
 mode), ``metrics`` (communicability matrix / embedding / cut norm),
 ``connectivity`` and ``sample``.  Exit codes: 0 ok, 1 expectation check
-failed, 2 invalid input, 3 mathematical domain error (including a
-disconnected graphon without --allow-disconnected), 4 I/O failure.
+failed (in slope transform mode: some pair misses its distance or has no
+defined slope; slope.json is still written), 2 invalid input,
+3 mathematical domain error (including a disconnected graphon without
+--allow-disconnected), 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -39,9 +41,10 @@ from .metrics import (
 )
 from .sampler import RNG_ALGORITHM, _compare_samples, sample_graph
 from .varadhan import (
+    _all_pair_slopes,
+    _transform_operator,
     default_t_grid,
     distance_field,
-    general_varadhan_slope,
     varadhan_slope,
 )
 
@@ -361,29 +364,31 @@ def _slope_transform_mode(cfg: RunConfig, w) -> int:
     else:
         weights = pattern
         diag = np.zeros(n)
-    family = _transform_family(cfg.transform)
-    walk = block_distance_matrix(support)
-    expected = walk.copy()
+    lmat = _transform_operator(pattern, weights, diag)
+    expected = block_distance_matrix(support).copy()
     np.fill_diagonal(expected, 0.0)
     tgrid = cfg.tgrid if cfg.tgrid is not None else default_t_grid()
+    fits = _all_pair_slopes(lmat, _transform_family(cfg.transform), tgrid)
     pairs = []
-    all_ok = True
     for i in range(n):
         for j in range(n):
-            est = general_varadhan_slope(pattern, weights, diag, family,
-                                         i, j, tgrid)
             want = float(expected[i, j])
-            ok = bool(math.isfinite(want)
-                      and abs(est.slope - want) <= cfg.tolerance)
-            all_ok = all_ok and ok
-            pairs.append({
-                "pair": [i, j],
-                "slope": est.slope,
-                "residual": est.residual,
-                "estimated": est.estimated_distance,
-                "expected": want if math.isfinite(want) else "unreachable",
-                "match": ok,
-            })
+            entry = {"pair": [i, j],
+                     "expected": want if math.isfinite(want) else "unreachable",
+                     "series_terms": int(fits.terms[i, j]),
+                     "series_stop": str(fits.stop[i, j])}
+            if fits.reason[i, j]:
+                entry.update(slope=None, residual=None, estimated=None,
+                             match=False, reason=fits.reason[i, j])
+            else:
+                slope = float(fits.slope[i, j])
+                entry.update(slope=slope,
+                             residual=float(fits.residual[i, j]),
+                             estimated=int(round(slope)),
+                             match=bool(math.isfinite(want) and
+                                        abs(slope - want) <= cfg.tolerance))
+            pairs.append(entry)
+    all_ok = all(entry["match"] for entry in pairs)
     meta = _metadata(cfg, {"transform": cfg.transform, "weights": cfg.weights,
                            "seed": cfg.seed, "tolerance": cfg.tolerance,
                            "t_grid": tgrid.tolist()})
@@ -416,6 +421,8 @@ def cmd_slope(cfg: RunConfig) -> int:
         "residual": est.residual,
         "estimated_distance": est.estimated_distance,
         "expected": cfg.expect,
+        "series_terms": est.series_terms,
+        "series_stop": est.series_stop,
     }
     cfg.out.mkdir(parents=True, exist_ok=True)
     _write_json(cfg.out / "slope.json", payload)

@@ -18,6 +18,7 @@ block-constant functions, with the orthogonal complement annihilated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,21 +42,50 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _check_symmetric(a: np.ndarray, tol: float, what: str) -> None:
+#: rows and columns of the tiles in which a matrix meets its transpose
+_SYM_TILE = 256
+
+
+def _symmetry_gap(a: np.ndarray) -> float:
+    """max |a - a.T| of a square matrix, taken one pair of tiles at a time
+    so that the transposed read stays in cache."""
+    n = a.shape[0]
+    gap = 0.0
+    for i in range(0, n, _SYM_TILE):
+        for j in range(i, n, _SYM_TILE):
+            diff = (a[i:i + _SYM_TILE, j:j + _SYM_TILE]
+                    - a[j:j + _SYM_TILE, i:i + _SYM_TILE].T)
+            gap = max(gap, float(np.abs(diff).max()))
+    return gap
+
+
+def _check_symmetric(a: np.ndarray, tol: float, what: str,
+                     scale: float | None = None) -> float:
+    """Reject a non-square matrix or one asymmetric beyond ``tol`` times
+    ``scale`` (default max(1, max|a|)); return max |a - a.T|."""
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"{what} must be a square matrix, got shape {a.shape}")
-    scale = max(1.0, float(np.max(np.abs(a))) if a.size else 1.0)
-    if a.size and float(np.max(np.abs(a - a.T))) > tol * scale:
+    if not a.size:
+        return 0.0
+    if scale is None:
+        scale = max(1.0, float(np.abs(a).max()))
+    gap = _symmetry_gap(a)
+    if gap > tol * scale:
         raise ValidationError(f"{what} is not symmetric within {tol:g}")
+    return gap
 
 
-def _check_unit_range(a: np.ndarray, what: str) -> np.ndarray:
-    if a.size and (float(a.min()) < -_RANGE_TOL or float(a.max()) > 1.0 + _RANGE_TOL):
+def _check_unit_range(a: np.ndarray, lo: float, hi: float,
+                      what: str) -> np.ndarray:
+    """Reject entries (whose range is [lo, hi]) outside [0,1] beyond the
+    tolerance; clip the rest into [0,1] in place."""
+    if lo < -_RANGE_TOL or hi > 1.0 + _RANGE_TOL:
         raise ValidationError(
-            f"{what} entries must lie in [0,1]; found range "
-            f"[{float(a.min()):g}, {float(a.max()):g}]"
+            f"{what} entries must lie in [0,1]; found range [{lo:g}, {hi:g}]"
         )
-    return np.clip(a, 0.0, 1.0)
+    if lo < 0.0 or hi > 1.0:
+        np.clip(a, 0.0, 1.0, out=a)
+    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,15 +226,22 @@ class StepGraphon:
 
     def __post_init__(self):
         a = np.asarray(self.blocks, dtype=float)
-        if not np.all(np.isfinite(a)):
+        lo, hi = (float(a.min()), float(a.max())) if a.size else (0.0, 0.0)
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValidationError("block matrix entries must be finite")
-        _check_symmetric(a, _SYM_TOL, "block matrix")
+        gap = _check_symmetric(a, _SYM_TOL, "block matrix", max(1.0, hi, -lo))
         if a.shape[0] != self.partition.size:
             raise ValidationError(
                 f"block matrix size {a.shape[0]} does not match partition "
                 f"size {self.partition.size}"
             )
-        a = _check_unit_range((a + a.T) / 2.0, "block matrix")
+        if gap:
+            a = (a + a.T) / 2.0
+            lo, hi = float(a.min()), float(a.max())
+        elif isinstance(self.blocks, np.ndarray) and np.may_share_memory(
+                a, self.blocks):
+            a = a.copy()
+        a = _check_unit_range(a, lo, hi, "block matrix")
         object.__setattr__(self, "blocks", _readonly(a))
 
     @property

@@ -15,7 +15,10 @@ field is O(levels * k^3).
 The heat-trace route (slope of log <1_V, e^{tW} 1_U> against log t as t
 shrinks) recovers the same integers and is provided as an independent
 verification path; the short-time limit is ill-conditioned in floating
-point, so it is never the source of truth.
+point, so it is never the source of truth.  Each slope query (heat, one
+transform pair, or all pairs at once) sums one walk-mass sequence for the
+whole t-grid in the log domain, with each entry's leading term kept exact
+(``linalg._walk_series``).
 """
 
 from __future__ import annotations
@@ -41,7 +44,14 @@ from .core import (
     _readonly,
     degree,
 )
-from .linalg import TaylorFamily, analytic_transform, expm
+from .linalg import (
+    EXPONENTIAL,
+    STOP_REASONS,
+    TaylorFamily,
+    _Series,
+    _walk_series,
+    expm,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,7 +156,23 @@ def set_distance(w, u: IntervalSet, v: IntervalSet, epsilon: float | None = None
     return int(best) if math.isfinite(best) else UNREACHABLE
 
 
-_SERIES_CAP = 400
+def _heat_series(w, u: IntervalSet, v: IntervalSet, ts) -> _Series:
+    """The adjacency heat series mu(U&V) + sum_{m>=1} t^m/m! u^T M^{m-1} A v,
+    M = A diag(mu), for every t of ``ts`` at once.
+
+    u^T M^{m-1} A v = u^T M^m (v / mu), so it is the exponential series of
+    M from the start row u to the end column v / mu, with the k = 0 term
+    replaced by the overlap measure.  All terms are nonnegative, so the
+    leading term (order = walk distance) is summed without cancellation.
+    """
+    if u.is_empty or v.is_empty:
+        raise ValidationError("heat content requires nonempty interval sets")
+    mu = w.partition.measures
+    um = u.block_masses(w.partition)
+    vm = v.block_masses(w.partition)
+    return _walk_series(EXPONENTIAL, w.blocks * mu[None, :], ts,
+                        start=um[None, :], end=(vm / mu)[:, None],
+                        zeroth=u.intersection_measure(v))
 
 
 def heat_content(w, u: IntervalSet, v: IntervalSet, t: float,
@@ -160,54 +186,24 @@ def heat_content(w, u: IntervalSet, v: IntervalSet, t: float,
     annihilates the remainder, while the Laplacian acts as multiplication
     by the degree values there.  The adjacency series has nonnegative terms
     only, so tiny leading orders (t^d at walk distance d) are summed without
-    cancellation.
+    cancellation; it is exactly 0 between sets no walk joins.
     """
     t = float(t)
     if t < 0.0:
         raise ValidationError("heat content requires t >= 0")
     if u.is_empty or v.is_empty:
         raise ValidationError("heat content requires nonempty interval sets")
-    mu = w.partition.measures
-    a = w.blocks
-    um = u.block_masses(w.partition)
-    vm = v.block_masses(w.partition)
-    overlap = u.intersection_measure(v)
 
     if generator == "adjacency":
-        # mu(U&V) + sum_{m>=1} t^m/m! * u^T M^{m-1} A v,  M = A diag(mu).
-        # All terms are nonnegative, so leading exact zeros (walk distance
-        # d means the first d-1 terms vanish) cost no cancellation; stop
-        # only after two negligible terms in a row once mass has appeared,
-        # which rides out the zero/nonzero alternation of bipartite blocks.
-        total = overlap
-        n = mu.shape[0]
-        # the first positive term sits at the walk distance (at most n+1)
-        # and the terms peak near m = t, so this horizon always reaches
-        # both the onset and the decaying tail
-        cap = max(_SERIES_CAP, n + 50, int(3 * t) + 50)
-        mm = a * mu[None, :]
-        y = a @ vm
-        coeff = t
-        small_run = 0
-        for m in range(1, cap + 1):
-            contrib = coeff * float(um @ y)
-            total += contrib
-            if total > 0.0 and contrib <= 1e-18 * total:
-                small_run += 1
-                if small_run >= 2:
-                    return total
-            else:
-                small_run = 0
-            coeff *= t / (m + 1)
-            y = mm @ y
-        if total == 0.0 or coeff * float(um @ y) <= 1e-18 * total:
-            return total
-        raise MathDomainError(
-            f"heat content series did not converge within {cap} terms "
-            f"at t = {t:g}"
-        )
+        if t == 0.0:
+            return u.intersection_measure(v)
+        return float(np.exp(_heat_series(w, u, v, [t]).log_abs[0, 0, 0]))
 
     if generator == "laplacian":
+        mu = w.partition.measures
+        a = w.blocks
+        um = u.block_masses(w.partition)
+        vm = v.block_masses(w.partition)
         kv = degree(w).values
         mmat = a * mu[None, :]
         lap = np.diag(kv) - mmat
@@ -224,12 +220,16 @@ def heat_content(w, u: IntervalSet, v: IntervalSet, t: float,
 @dataclass(frozen=True, eq=False)
 class SlopeEstimate:
     """Least-squares slope of log values against log t on a decreasing
-    positive t-grid, with the RMS fit residual."""
+    positive t-grid, with the RMS fit residual, the number of series terms
+    the value needed and why its series stopped (``STOP_REASONS``; a
+    defined slope always stopped on ``"tail_bound"``)."""
 
     t_grid: np.ndarray
     log_values: np.ndarray
     slope: float
     residual: float
+    series_terms: int = 0
+    series_stop: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "t_grid",
@@ -259,39 +259,48 @@ def _validate_t_grid(t_grid) -> np.ndarray:
     return tg
 
 
-def _fit_slope(tg: np.ndarray, values: np.ndarray, what: str) -> SlopeEstimate:
-    bad = values <= 0.0
-    if bad.any():
-        t_bad = float(tg[bad][0])
-        raise MathDomainError(
-            f"{what} is not positive at t = {t_bad:g}; no slope is defined"
-        )
-    logs = np.log(values)
+def _not_positive(what: str, t: float) -> str:
+    return f"{what} is not positive at t = {t:g}; no slope is defined"
+
+
+def _fit_lines(tg: np.ndarray, logs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares slopes and RMS residuals of the columns of ``logs``
+    (finite, one row per t) against log t, all columns at once."""
     lt = np.log(tg)
-    coeffs = np.polyfit(lt, logs, 1)
-    fitted = np.polyval(coeffs, lt)
-    residual = float(np.sqrt(np.mean((fitted - logs) ** 2)))
-    return SlopeEstimate(tg, logs, float(coeffs[0]), residual)
+    dt = lt - lt.mean()
+    dy = logs - logs.mean(axis=0)
+    slope = (dt @ dy) / (dt @ dt)
+    return slope, np.sqrt(((dy - dt[:, None] * slope) ** 2).mean(axis=0))
+
+
+def _fit_slope(tg: np.ndarray, series: _Series, what: str) -> SlopeEstimate:
+    """The slope of the single entry of ``series``."""
+    logs = series.log_abs[:, 0, 0]
+    bad = ~np.isfinite(logs)
+    if bad.any():
+        raise MathDomainError(_not_positive(what, float(tg[bad][0])))
+    slope, residual = _fit_lines(tg, logs[:, None])
+    return SlopeEstimate(tg, logs, float(slope[0]), float(residual[0]),
+                         int(series.terms[0, 0]),
+                         STOP_REASONS[series.stop[0, 0]])
 
 
 def varadhan_slope(w, u: IntervalSet, v: IntervalSet,
                    t_grid=None) -> SlopeEstimate:
     """Slope of log heat content against log t: a numerical verification of
-    the combinatorial set distance (the slope converges to it as t -> 0+)."""
-    tg = default_t_grid() if t_grid is None else _validate_t_grid(t_grid)
-    vals = np.array([heat_content(w, u, v, t) for t in tg])
-    return _fit_slope(tg, vals, "heat content")
+    the combinatorial set distance (the slope converges to it as t -> 0+).
 
-
-def general_varadhan_slope(adjacency, weights, diag, family: TaylorFamily,
-                           i: int, j: int, t_grid=None) -> SlopeEstimate:
-    """Slope of log |f(Lt)_{ij}| for L = M + D built from a 0/1 adjacency
-    pattern.
-
-    M must be nonnegative with exactly the adjacency's zero pattern and D is
-    an arbitrary diagonal; for any analytic f with all-nonzero Taylor
-    coefficients the slope recovers the shortest-path distance d(i,j).
+    One heat series serves the whole t-grid, evaluated in the log domain,
+    so the heat content at set distance d ~ 63 (about t^63 / 63!, far below
+    the smallest double) still has a logarithm to fit.
     """
+    tg = default_t_grid() if t_grid is None else _validate_t_grid(t_grid)
+    return _fit_slope(tg, _heat_series(w, u, v, tg), "heat content")
+
+
+def _transform_operator(adjacency, weights, diag) -> np.ndarray:
+    """L = M + D after checking that M is nonnegative with exactly the
+    symmetric adjacency's zero pattern."""
     a = np.asarray(adjacency, dtype=float)
     m = np.asarray(weights, dtype=float)
     if a.shape != m.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -308,13 +317,62 @@ def general_varadhan_slope(adjacency, weights, diag, family: TaylorFamily,
     d = np.asarray(diag, dtype=float).reshape(-1)
     if d.shape[0] != a.shape[0]:
         raise ValidationError("diagonal length does not match matrix size")
-    n = a.shape[0]
+    return m + np.diag(d)
+
+
+def general_varadhan_slope(adjacency, weights, diag, family: TaylorFamily,
+                           i: int, j: int, t_grid=None) -> SlopeEstimate:
+    """Slope of log |f(Lt)_{ij}| for L = M + D built from a 0/1 adjacency
+    pattern.
+
+    M must be nonnegative with exactly the adjacency's zero pattern and D is
+    an arbitrary diagonal; for any analytic f with all-nonzero Taylor
+    coefficients the slope recovers the shortest-path distance d(i,j).  One
+    sequence of rows e_i^T L^k serves the whole t-grid; the leading term
+    a_d t^d (L^d)_{ij} is a sum of positive walk weights, factored out
+    before the later (signed) terms are added.
+    """
+    lmat = _transform_operator(adjacency, weights, diag)
+    n = lmat.shape[0]
     if not (0 <= i < n and 0 <= j < n):
         raise ValidationError(f"indices ({i}, {j}) out of range for n = {n}")
-    lmat = m + np.diag(d)
     tg = default_t_grid() if t_grid is None else _validate_t_grid(t_grid)
-    vals = np.empty(tg.shape[0])
-    for idx, t in enumerate(tg):
-        transformed, _ = analytic_transform(family, lmat, float(t))
-        vals[idx] = abs(float(transformed[i, j]))
-    return _fit_slope(tg, vals, f"|f(Lt)|[{i},{j}]")
+    unit = np.eye(n)
+    series = _walk_series(family, lmat, tg, start=unit[[i]], end=unit[:, [j]])
+    return _fit_slope(tg, series, f"|f(Lt)|[{i},{j}]")
+
+
+@dataclass(frozen=True, eq=False)
+class _PairSlopes:
+    """Slopes of log |f(Lt)_{ij}| for every pair of one operator: n x n
+    ``slope`` and ``residual`` (NaN where undefined), series ``terms`` and
+    ``stop`` reasons, and ``reason`` ("" where the slope is defined)."""
+
+    slope: np.ndarray
+    residual: np.ndarray
+    terms: np.ndarray
+    stop: np.ndarray
+    reason: np.ndarray
+
+
+def _all_pair_slopes(lmat: np.ndarray, family: TaylorFamily,
+                     tg: np.ndarray) -> _PairSlopes:
+    """``general_varadhan_slope`` for all n^2 pairs of a checked operator
+    from one sequence of powers: |t| n^2 accumulators, one least-squares
+    solve for every pair with a defined slope."""
+    n = lmat.shape[0]
+    series = _walk_series(family, lmat, tg)
+    logs = series.log_abs.reshape(tg.shape[0], n * n)
+    finite = np.isfinite(logs)
+    defined = finite.all(axis=0)
+    slope = np.full(n * n, np.nan)
+    residual = np.full(n * n, np.nan)
+    if defined.any():
+        slope[defined], residual[defined] = _fit_lines(tg, logs[:, defined])
+    first_bad = tg[np.argmin(finite, axis=0)]
+    reason = np.array(["" if ok else _not_positive(
+        f"|f(Lt)|[{p // n},{p % n}]", float(t))
+        for p, (ok, t) in enumerate(zip(defined, first_bad))], dtype=object)
+    return _PairSlopes(slope.reshape(n, n), residual.reshape(n, n),
+                      series.terms, np.asarray(STOP_REASONS)[series.stop],
+                      reason.reshape(n, n))

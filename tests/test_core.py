@@ -118,6 +118,42 @@ def test_carriers_reject_non_finite_values():
         Partition(np.array([0.5, np.nan]))
 
 
+def test_step_graphon_keeps_a_private_symmetric_copy():
+    raw = np.array([[0.2, 0.4, 0.0], [0.4, 0.6, 1.0], [0.0, 1.0, 0.0]])
+    w = StepGraphon(Partition.uniform(3), raw)
+    raw[0, 1] = 0.9
+    assert w.blocks[0, 1] == 0.4
+    assert not w.blocks.flags.writeable
+    # asymmetric within the tolerance: averaged; just above 1: clipped
+    near = np.array([[0.5, 0.3 + 4e-13], [0.3, 1.0 + 5e-10]])
+    w = StepGraphon(Partition.uniform(2), near)
+    assert w.blocks[0, 1] == w.blocks[1, 0] == (0.3 + 4e-13 + 0.3) / 2
+    assert w.blocks[1, 1] == 1.0
+    assert near[1, 1] == 1.0 + 5e-10
+
+
+def test_step_graphon_checks_every_tile_pair(rng):
+    # 600 blocks span three 256-wide tiles; the defect sits in the corner
+    # tile pair that a diagonal-only comparison would miss
+    vals = rng.uniform(0.0, 1.0, (600, 600))
+    vals = (vals + vals.T) / 2
+    w = StepGraphon(Partition.uniform(600), vals)
+    assert np.array_equal(w.blocks, vals)
+    bad = vals.copy()
+    bad[10, 550] += 1e-6
+    with pytest.raises(ValidationError, match="not symmetric within 1e-12"):
+        StepGraphon(Partition.uniform(600), bad)
+    bad = vals.copy()
+    bad[599, 300] = 1.5
+    bad[300, 599] = 1.5
+    with pytest.raises(ValidationError,
+                       match=r"must lie in \[0,1\]; found range \[.*, 1.5\]"):
+        StepGraphon(Partition.uniform(600), bad)
+    bad[300, 599] = bad[599, 300] = np.nan
+    with pytest.raises(ValidationError, match="must be finite"):
+        StepGraphon(Partition.uniform(600), bad)
+
+
 # ---------------------------------------------------------------------------
 # lift / step
 # ---------------------------------------------------------------------------
