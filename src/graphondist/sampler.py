@@ -13,10 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .connectivity import _walk_distances
-from .core import ValidationError, _readonly, evaluate
+from .core import ValidationError, _readonly
 from .varadhan import distance_field
 
 RNG_ALGORITHM = "numpy-pcg64"
+
+#: coins drawn (and probabilities looked up) per block of rows
+SAMPLE_BLOCK = 1 << 17
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,16 +47,27 @@ class SampledGraph:
 
 
 def sample_graph(w, n: int, seed: int) -> SampledGraph:
-    """Sample an n-vertex simple graph from a graphon, reproducibly."""
+    """Sample an n-vertex simple graph from a graphon, reproducibly.
+
+    Pair (i, j), i < j, is an edge when coin [i, j] of one n x n uniform
+    draw falls below W(x_i, x_j).  The coins and the probabilities are
+    made in blocks of rows, which draws the same stream as one n x n call,
+    so memory is one n x n boolean adjacency plus a block.
+    """
     n = int(n)
     if n < 1:
         raise ValidationError("sampling requires n >= 1")
     rng = np.random.default_rng(seed)
     coords = rng.random(n)
-    probs = evaluate(w, coords[:, None], coords[None, :])
-    coins = rng.random((n, n))
-    upper = np.triu(coins < probs, k=1)
-    adjacency = upper | upper.T
+    cells = w.partition.locate(coords)
+    adjacency = np.empty((n, n), dtype=bool)
+    step = max(1, SAMPLE_BLOCK // n)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        coins = rng.random((hi - lo, n))
+        hits = coins < w.blocks[cells[lo:hi, None], cells[None, :]]
+        adjacency[lo:hi] = np.triu(hits, k=lo + 1)
+    adjacency |= adjacency.T
     return SampledGraph(coords, adjacency, int(seed))
 
 

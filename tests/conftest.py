@@ -35,24 +35,27 @@ def random_step_graphon(rng, n: int, density: float = 0.6,
             return w
 
 
-def bfs_oracle(adj) -> np.ndarray:
-    """Plain queue BFS shortest-path lengths, self-loops ignored.
+def bfs_oracle(adj, sources=None) -> np.ndarray:
+    """Plain queue BFS shortest-path lengths, self-loops ignored: one row
+    per source (every vertex by default).
 
     Deliberately naive and independent of the library's level-synchronous
     matrix implementation.
     """
     adj = np.asarray(adj)
     n = adj.shape[0]
+    sources = range(n) if sources is None else list(sources)
     neighbours = [np.flatnonzero(row).tolist() for row in adj]
-    out = np.full((n, n), math.inf)
-    for s in range(n):
-        out[s, s] = 0.0
+    out = np.full((len(sources), n), math.inf)
+    for row, s in enumerate(sources):
+        dist = out[row]
+        dist[s] = 0.0
         queue = deque([s])
         while queue:
             u = queue.popleft()
             for v in neighbours[u]:
-                if v != u and math.isinf(out[s, v]):
-                    out[s, v] = out[s, u] + 1.0
+                if v != u and math.isinf(dist[v]):
+                    dist[v] = dist[u] + 1.0
                     queue.append(v)
     return out
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from graphondist import (
     compare_with_varadhan,
     empirical_distance_profile,
     er_graphon,
+    evaluate,
+    lift,
     sample_graph,
 )
 
@@ -55,6 +58,38 @@ def test_sample_determinism_bit_for_bit():
     assert np.array_equal(g1.coordinates, g2.coordinates)
     g3 = sample_graph(w, 300, seed=43)
     assert not np.array_equal(g1.adjacency, g3.adjacency)
+
+
+def full_matrix_sample(w, n: int, seed: int) -> np.ndarray:
+    """The adjacency as one n x n draw: probabilities and coins for every
+    pair at once, the strict upper triangle mirrored."""
+    rng = np.random.default_rng(seed)
+    coords = rng.random(n)
+    probs = evaluate(w, coords[:, None], coords[None, :])
+    coins = rng.random((n, n))
+    upper = np.triu(coins < probs, k=1)
+    return upper | upper.T
+
+
+def test_row_blocks_draw_the_full_matrix_stream():
+    # probabilities strictly between 0 and 1, so every edge reads its coin
+    w = lift(np.array([[0.3, 0.7, 0.1], [0.7, 0.5, 0.9], [0.1, 0.9, 0.2]]))
+    for n in (1, 2, 7, 65, 300, 2000):
+        got = sample_graph(w, n, seed=n).adjacency
+        assert np.array_equal(got, full_matrix_sample(w, n, n))
+
+
+def test_sampler_memory_is_one_boolean_adjacency():
+    w = circular_band_graphon(1 / 7, 512)
+    sample_graph(w, 50, seed=1)  # warm numpy before tracing
+    tracemalloc.start()
+    try:
+        sample_graph(w, 2000, seed=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the full-matrix draw holds two n x n float64 arrays: 64 MB
+    assert peak < 16 * 2**20
 
 
 def test_sample_edge_density_within_binomial_bounds():

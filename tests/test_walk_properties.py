@@ -1,0 +1,116 @@
+"""Property tests of the walk answers on generated step graphons: the field
+against the support of the composition powers, every query against the
+queue BFS oracle, under every step choice, and invariance under block
+permutations."""
+
+import math
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from graphondist import (  # noqa: E402
+    UNREACHABLE,
+    IntervalSet,
+    Partition,
+    comp_power,
+    diameter,
+    distance_field,
+    is_connected,
+    permute_blocks,
+    set_distance,
+    step,
+    varadhan_distance,
+)
+from test_walks import choose_steps, walk_oracle  # noqa: E402
+
+PROPERTIES = settings(derandomize=True, max_examples=60, deadline=None)
+
+# nonzero values stay far above the support threshold and above underflow
+# in every composition power, so "comp_power(w, m) > 0" is the walk relation
+VALUES = (0.0, 0.05, 0.4, 1.0)
+
+
+@st.composite
+def step_graphons(draw):
+    """Step graphons on up to 24 blocks that repeat a base kernel of up to
+    8 blocks (support twins), with self-loops, sometimes an isolated base
+    block and two disconnected pieces, and non-uniform measures."""
+    k = draw(st.integers(1, 8))
+    base = np.zeros((k, k))
+    for i in range(k):
+        for j in range(i, k):
+            base[i, j] = base[j, i] = draw(st.sampled_from(VALUES))
+    cut = draw(st.integers(0, k - 1))
+    base[:cut, cut:] = base[cut:, :cut] = 0.0
+    if draw(st.booleans()):
+        lone = draw(st.integers(0, k - 1))
+        base[lone, :] = base[:, lone] = 0.0
+    labels = draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=24))
+    weights = np.array(draw(st.lists(st.floats(0.5, 2.0), min_size=len(labels),
+                                     max_size=len(labels))))
+    return step(Partition(weights / weights.sum()),
+                base[np.ix_(labels, labels)])
+
+
+def power_field(w) -> np.ndarray:
+    """min{m >= 1 : comp_power(w, m)[i, j] > 0}, inf where no m <= n + 1
+    has one (no walk distance on n blocks exceeds max(n - 1, 2))."""
+    n = w.size
+    out = np.full((n, n), math.inf)
+    for m in range(n + 1, 0, -1):
+        out[comp_power(w, m).blocks > 0.0] = m
+    return out
+
+
+def interval_set(w, blocks) -> IntervalSet:
+    bp = w.partition.breakpoints
+    return IntervalSet(tuple((float(bp[b]), float(bp[b + 1])) for b in blocks))
+
+
+@PROPERTIES
+@given(step_graphons())
+def test_field_is_the_least_power_with_support(w):
+    assert np.array_equal(distance_field(w).matrix, power_field(w))
+
+
+@PROPERTIES
+@given(step_graphons(), st.sampled_from(("priced", "packed", "mixed")),
+       st.integers(0, 2**16), st.data())
+def test_queries_match_the_bfs_oracle(w, choice, seed, data):
+    want = walk_oracle(w.blocks > 1e-12)
+    connected = bool(np.isfinite(want).all())
+    n = w.size
+    bp = w.partition.breakpoints
+    mid = (bp[:-1] + bp[1:]) / 2
+    u = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
+    v = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
+    with pytest.MonkeyPatch.context() as m:
+        choose_steps(m, choice, seed)
+        assert np.array_equal(distance_field(w).matrix, want)
+        assert is_connected(w) == connected
+        assert diameter(w) == (int(want.max()) if connected else UNREACHABLE)
+        # points of one block differ, so each pair reads its block distance
+        lo = mid - (bp[1:] - bp[:-1]) / 4
+        got = varadhan_distance(w, lo[:, None], mid[None, :])
+        assert np.array_equal(got, want)
+        if not u & v:
+            best = float(want[np.ix_(sorted(u), sorted(v))].min())
+            assert set_distance(w, interval_set(w, sorted(u)),
+                                interval_set(w, sorted(v))) == \
+                (int(best) if math.isfinite(best) else UNREACHABLE)
+
+
+@PROPERTIES
+@given(step_graphons(), st.randoms(use_true_random=False))
+def test_permuting_blocks_changes_nothing(w, random):
+    sigma = list(range(w.size))
+    random.shuffle(sigma)
+    moved = permute_blocks(w, sigma)
+    field = distance_field(w).matrix
+    assert np.array_equal(distance_field(moved).matrix,
+                          field[np.ix_(sigma, sigma)])
+    assert diameter(moved) == diameter(w)
+    assert is_connected(moved) == is_connected(w)

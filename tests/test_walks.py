@@ -5,6 +5,7 @@ import math
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from graphondist import (
     UNREACHABLE,
@@ -46,18 +47,20 @@ def twin_graphon(rng):
     return step(Partition(mu / mu.sum()), vals[np.ix_(labels, labels)])
 
 
-def walk_oracle(adj) -> np.ndarray:
+def walk_oracle(adj, sources=None) -> np.ndarray:
     """Least m >= 1 with a length-m walk: queue BFS off the diagonal, and
-    on it 1 with a self-loop, 2 with any neighbour, else unreachable."""
-    d = bfs_oracle(adj)
+    on it 1 with a self-loop, 2 with any neighbour, else unreachable.  One
+    row per source (every vertex by default)."""
     n = adj.shape[0]
-    for i in range(n):
+    sources = range(n) if sources is None else list(sources)
+    d = bfs_oracle(adj, sources)
+    for row, i in enumerate(sources):
         if adj[i, i]:
-            d[i, i] = 1.0
+            d[row, i] = 1.0
         elif any(adj[i, j] for j in range(n) if j != i):
-            d[i, i] = 2.0
+            d[row, i] = 2.0
         else:
-            d[i, i] = math.inf
+            d[row, i] = math.inf
     return d
 
 
@@ -193,18 +196,44 @@ def test_field_and_diameter_across_panel_edges(rng):
                 (int(want.max()) if connected else UNREACHABLE)
 
 
+def counting_steps(monkeypatch) -> dict:
+    """Count the products of each kind from now on."""
+    calls = {"packed": 0, "panel": 0}
+    packed, panel = connectivity._packed_step, connectivity._panel_step
+
+    def counted_packed(a, b):
+        calls["packed"] += 1
+        return packed(a, b)
+
+    def counted_panel(a, b, symmetric):
+        calls["panel"] += 1
+        return panel(a, b, symmetric)
+
+    monkeypatch.setattr(connectivity, "_packed_step", counted_packed)
+    monkeypatch.setattr(connectivity, "_panel_step", counted_panel)
+    return calls
+
+
+def count_steps(monkeypatch, adj, want=None) -> dict:
+    """Products of each kind the whole field of ``adj`` takes; the field
+    must equal ``want`` (the walk oracle by default)."""
+    want = walk_oracle(adj) if want is None else want
+    with monkeypatch.context() as m:
+        calls = counting_steps(m)
+        got = block_distance_matrix(SupportGraph(adj, 0.0))
+    assert np.array_equal(got, want)
+    return calls
+
+
 def count_products(monkeypatch, adj) -> int:
-    calls = []
-    compose = connectivity._compose
+    return sum(count_steps(monkeypatch, adj).values())
 
-    def counted(a, b):
-        calls.append(a.shape)
-        return compose(a, b)
 
-    monkeypatch.setattr(connectivity, "_compose", counted)
-    want = walk_oracle(adj)
-    assert np.array_equal(block_distance_matrix(SupportGraph(adj, 0.0)), want)
-    return len(calls)
+def panel_field(monkeypatch, adj) -> np.ndarray:
+    """The field by panel products alone: the walk before packed steps."""
+    with monkeypatch.context() as m:
+        choose_steps(m, "panel")
+        return block_distance_matrix(SupportGraph(adj, 0.0))
 
 
 def path_support(k: int) -> np.ndarray:
@@ -228,3 +257,126 @@ def test_field_product_counts(monkeypatch):
         assert count_products(monkeypatch, a) == max(length, other)
     # a complete graph with self-loops is all reached at level 1
     assert count_products(monkeypatch, np.ones((7, 7), dtype=bool)) == 0
+
+
+def test_field_step_kinds_follow_the_frontier(monkeypatch, rng):
+    # a long path is thin on every level: only packed steps
+    assert count_steps(monkeypatch, path_support(301)) == \
+        {"packed": 299, "panel": 0}
+    # band tau = 1/7 on 512 cells: four levels, each 2/7 of the pairs
+    fat = support_graph(circular_band_graphon(1 / 7, 512)).matrix
+    assert count_steps(monkeypatch, fat, panel_field(monkeypatch, fat)) == \
+        {"packed": 0, "panel": 3}
+    # a clique glued to a path: the fat first level takes the panel
+    # product, the thin levels along the path the packed step
+    glued = glued_support(300, 300)
+    calls = count_steps(monkeypatch, glued, panel_field(monkeypatch, glued))
+    assert calls["panel"] >= 1 and calls["packed"] >= 1
+    assert sum(calls.values()) == 300
+    # a sparse random graph fattens level by level: packed, then panel
+    sparse = expanding_support(rng, 700, 3.0)
+    calls = count_steps(monkeypatch, sparse, panel_field(monkeypatch, sparse))
+    assert calls["panel"] >= 1 and calls["packed"] >= 1
+
+
+def test_rows_and_diameter_switch_steps_mid_walk(monkeypatch, rng):
+    # from the far end of the path a point query walks thin levels, then
+    # meets the clique; reach doubling on a sparse graph starts thin and
+    # fattens
+    glued = glued_support(300, 250, 50)
+    w = lift(glued.astype(float))
+    calls = counting_steps(monkeypatch)
+    got = varadhan_distance(w, 0.5 / 600, (np.arange(600) + 0.25) / 600)
+    assert np.array_equal(got, walk_oracle(glued, [0])[0])
+    assert calls["panel"] >= 1 and calls["packed"] >= 1
+    sparse = expanding_support(rng, 700, 3.0)
+    want = panel_field(monkeypatch, sparse)
+    calls["panel"] = calls["packed"] = 0
+    assert diameter(lift(sparse.astype(float))) == int(want.max())
+    assert calls["panel"] >= 1 and calls["packed"] >= 1
+
+
+def glued_support(path: int, clique: int, tail: int = 0) -> np.ndarray:
+    """A path of ``path`` blocks whose last block joins a clique (no
+    self-loops) of ``clique`` blocks, and a path of ``tail`` blocks on
+    from the clique's last block."""
+    k = path + clique + tail
+    a = np.zeros((k, k), dtype=bool)
+    a[:path + 1, :path + 1] = path_support(path + 1)
+    a[path:path + clique, path:path + clique] = ~np.eye(clique, dtype=bool)
+    a[k - tail - 1:, k - tail - 1:] |= path_support(tail + 1)
+    return a
+
+
+def expanding_support(rng, k: int, degree: float) -> np.ndarray:
+    """A connected sparse random graph: a path plus random chords, whose
+    BFS frontier grows geometrically before it saturates."""
+    a = np.triu(rng.random((k, k)) < degree / k, 1)
+    a |= path_support(k)
+    return a | a.T
+
+
+# every support is checked under the priced step choice and under forced
+# choices, so both steps and every switch between them meet the oracle
+STEP_CHOICES = ("priced", "packed", "panel", "mixed")
+
+
+@pytest.fixture(params=STEP_CHOICES)
+def step_choice(request, monkeypatch):
+    choose_steps(monkeypatch, request.param)
+    return request.param
+
+
+def choose_steps(monkeypatch, choice: str, seed: int = 7) -> None:
+    coin = np.random.default_rng(seed)
+    forced = {"packed": lambda a, symmetric: True,
+              "panel": lambda a, symmetric: False,
+              "mixed": lambda a, symmetric: bool(coin.random() < 0.5)}
+    if choice != "priced":
+        monkeypatch.setattr(connectivity, "_prefers_packed", forced[choice])
+
+
+def check_against_oracle(rng, cells: np.ndarray) -> None:
+    """Field, point, set, connectivity and diameter answers of the lifted
+    support against the walk oracle."""
+    want = walk_oracle(cells)
+    n = cells.shape[0]
+    w = lift(cells.astype(float))
+    assert np.array_equal(block_distance_matrix(SupportGraph(cells, 0.0)),
+                          want)
+    connected = bool(np.isfinite(want).all())
+    assert is_connected(w) == connected
+    assert diameter(w) == (int(want.max()) if connected else UNREACHABLE)
+    i = rng.integers(0, n, 40)
+    j = rng.integers(0, n, 40)
+    got = varadhan_distance(w, (i + 0.25) / n, (j + 0.75) / n)
+    assert np.array_equal(got, want[i, j])
+    for _ in range(3):
+        blocks = rng.permutation(n)
+        cut = int(rng.integers(1, n))
+        u, v = np.sort(blocks[:cut]), np.sort(blocks[cut:])
+        best = float(want[np.ix_(u, v)].min())
+        assert set_distance(w, block_set(u, n), block_set(v, n)) == \
+            (int(best) if math.isfinite(best) else UNREACHABLE)
+
+
+def block_set(blocks, n: int) -> IntervalSet:
+    return IntervalSet(tuple((b / n, (b + 1) / n) for b in blocks))
+
+
+def test_walks_at_word_edges(rng, step_choice):
+    # the walk runs on the support-twin quotient, so k is the number of
+    # classes: one below, at and one above one and two 64-bit words
+    for k in (63, 64, 65, 127, 128, 129):
+        for connected in (True, False):
+            a = panel_support(rng, k, connected)
+            check_against_oracle(rng, a)
+            check_against_oracle(rng, with_twins(rng, a, 17))
+
+
+def test_walks_whose_frontier_crosses_the_switch(rng, step_choice):
+    # frontiers that fatten (the clique, the random chords) and thin again
+    # (the paths); the mixed choice switches step kinds at random products
+    check_against_oracle(rng, glued_support(150, 100, 20))
+    check_against_oracle(rng, expanding_support(rng, 400, 3.0))
+    check_against_oracle(rng, with_twins(rng, glued_support(90, 60), 30))
