@@ -510,15 +510,17 @@ def cmd_sample(cfg: RunConfig) -> int:
         print("graphon is disconnected; rerun with --allow-disconnected",
               file=sys.stderr)
         return 3
-    cfg.out.mkdir(parents=True, exist_ok=True)
     graph = sample_graph(w, cfg.n, cfg.seed)
     meta = _metadata(cfg, {"n": cfg.n, "trials": cfg.trials,
                            "seed": cfg.seed, "rng": RNG_ALGORITHM})
-    _write_edges(cfg.out / "sample_edges.txt", graph, meta)
     payload = {"meta": meta, "edges": graph.edge_count,
                "vertices": graph.n}
     if connected:
+        # compared before anything is written, so a request the comparison
+        # rejects (fewer than two vertices, no trial) leaves no output
         payload["comparison"] = _compare_samples(w, cfg.trials, graph)
+    cfg.out.mkdir(parents=True, exist_ok=True)
+    _write_edges(cfg.out / "sample_edges.txt", graph, meta)
     _write_json(cfg.out / "sample_report.json", payload)
     return 0
 

@@ -350,6 +350,27 @@ def _bfs(adj: np.ndarray, sources: np.ndarray | None = None) -> np.ndarray:
     return dist
 
 
+def _class_distances(adj: np.ndarray, sources: np.ndarray | None = None):
+    """Walk distances on the support-twin quotient of a symmetric boolean
+    graph, and the class of each cell.
+
+    ``sources`` is an r x n boolean matrix of source sets; row r of the
+    distances is the least m >= 1 such that some cell of ``sources[r]`` has
+    a length-m walk to a cell of class c, inf where there is none.  ``None``
+    takes every class as its own source and gives the k x k class matrix.
+    """
+    q, cls = _support_classes(np.asarray(adj, dtype=bool))
+    if sources is not None and q.shape[0] != cls.shape[0]:
+        src = np.zeros((sources.shape[0], q.shape[0]), dtype=bool)
+        rows, cells = np.nonzero(sources)
+        src[rows, cls[cells]] = True
+        sources = src
+    levels = _bfs(q, sources)
+    d = levels.astype(np.float64)
+    d[levels == 0] = np.inf
+    return d, cls
+
+
 def _walk_distances(adj: np.ndarray, sources: np.ndarray | None = None):
     """Walk distances on a symmetric boolean graph, computed on its
     support-twin quotient.
@@ -359,17 +380,8 @@ def _walk_distances(adj: np.ndarray, sources: np.ndarray | None = None):
     length-m walk to cell j, inf where there is none.  ``None`` takes every
     cell as its own source and gives the n x n matrix.
     """
-    q, cls = _support_classes(np.asarray(adj, dtype=bool))
-    twin_free = q.shape[0] == cls.shape[0]
-    if sources is not None and not twin_free:
-        src = np.zeros((sources.shape[0], q.shape[0]), dtype=bool)
-        rows, cells = np.nonzero(sources)
-        src[rows, cls[cells]] = True
-        sources = src
-    levels = _bfs(q, sources)
-    d = levels.astype(np.float64)
-    d[levels == 0] = np.inf
-    if twin_free:
+    d, cls = _class_distances(adj, sources)
+    if d.shape[1] == cls.shape[0]:  # twin-free: the classes are the cells
         return d
     return d[np.ix_(cls, cls)] if sources is None else d[:, cls]
 

@@ -52,12 +52,16 @@ def circular_band_graphon(tau: float, resolution: int) -> GridGraphon:
     if not (0.0 < tau <= 0.5):
         raise ValidationError("circular band needs 0 < tau <= 1/2")
     n = int(resolution)
-    # circular gap between cell centers i and j is min(|i-j|, n-|i-j|)/n;
-    # dividing the integer gap once avoids rounding fuzz at the band edge
-    idx = np.arange(n)
-    gap = np.abs(idx[:, None] - idx[None, :])
-    delta = np.minimum(gap, n - gap) / n
-    return GridGraphon(n, (delta <= tau).astype(float))
+    # circular gap between cell centers i and j is min(d, n - d)/n with
+    # d = (j - i) mod n; dividing the integer gap once avoids rounding fuzz
+    # at the band edge.  The matrix is circulant, so it is read off one row
+    # of offsets: row i is the window [n - i, 2n - i) of the doubled row,
+    # and the constructor's private copy is its only n x n array.
+    d = np.arange(n)
+    band = (np.minimum(d, n - d) / n <= tau).astype(float)
+    windows = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate([band, band])[1:], n)
+    return GridGraphon(n, windows[::-1])
 
 
 def one_minus_max_graphon(resolution: int) -> GridGraphon:

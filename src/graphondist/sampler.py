@@ -3,7 +3,18 @@ distance against finite-graph shortest paths.
 
 A sample draws n latent coordinates uniformly on [0,1] and connects each
 pair independently with probability W(x_i, x_j); the generator is recorded
-so runs are reproducible by (seed, algorithm)."""
+so runs are reproducible by (seed, algorithm).
+
+A sample is walked on its twin quotient.  False twins (equal open
+neighbourhoods) already have equal rows; a self-loop at every vertex whose
+closed neighbourhood another vertex shares gives true twins equal rows
+too, and changes no distance between distinct vertices.  A sample of a
+{0,1} step graphon is a blow-up of its block graph, the vertices of a
+block twins of one kind, so it walks on at most its number of occupied
+blocks.  The comparison and the distance profile then count over pairs of
+vertex groups (twin class and cell, with vertices that share a coordinate
+apart), each weighted by its vertex pairs: O(groups^2) time and memory,
+never an n x n matrix."""
 
 from __future__ import annotations
 
@@ -12,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connectivity import _walk_distances
+from .connectivity import _class_distances, _support_classes
 from .core import ValidationError, _readonly
 from .varadhan import distance_field
 
@@ -71,18 +82,54 @@ def sample_graph(w, n: int, seed: int) -> SampledGraph:
     return SampledGraph(coords, adjacency, int(seed))
 
 
+def _true_twin_loops(adj: np.ndarray) -> np.ndarray:
+    """A simple graph with a self-loop added at every vertex whose closed
+    neighbourhood N[v] some other vertex shares.
+
+    Loops change no walk distance between distinct vertices.  With them,
+    true twins (equal closed neighbourhoods) have equal rows, as false
+    twins (equal open neighbourhoods, no loop) already do, and no vertex of
+    a simple graph has twins of both kinds: so the support-twin quotient
+    folds both.
+    """
+    closed = np.array(adj, dtype=bool)
+    np.fill_diagonal(closed, True)
+    _, shared = _support_classes(closed)
+    np.fill_diagonal(closed, np.bincount(shared)[shared] > 1)
+    return closed
+
+
+def _sample_classes(graph: SampledGraph):
+    """Walk distances between the twin classes of a sampled graph (true
+    and false twins), and the class of each vertex.  Entry [a, b] is the
+    distance of every pair of distinct vertices drawn from classes a and b;
+    a sample of a {0,1} step graphon has at most one class per block."""
+    return _class_distances(_true_twin_loops(graph.adjacency))
+
+
+def _pair_counts(sizes: np.ndarray) -> np.ndarray:
+    """Unordered pairs of distinct vertices per pair of groups of the given
+    sizes: s_a s_b above the diagonal, s_a (s_a - 1) / 2 on it, 0 below."""
+    sizes = sizes.astype(np.int64)
+    pairs = np.triu(np.outer(sizes, sizes), k=1)
+    np.fill_diagonal(pairs, sizes * (sizes - 1) // 2)
+    return pairs
+
+
 def empirical_distance_profile(graph: SampledGraph) -> dict:
     """Histogram of pairwise shortest-path distances over unordered vertex
-    pairs; unreachable pairs (across components) appear under ``inf``."""
-    d = _walk_distances(graph.adjacency)
-    n = graph.n
-    iu = np.triu_indices(n, k=1)
-    vals = d[iu]
-    hist: dict = {}
-    finite = vals[np.isfinite(vals)].astype(int)
-    for dist, count in zip(*np.unique(finite, return_counts=True)):
-        hist[int(dist)] = int(count)
-    unreachable = int(np.sum(~np.isfinite(vals)))
+    pairs; unreachable pairs (across components) appear under ``inf``.
+
+    Counted over pairs of twin classes, each weighted by its vertex pairs,
+    so the n x n distance matrix is never formed."""
+    d, cls = _sample_classes(graph)
+    pairs = _pair_counts(np.bincount(cls))
+    present = pairs > 0
+    reach = present & np.isfinite(d)
+    dists, inverse = np.unique(d[reach], return_inverse=True)
+    counts = np.bincount(inverse, weights=pairs[reach], minlength=dists.size)
+    hist: dict = {int(dist): int(count) for dist, count in zip(dists, counts)}
+    unreachable = int(pairs[present & ~reach].sum())
     if unreachable:
         hist[math.inf] = unreachable
     return hist
@@ -94,7 +141,8 @@ def compare_with_varadhan(w, n: int, trials: int, seed: int) -> dict:
 
     Reports the exact agreement rate and the rate of agreement within +1,
     the statistic that absorbs the systematic one-extra-hop deviation of
-    finite samples.  Disconnected samples are reported, not fatal.
+    finite samples.  Disconnected samples are reported, not fatal; fewer
+    than two vertices, which leave no pair to compare, are invalid.
     """
     return _compare_samples(w, trials, sample_graph(w, n, seed))
 
@@ -107,27 +155,20 @@ def _compare_samples(w, trials: int, first: SampledGraph) -> dict:
     if trials < 1:
         raise ValidationError("comparison requires at least one trial")
     n, seed = first.n, first.seed
+    if n < 2:
+        raise ValidationError("comparison needs at least two vertices")
     field = distance_field(w)
+    pairs = n * (n - 1) // 2
     per_trial = []
     for trial in range(trials):
         graph = first if trial == 0 else sample_graph(w, n, seed + trial)
-        # only the strict upper triangle is read, so the within-vertex
-        # walk distances on the diagonal never enter the comparison
-        d = _walk_distances(graph.adjacency)
-        expected = field.pointwise(graph.coordinates[:, None],
-                                  graph.coordinates[None, :])
-        iu = np.triu_indices(graph.n, k=1)
-        emp = d[iu]
-        exp = np.asarray(expected)[iu]
-        finite = np.isfinite(emp)
-        agree = emp == exp
-        within = agree | (emp == exp + 1.0)
+        agree, within, unreachable = _tally_pairs(field, graph)
         per_trial.append({
             "seed": int(seed + trial),
-            "pairs": int(emp.size),
-            "unreachable_pairs": int(np.sum(~finite)),
-            "agreement": float(np.mean(agree)),
-            "agreement_within_one": float(np.mean(within)),
+            "pairs": pairs,
+            "unreachable_pairs": unreachable,
+            "agreement": agree / pairs,
+            "agreement_within_one": within / pairs,
         })
     return {
         "n": int(n),
@@ -140,3 +181,31 @@ def _compare_samples(w, trials: int, first: SampledGraph) -> dict:
             np.mean([t["agreement_within_one"] for t in per_trial])
         ),
     }
+
+
+def _tally_pairs(field, graph: SampledGraph):
+    """Vertex pairs whose walk distance equals the pointwise distance,
+    equals it or exceeds it by one, and is unreachable, as integers.
+
+    Vertices are grouped by (twin class, cell, tie), where tie numbers the
+    coordinates that two or more vertices share (-1 for the rest): every
+    pair of distinct vertices across two groups, or within one, has one
+    walk distance and one expected distance, the cell-level field value or
+    exactly 0 on coincident coordinates.  So each pair of groups is
+    counted once, weighted by its vertex pairs: O(groups^2), not O(n^2).
+    """
+    d, cls = _sample_classes(graph)
+    coords = graph.coordinates
+    _, at, shared = np.unique(coords, return_inverse=True, return_counts=True)
+    tie = np.where(shared[at] > 1, at, -1)
+    keys = np.stack([cls, field.partition.locate(coords), tie], axis=1)
+    groups, sizes = np.unique(keys, axis=0, return_counts=True)
+    c, cell, tie = groups.T
+    emp = d[np.ix_(c, c)]
+    exp = field.matrix[np.ix_(cell, cell)]
+    exp[(tie[:, None] == tie[None, :]) & (tie[:, None] >= 0)] = 0.0
+    pairs = _pair_counts(sizes)
+    agree = emp == exp
+    within = agree | (emp == exp + 1.0)
+    return (int(pairs[agree].sum()), int(pairs[within].sum()),
+            int(pairs[~np.isfinite(emp)].sum()))

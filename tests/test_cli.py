@@ -305,6 +305,20 @@ def test_cmd_sample_draws_each_trial_once(tmp_path, monkeypatch):
     assert seeds == [5, 6, 7]
 
 
+def test_cmd_sample_one_vertex_is_invalid(tmp_path):
+    spec = write_spec(tmp_path, BIPARTITE)
+    out = tmp_path / "s"
+    # one vertex has no pair to compare: exit 2, and nothing is written
+    assert main(["sample", "--input", str(spec), "--out", str(out),
+                 "--n", "1"]) == 2
+    assert not (out / "sample_report.json").exists()
+    assert main(["sample", "--input", str(spec), "--out", str(out),
+                 "--n", "2"]) == 0
+    text = (out / "sample_report.json").read_text()
+    report = json.loads(text, parse_constant=pytest.fail)
+    assert report["comparison"]["per_trial"][0]["pairs"] == 1
+
+
 def test_cmd_sample_disconnected_needs_flag(tmp_path):
     spec = write_spec(tmp_path, DISCONNECTED)
     out = tmp_path / "s"

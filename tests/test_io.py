@@ -47,6 +47,19 @@ def test_builtin_dispatch():
     assert omm.resolution == 16
 
 
+def test_circular_band_matches_pairwise_gaps():
+    from graphondist import circular_band_graphon
+
+    for n in (1, 2, 7, 64, 100, 1024):
+        idx = np.arange(n)
+        gap = np.abs(idx[:, None] - idx[None, :])
+        delta = np.minimum(gap, n - gap) / n
+        for tau in (1e-9, 1 / 64, 1 / 7, 0.25, 0.3, 0.5):
+            values = circular_band_graphon(tau, n).values
+            assert np.array_equal(values, (delta <= tau).astype(float))
+            assert values.flags.c_contiguous and not values.flags.writeable
+
+
 def test_builtin_errors():
     with pytest.raises(ValidationError):
         graphon_from_dict({"kind": "builtin", "name": "nope"})

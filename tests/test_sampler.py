@@ -17,6 +17,7 @@ from graphondist import (
     lift,
     sample_graph,
 )
+from graphondist.sampler import _compare_samples
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +126,16 @@ def test_sample_rejects_empty_graph_request():
         sample_graph(er_graphon(0.5), 0, seed=1)
 
 
+def test_one_vertex_samples_but_does_not_compare():
+    w = er_graphon(0.5)
+    g = sample_graph(w, 1, seed=1)
+    assert g.n == 1 and g.edge_count == 0
+    assert empirical_distance_profile(g) == {}
+    # one vertex leaves no pair, so the agreement rates are undefined
+    with pytest.raises(ValidationError, match="at least two vertices"):
+        compare_with_varadhan(w, 1, trials=1, seed=1)
+
+
 # ---------------------------------------------------------------------------
 # empirical_distance_profile
 # ---------------------------------------------------------------------------
@@ -177,6 +188,58 @@ def test_compare_er_half_direct_hits():
     # the remainder sits one hop above it
     assert 0.45 <= report["mean_agreement"] <= 0.55
     assert report["mean_agreement_within_one"] >= 0.999
+
+
+def test_compare_counts_coincident_coordinates_at_distance_zero():
+    # vertices 0 and 1 share a coordinate: expected distance 0, so their
+    # edge agrees only within one; on er_graphon(1) every other pair is
+    # expected at distance 1, which the edge (1, 2) meets and the two-hop
+    # pair (0, 2) meets within one
+    adj = np.zeros((3, 3), dtype=bool)
+    adj[0, 1] = adj[1, 0] = adj[1, 2] = adj[2, 1] = True
+    g = SampledGraph(np.array([0.2, 0.2, 0.7]), adj, seed=0)
+    trial = _compare_samples(er_graphon(1.0), 1, g)["per_trial"][0]
+    assert trial["pairs"] == 3 and trial["unreachable_pairs"] == 0
+    assert trial["agreement"] == 1 / 3
+    assert trial["agreement_within_one"] == 1.0
+
+
+def band_sample():
+    """The 2,000-vertex sample of the band tau = 1/7 on 512 cells: a blow-up
+    of the cell support graph, whose vertices in one cell are true twins."""
+    w = circular_band_graphon(1 / 7, 512)
+    return w, sample_graph(w, 2000, seed=7)
+
+
+def test_sample_walks_on_its_blow_up(monkeypatch):
+    from graphondist import connectivity
+
+    w, g = band_sample()
+    walked = []
+    original = connectivity._bfs
+
+    def recording(adj, sources=None):
+        walked.append(adj.shape[0])
+        return original(adj, sources)
+
+    monkeypatch.setattr(connectivity, "_bfs", recording)
+    _compare_samples(w, 1, g)
+    empirical_distance_profile(g)
+    # the field of 512 cells, the sample twice: each on at most 512 classes
+    assert len(walked) == 3 and max(walked) <= 512
+
+
+def test_comparison_memory_is_class_pairs():
+    w, g = band_sample()
+    _compare_samples(w, 1, sample_graph(w, 50, seed=1))  # warm numpy
+    tracemalloc.start()
+    try:
+        _compare_samples(w, 1, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # an n x n comparison holds several 16-32 MB arrays at once
+    assert peak <= 32 * 2**20
 
 
 def test_compare_circular_band_within_one():
