@@ -484,8 +484,8 @@ def cmd_metrics(cfg: RunConfig) -> int:
 def cmd_connectivity(cfg: RunConfig) -> int:
     w = load_graphon(cfg.input, cfg.grid)
     eps = cfg.epsilon if cfg.epsilon is not None else default_epsilon(w)
-    connected = is_connected(w, eps)
     diam = diameter(w, eps)
+    connected = math.isfinite(diam)
     meta = _metadata(cfg, {"epsilon": eps})
     grid = isinstance(w, GridGraphon)
     payload = {

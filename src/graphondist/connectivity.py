@@ -10,11 +10,11 @@ as approximate by the CLI.
 The work is sized to the question.  Cells with identical support rows
 (support twins) are merged first; the walk on the k x k class graph is
 exact, since twins have the same neighbours.  ``is_connected`` runs one BFS
-from block 0 and a point or set query one BFS row per source set;
-``diameter`` doubles walk lengths, O(log diameter) products of k x k reach
-relations; the whole matrix of ``block_distance_matrix`` takes L - 1
-products when the largest walk distance L joins every pair, and L when
-some pair is unreachable (one closing product finds the next level empty).
+from block 0 and a point or set query one BFS row per source set; the
+whole matrix of ``block_distance_matrix`` takes L - 1 products when the
+largest walk distance L joins every pair, and L when some pair is
+unreachable (one closing product finds the next level empty), and
+``diameter`` reads its largest level from that same walk.
 
 Every product goes through one kernel, ``_compose``, which takes the
 cheaper of two steps for the left operand it is given:
@@ -27,9 +27,8 @@ cheaper of two steps for the left operand it is given:
   r source rows, and about k^3 / 2 for a whole field, whose rows are taken
   in panels of ``PANEL_ROWS``, each multiplying only the columns on and
   right of its diagonal block, with the block mirrored below the diagonal.
-  That is exact because every matrix the walks keep (one BFS level, or the
-  pairs joined by a walk of bounded length) is symmetric on a symmetric
-  support.
+  That is exact because the part of every level the walk keeps (the pairs
+  at one walk distance) is symmetric on a symmetric support.
 
 The choice prices both from the left operand's nonzero count with
 constants measured on a 2-vCPU Xeon (one BLAS thread): a whole field turns
@@ -235,7 +234,7 @@ def _prefers_packed(a: _Bits, symmetric: bool) -> bool:
     return WORD_MACS * words + STEP_MACS < _panel_macs(r, k, symmetric)
 
 
-def _compose(a: _Bits, b: _Bits, symmetric: bool = True) -> _Bits:
+def _compose(a: _Bits, b: _Bits, symmetric: bool) -> _Bits:
     """Boolean product (a o b)[i, j] = any_l a[i, l] & b[l, j] of an r x k
     and a k x k matrix, by the cheaper of two steps.
 
@@ -280,20 +279,18 @@ def _panel_step(a: _Bits, b: _Bits, symmetric: bool) -> np.ndarray:
     [lo, hi) multiplies only the columns lo: and its block right of the
     diagonal block is mirrored into the lower triangle, which costs about
     half of one full product.  The result is then exact wherever the part
-    of a o b the caller keeps is symmetric: ``R_a o R_b``, the pairs joined
-    by a walk of length 2..a+b, and the BFS level ``(F_m o A) & ~R_m``, the
-    pairs at walk distance m + 1.  At k <= ``PANEL_ROWS`` it is one full
-    product.
+    of a o b the caller keeps is symmetric, as the BFS level
+    ``(F_m o A) & ~R_m`` (the pairs at walk distance m + 1) is.  At
+    k <= ``PANEL_ROWS`` it is one full product.
     """
     af = a.dense.astype(np.float32)
     if not symmetric:
         return (af @ b.f32) > 0.0
-    bf = af if b is a else b.f32
     n = af.shape[0]
     out = np.empty((n, n), dtype=bool)
     for lo in range(0, n, PANEL_ROWS):
         hi = min(lo + PANEL_ROWS, n)
-        panel = (af[lo:hi] @ bf[:, lo:]) > 0.0
+        panel = (af[lo:hi] @ b.f32[:, lo:]) > 0.0
         out[lo:hi, lo:] = panel
         out[hi:, lo:hi] = panel[:, hi - lo:].T
     return out
@@ -407,15 +404,11 @@ def block_distance_matrix(s: SupportGraph) -> np.ndarray:
 
 
 def is_connected(w, epsilon: float | None = None) -> bool:
-    """Whether the graphon is connected, decided on the support graph.
-
-    A single block is connected iff it carries a self-loop; otherwise the
-    graphon is connected iff one BFS from block 0 reaches every block
-    (so no union of blocks is cut off from the rest): O(levels * k^2).
+    """Whether the graphon is connected, decided on the support graph: one
+    BFS from block 0 reaches every block (so no union of blocks is cut off
+    from the rest, and a lone block carries a self-loop): O(levels * k^2).
     """
     s = support_graph(w, epsilon)
-    if s.size == 1:
-        return bool(s.matrix[0, 0])
     d = _walk_distances(s.matrix, _source_rows(s.size, 0))
     return bool(np.isfinite(d).all())
 
@@ -424,32 +417,9 @@ def diameter(w, epsilon: float | None = None):
     """Largest walk distance over all block pairs (diagonal included);
     ``UNREACHABLE`` when some pair cannot be joined by any walk.
 
-    Reach doubling on the support-twin quotient: with R_a the pairs joined
-    by a walk of length 1..a, R_{a+b} = R_a | (R_a o R_b).  Squaring until
-    R_{2^L} is all true and then descending bit by bit costs about
-    2 log2(diameter) boolean products instead of one per BFS level; each
-    is a ``_compose``, packed while the relation is thin and otherwise a
-    half-cost panel product, since R_a o R_b (the pairs joined by a walk
-    of length 2..a+b) is symmetric.
+    The largest level of the whole-field BFS on the support-twin quotient,
+    so it costs what ``block_distance_matrix`` does.
     """
     q, _ = _support_classes(support_graph(w, epsilon).matrix)
-    reach = [q]  # reach[l]: pairs joined by a walk of length 1..2^l
-    while not reach[-1].all():
-        r = reach[-1]
-        rb = _Bits(r)
-        doubled = r | _compose(rb, rb).dense
-        if np.array_equal(doubled, r):
-            return UNREACHABLE
-        reach.append(doubled)
-    top = len(reach) - 1
-    if top == 0:
-        return 1
-    # the diameter lies in (2^(top-1), 2^top]: add each lower power of two
-    # that still leaves some pair unjoined
-    joined, length = reach[top - 1], 1 << (top - 1)
-    for bit in range(top - 2, -1, -1):
-        step = _compose(_Bits(joined), _Bits(reach[bit]))
-        longer = joined | step.dense
-        if not longer.all():
-            joined, length = longer, length + (1 << bit)
-    return length + 1
+    levels = _bfs(q)
+    return UNREACHABLE if (levels == 0).any() else int(levels.max())

@@ -24,6 +24,7 @@ from .core import (
     Partition,
     StepGraphon,
     ValidationError,
+    _check_symmetric,
     lift,
 )
 
@@ -98,10 +99,7 @@ def builtin_graphon(name: str, params: dict | None = None,
 
 def _load_matrix(rows, what: str) -> np.ndarray:
     a = np.asarray(rows, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValidationError(f"{what} must be a square matrix")
-    if a.size and float(np.max(np.abs(a - a.T))) > LOAD_SYM_TOL:
-        raise ValidationError(f"{what} is not symmetric within {LOAD_SYM_TOL:g}")
+    _check_symmetric(a, LOAD_SYM_TOL, what, scale=1.0)
     return (a + a.T) / 2.0
 
 

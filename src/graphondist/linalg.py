@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import MathDomainError, ValidationError, _readonly
+from .core import MathDomainError, ValidationError, _check_symmetric, _readonly
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,11 +38,7 @@ def sym_eig(b) -> SpectralData:
     ties), which makes the output independent of the solver's sign choice.
     """
     b = np.asarray(b, dtype=float)
-    if b.ndim != 2 or b.shape[0] != b.shape[1]:
-        raise ValidationError(f"expected a square matrix, got shape {b.shape}")
-    scale = max(1.0, float(np.max(np.abs(b))) if b.size else 1.0)
-    if b.size and float(np.max(np.abs(b - b.T))) > 1e-9 * scale:
-        raise ValidationError("matrix is not symmetric within 1e-9")
+    _check_symmetric(b, 1e-9, "matrix")
     lam, v = np.linalg.eigh((b + b.T) / 2.0)
     lam, v = lam[::-1], v[:, ::-1]
     if v.size:
@@ -341,6 +337,8 @@ def analytic_transform(family: TaylorFamily, L, t: float) -> tuple[np.ndarray, i
     if L.ndim != 2 or L.shape[0] != L.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {L.shape}")
     t = float(t)
+    if not math.isfinite(t):
+        raise ValidationError(f"analytic transform requires finite t, got {t!r}")
     if t == 0.0:
         log_a, sign_a = _log_coefficients(family, 0, 1)
         return sign_a[0] * math.exp(log_a[0]) * np.eye(L.shape[0]), 0

@@ -163,7 +163,7 @@ def merge_twins(w: StepGraphon, tol: float = 1e-9) -> StepGraphon:
     Repeats until no two blocks are within tol of each other, so the result
     has pairwise-distinct rows at the given tolerance.
     """
-    if tol < 0.0:
+    if not tol >= 0.0:
         raise ValidationError("merge tolerance must be nonnegative")
     current = w
     while current.size > 1:

@@ -189,7 +189,7 @@ def heat_content(w, u: IntervalSet, v: IntervalSet, t: float,
     cancellation; it is exactly 0 between sets no walk joins.
     """
     t = float(t)
-    if t < 0.0:
+    if not t >= 0.0:
         raise ValidationError("heat content requires t >= 0")
     if u.is_empty or v.is_empty:
         raise ValidationError("heat content requires nonempty interval sets")

@@ -154,6 +154,13 @@ def test_analytic_transform_guard_violation():
         analytic_transform(RESOLVENT, l, 0.3)  # |t| * K * n = 1.2 >= 1
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_analytic_transform_rejects_nonfinite_t(t):
+    for l in (np.eye(3), np.zeros((3, 3))):
+        with pytest.raises(ValidationError, match="finite t"):
+            analytic_transform(EXPONENTIAL, l, t)
+
+
 def test_analytic_transform_rejects_zero_coefficients():
     broken = TaylorFamily("broken", lambda k: 0.0 if k == 1 else 1.0, math.inf)
     with pytest.raises(MathDomainError, match="zero coefficient"):

@@ -235,6 +235,13 @@ def test_merge_twins_output_has_distinct_rows(rng):
                 assert dist >= tol
 
 
+def test_merge_twins_rejects_bad_tolerance():
+    doubled = _duplicate_blocks(bipartite_graphon())
+    for tol in (-1e-9, math.nan):
+        with pytest.raises(ValidationError, match="nonnegative"):
+            merge_twins(doubled, tol)
+
+
 def test_row_distances_match_the_full_broadcast(rng):
     from graphondist.metrics import _row_distances
 

@@ -273,6 +273,13 @@ def test_heat_content_rejects_negative_time():
         heat_content(bipartite_graphon(), I(0, 0.5), I(0.5, 1), -0.1)
 
 
+def test_heat_content_rejects_nan_time():
+    for generator in ("adjacency", "laplacian"):
+        with pytest.raises(ValidationError, match="t >= 0"):
+            heat_content(bipartite_graphon(), I(0, 0.5), I(0.5, 1), math.nan,
+                         generator)
+
+
 def test_heat_content_on_grid_carrier():
     from graphondist import GridGraphon
 

@@ -1,5 +1,6 @@
 """Definition-level checks of the query-sized walks: the BFS kernel, the
-support-twin quotient and reach doubling, against the queue BFS oracle."""
+support-twin quotient and the diameter read from its levels, against the
+queue BFS oracle."""
 
 import math
 import tracemalloc
@@ -121,9 +122,9 @@ def test_diameter_and_connectivity_follow_the_field(rng):
     assert outcomes == {True, False}
 
 
-def test_diameter_reach_doubling_on_paths():
+def test_diameter_on_paths():
     # paths of k blocks have diameter k - 1 (or 2 for k <= 2): every
-    # combination of doubling and descending steps up to 2^7 is exercised
+    # diameter up to 38, then 63-64 and 126-128
     for k in list(range(1, 40)) + [64, 65, 127, 128, 129]:
         a = np.zeros((k, k))
         idx = np.arange(k - 1)
@@ -279,10 +280,24 @@ def test_field_step_kinds_follow_the_frontier(monkeypatch, rng):
     assert calls["panel"] >= 1 and calls["packed"] >= 1
 
 
+def test_diameter_takes_the_steps_of_the_field(monkeypatch):
+    # the diameter is the largest level of the whole-field walk, so it
+    # takes exactly the products the field takes
+    for adj, kinds in [(path_support(301), {"packed": 299, "panel": 0}),
+                       (support_graph(circular_band_graphon(1 / 7, 512))
+                        .matrix, {"packed": 0, "panel": 3})]:
+        want = panel_field(monkeypatch, adj)
+        assert count_steps(monkeypatch, adj, want) == kinds
+        with monkeypatch.context() as m:
+            calls = counting_steps(m)
+            assert diameter(lift(adj.astype(float))) == int(want.max())
+        assert calls == kinds
+
+
 def test_rows_and_diameter_switch_steps_mid_walk(monkeypatch, rng):
     # from the far end of the path a point query walks thin levels, then
-    # meets the clique; reach doubling on a sparse graph starts thin and
-    # fattens
+    # meets the clique; the diameter's walk on a sparse graph starts thin
+    # and fattens
     glued = glued_support(300, 250, 50)
     w = lift(glued.astype(float))
     calls = counting_steps(monkeypatch)
