@@ -16,6 +16,19 @@ largest walk distance L joins every pair, and L when some pair is
 unreachable (one closing product finds the next level empty), and
 ``diameter`` reads its largest level from that same walk.
 
+A graphon keeps what its walks share, per support threshold, in a
+``weakref.WeakKeyDictionary`` keyed by the graphon (``_walk``): the
+support-twin quotient bit-packed into 64-bit words (k^2 / 8 bytes), the
+class of each cell, and the diameter and connectedness once a walk has
+decided them.  So the support graph and its quotient are built once per
+graphon and threshold, row queries walk the kept quotient, and
+``diameter`` and ``is_connected`` answer without walking once any whole
+walk has run (``distance_field``'s included).  No level and no field is
+kept.  The entries hold no reference to the graphon and go when it is
+collected.  This relies on a graphon being immutable: ``StepGraphon`` is a
+frozen dataclass whose ``blocks`` are read-only.  ``block_distance_matrix``
+takes a bare ``SupportGraph`` and keeps nothing.
+
 Every product goes through one kernel, ``_compose``, which takes the
 cheaper of two steps for the left operand it is given:
 
@@ -42,6 +55,7 @@ dense matrix.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,13 +110,20 @@ def default_epsilon(w) -> float:
     return GRID_EPSILON if isinstance(w, GridGraphon) else STEP_EPSILON
 
 
-def support_graph(w, epsilon: float | None = None) -> SupportGraph:
-    """Support graph of a graphon: an edge wherever the block/cell value
-    exceeds epsilon."""
+def _threshold(w, epsilon: float | None) -> float:
+    """The support threshold of a query: ``default_epsilon(w)`` for
+    ``None``, rejected unless finite and nonnegative."""
     eps = default_epsilon(w) if epsilon is None else float(epsilon)
     if not (math.isfinite(eps) and eps >= 0.0):
         raise ValidationError(
             f"support threshold must be finite and nonnegative, got {eps!r}")
+    return eps
+
+
+def support_graph(w, epsilon: float | None = None) -> SupportGraph:
+    """Support graph of a graphon: an edge wherever the block/cell value
+    exceeds epsilon."""
+    eps = _threshold(w, epsilon)
     return SupportGraph(w.blocks > eps, eps)
 
 
@@ -132,10 +153,11 @@ def _support_classes(adj: np.ndarray):
 
 class _Bits:
     """An r x k boolean matrix, held in the form of the step that made it:
-    dense (a bool array) or packed (``rows``, the indices of its nonempty
-    rows, and ``words``, those rows bit-packed by ``_pack``).  The
-    nonzeros, the other form and the float32 copy the panel product reads
-    are derived on first use and kept."""
+    dense (a bool array) or packed (``rows``, the ascending indices of the
+    rows that may be nonempty, and ``words``, those rows bit-packed by
+    ``_pack``).  The nonzeros, the other form and the float32 copy the
+    panel product reads are derived on first use and kept; a packed
+    matrix that lists every row is its own ``bits``."""
 
     def __init__(self, dense=None, *, shape=None, rows=None, words=None):
         self.shape = shape if dense is None else dense.shape
@@ -180,7 +202,8 @@ class _Bits:
     def bits(self) -> np.ndarray:
         """Every row bit-packed, for gathering rows by index."""
         if self._bits is None:
-            self._bits = _pack(self.dense)
+            every = self.is_packed and self.rows.size == self.shape[0]
+            self._bits = self.words if every else _pack(self.dense)
         return self._bits
 
     @property
@@ -296,15 +319,16 @@ def _panel_step(a: _Bits, b: _Bits, symmetric: bool) -> np.ndarray:
     return out
 
 
-def _bfs(adj: np.ndarray, sources: np.ndarray | None = None) -> np.ndarray:
-    """Level-synchronous BFS from boolean source sets, one per row.
+def _bfs(b: _Bits, sources: np.ndarray | None = None) -> np.ndarray:
+    """Level-synchronous BFS on the symmetric boolean graph ``b`` from
+    boolean source sets, one per row.
 
     Row r holds the least m >= 1 such that some vertex of ``sources[r]``
     has a length-m walk to vertex j, 0 where there is none, as small
     integers.  The first frontier is the one-step neighbourhood of the
     sources, so a source reaches itself at 1 through a self-loop and at 2
     through a neighbour.  ``None`` takes every vertex as its own source:
-    level 1 is then ``adj`` itself and each later level one symmetric
+    level 1 is then ``b`` itself and each later level one symmetric
     ``_compose``.  The walk stops at the level that reaches the last
     entry, or at the first empty level.
 
@@ -314,12 +338,11 @@ def _bfs(adj: np.ndarray, sources: np.ndarray | None = None) -> np.ndarray:
     product.  A level is recorded from the form the next step reads: its
     nonzeros, found from its nonzero words when it is packed, or its dense
     matrix.  So a thin walk never scans a dense r x k matrix and a fat one
-    never packs a level.
+    packs no level after the first.
     """
     whole = sources is None
-    b = _Bits(adj)
     front = b if whole else _compose(_Bits(sources), b, False)
-    dist = np.zeros(front.shape, dtype=np.min_scalar_type(adj.shape[0] + 1))
+    dist = np.zeros(front.shape, dtype=np.min_scalar_type(b.shape[0] + 1))
     seen = None  # packed reached set, kept while the levels are packed
     reached = 0
     level = 1
@@ -347,40 +370,79 @@ def _bfs(adj: np.ndarray, sources: np.ndarray | None = None) -> np.ndarray:
     return dist
 
 
-def _class_distances(adj: np.ndarray, sources: np.ndarray | None = None):
-    """Walk distances on the support-twin quotient of a symmetric boolean
-    graph, and the class of each cell.
-
-    ``sources`` is an r x n boolean matrix of source sets; row r of the
-    distances is the least m >= 1 such that some cell of ``sources[r]`` has
-    a length-m walk to a cell of class c, inf where there is none.  ``None``
-    takes every class as its own source and gives the k x k class matrix.
-    """
-    q, cls = _support_classes(np.asarray(adj, dtype=bool))
-    if sources is not None and q.shape[0] != cls.shape[0]:
-        src = np.zeros((sources.shape[0], q.shape[0]), dtype=bool)
-        rows, cells = np.nonzero(sources)
-        src[rows, cls[cells]] = True
-        sources = src
-    levels = _bfs(q, sources)
+def _distances(levels: np.ndarray) -> np.ndarray:
+    """BFS levels as walk distances: float64, inf where no walk reaches."""
     d = levels.astype(np.float64)
     d[levels == 0] = np.inf
-    return d, cls
+    return d
 
 
-def _walk_distances(adj: np.ndarray, sources: np.ndarray | None = None):
-    """Walk distances on a symmetric boolean graph, computed on its
-    support-twin quotient.
+class _Walk:
+    """What the walks of one support keep: the support-twin quotient
+    bit-packed by ``_pack`` (k x ceil(k/64) words, k^2 / 8 bytes), the
+    class of each cell, and the diameter and connectedness once a walk has
+    decided them (``None`` before).
 
-    ``sources`` is an r x n boolean matrix of source sets; row r of the
-    result is the least m >= 1 such that some cell of ``sources[r]`` has a
-    length-m walk to cell j, inf where there is none.  ``None`` takes every
-    cell as its own source and gives the n x n matrix.
+    Nothing k x k or n x n is kept beyond the packed quotient: every walk
+    unpacks what its products read and drops it with its levels.  There is
+    no reference to the graphon the support came from.
     """
-    d, cls = _class_distances(adj, sources)
-    if d.shape[1] == cls.shape[0]:  # twin-free: the classes are the cells
-        return d
-    return d[np.ix_(cls, cls)] if sources is None else d[:, cls]
+
+    __slots__ = ("words", "classes", "diameter", "connected")
+
+    def __init__(self, adj: np.ndarray):
+        q, classes = _support_classes(adj)
+        self.words = _readonly(_pack(q))
+        self.classes = _readonly(classes)
+        self.diameter = self.connected = None
+
+    @property
+    def size(self) -> int:
+        """The number k of support classes."""
+        return int(self.words.shape[0])
+
+    def _support(self) -> _Bits:
+        k = self.size
+        return _Bits(shape=(k, k), rows=np.arange(k), words=self.words)
+
+    def field(self) -> np.ndarray:
+        """Walk distances between every pair of classes (k x k), from one
+        whole-field BFS, which also decides the diameter and connectedness:
+        the largest level, or ``UNREACHABLE`` when some pair has none."""
+        levels = _bfs(self._support())
+        self.connected = bool(levels.all())
+        self.diameter = int(levels.max()) if self.connected else UNREACHABLE
+        return _distances(levels)
+
+    def cell_field(self) -> np.ndarray:
+        """``field`` spread to every pair of cells (n x n)."""
+        d = self.field()
+        if d.shape[0] == self.classes.shape[0]:  # twin-free: classes are cells
+            return d
+        return d[np.ix_(self.classes, self.classes)]
+
+    def rows(self, sources: np.ndarray) -> np.ndarray:
+        """Walk distances from source sets of classes (an r x k boolean
+        matrix) to every class: row r is the least m >= 1 such that some
+        class of ``sources[r]`` has a length-m walk to class c, inf where
+        there is none.  One BFS row per source set."""
+        return _distances(_bfs(self._support(), sources))
+
+
+#: graphon -> {support threshold: ``_Walk``}; see the module docstring
+_WALKS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _walk(w, epsilon: float | None = None) -> _Walk:
+    """The kept walk state of a graphon at a threshold (``None`` for
+    ``default_epsilon(w)``), built on first use: one support graph and one
+    support-twin quotient per graphon and threshold."""
+    eps = _threshold(w, epsilon)
+    kept = _WALKS.setdefault(w, {})
+    walk = kept.get(eps)
+    if walk is None:
+        walk = kept[eps] = _Walk(w.blocks > eps)
+    return walk
 
 
 def _source_rows(n: int, cells) -> np.ndarray:
@@ -400,17 +462,25 @@ def block_distance_matrix(s: SupportGraph) -> np.ndarray:
     entry is 1 when the block carries a self-loop, otherwise 2 when the
     block has any neighbour (walk i -> j -> i), otherwise unreachable.
     """
-    return _walk_distances(s.matrix)
+    return _Walk(s.matrix).cell_field()
 
 
 def is_connected(w, epsilon: float | None = None) -> bool:
     """Whether the graphon is connected, decided on the support graph: one
     BFS from block 0 reaches every block (so no union of blocks is cut off
     from the rest, and a lone block carries a self-loop): O(levels * k^2).
+
+    The graphon keeps the answer (see ``diameter``), so it is walked at
+    most once per threshold, and not at all once ``distance_field`` or
+    ``diameter`` has walked it: connected iff the diameter is finite.
     """
-    s = support_graph(w, epsilon)
-    d = _walk_distances(s.matrix, _source_rows(s.size, 0))
-    return bool(np.isfinite(d).all())
+    walk = _walk(w, epsilon)
+    if walk.connected is None:
+        d = walk.rows(_source_rows(walk.size, 0))
+        walk.connected = bool(np.isfinite(d).all())
+        if not walk.connected:
+            walk.diameter = UNREACHABLE
+    return walk.connected
 
 
 def diameter(w, epsilon: float | None = None):
@@ -418,8 +488,13 @@ def diameter(w, epsilon: float | None = None):
     ``UNREACHABLE`` when some pair cannot be joined by any walk.
 
     The largest level of the whole-field BFS on the support-twin quotient,
-    so it costs what ``block_distance_matrix`` does.
+    so the first call costs what ``block_distance_matrix`` does.  The
+    graphon keeps its packed quotient (k^2 / 8 bytes), its cell-to-class
+    map and the diameter, per threshold, until it is collected: a later
+    call, or one after ``distance_field`` (whose walk is the same) or a
+    disconnected ``is_connected``, walks nothing.
     """
-    q, _ = _support_classes(support_graph(w, epsilon).matrix)
-    levels = _bfs(q)
-    return UNREACHABLE if (levels == 0).any() else int(levels.max())
+    walk = _walk(w, epsilon)
+    if walk.diameter is None:
+        walk.field()
+    return walk.diameter

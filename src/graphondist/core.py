@@ -48,21 +48,23 @@ _SYM_TILE = 256
 
 def _symmetry_gap(a: np.ndarray) -> float:
     """max |a - a.T| of a square matrix, taken one pair of tiles at a time
-    so that the transposed read stays in cache."""
+    so that the transposed read stays in cache; NaN when any difference is
+    (``np.maximum`` keeps a NaN where Python's ``max`` would drop it)."""
     n = a.shape[0]
     gap = 0.0
     for i in range(0, n, _SYM_TILE):
         for j in range(i, n, _SYM_TILE):
             diff = (a[i:i + _SYM_TILE, j:j + _SYM_TILE]
                     - a[j:j + _SYM_TILE, i:i + _SYM_TILE].T)
-            gap = max(gap, float(np.abs(diff).max()))
+            gap = float(np.maximum(gap, np.abs(diff).max()))
     return gap
 
 
 def _check_symmetric(a: np.ndarray, tol: float, what: str,
                      scale: float | None = None) -> float:
     """Reject a non-square matrix or one asymmetric beyond ``tol`` times
-    ``scale`` (default max(1, max|a|)); return max |a - a.T|."""
+    ``scale`` (default max(1, max|a|)) or by NaN (a NaN entry makes it
+    so); return max |a - a.T|."""
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"{what} must be a square matrix, got shape {a.shape}")
     if not a.size:
@@ -70,7 +72,7 @@ def _check_symmetric(a: np.ndarray, tol: float, what: str,
     if scale is None:
         scale = max(1.0, float(np.abs(a).max()))
     gap = _symmetry_gap(a)
-    if gap > tol * scale:
+    if not gap <= tol * scale:
         raise ValidationError(f"{what} is not symmetric within {tol:g}")
     return gap
 

@@ -38,6 +38,8 @@ def sym_eig(b) -> SpectralData:
     ties), which makes the output independent of the solver's sign choice.
     """
     b = np.asarray(b, dtype=float)
+    if not np.isfinite(b).all():
+        raise ValidationError("eigendecomposition requires finite entries")
     _check_symmetric(b, 1e-9, "matrix")
     lam, v = np.linalg.eigh((b + b.T) / 2.0)
     lam, v = lam[::-1], v[:, ::-1]

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connectivity import _walk_distances
+from .connectivity import _Walk
 from .core import (
     GridGraphon,
     IntervalSet,
@@ -171,7 +171,7 @@ def merge_twins(w: StepGraphon, tol: float = 1e-9) -> StepGraphon:
         rd = _row_distances(current.blocks, mu)
         # components of the closeness relation; every block belongs to its
         # own, also when tol = 0
-        reach = np.isfinite(_walk_distances(rd < tol))
+        reach = np.isfinite(_Walk(rd < tol).cell_field())
         reach |= np.eye(current.size, dtype=bool)
         first = reach.argmax(axis=1) == np.arange(current.size)
         if first.all():

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connectivity import _class_distances, _support_classes
+from .connectivity import _Walk, _support_classes
 from .core import ValidationError, _readonly
 from .varadhan import distance_field
 
@@ -104,7 +104,8 @@ def _sample_classes(graph: SampledGraph):
     and false twins), and the class of each vertex.  Entry [a, b] is the
     distance of every pair of distinct vertices drawn from classes a and b;
     a sample of a {0,1} step graphon has at most one class per block."""
-    return _class_distances(_true_twin_loops(graph.adjacency))
+    walk = _Walk(_true_twin_loops(graph.adjacency))
+    return walk.field(), walk.classes
 
 
 def _pair_counts(sizes: np.ndarray) -> np.ndarray:

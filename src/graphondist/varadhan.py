@@ -8,9 +8,15 @@ block/cell support graph -- walk counting, never series summation.
 
 Each query walks only from its own sources, on the support-twin quotient of
 the support graph (cells with identical support rows merged into one of k
-classes, which is exact): a point query runs one BFS row per distinct cell
-of ``x`` and a set query one merged row, O(levels * k^2) per row; the whole
-field is O(levels * k^3).
+classes, which is exact): a point query runs one BFS row per distinct class
+among the cells of ``x`` and a set query one merged row, O(levels * k^2)
+per row; the whole field is O(levels * k^3).  The graphon keeps that
+quotient bit-packed (k^2 / 8 bytes), its cell-to-class map, its diameter
+and its connectedness, per support threshold, until it is collected (see
+``connectivity``), so repeated queries skip the support graph and the
+quotient, and a field's walk also answers ``diameter`` and
+``is_connected``.  Rows and fields are computed per call and never kept;
+the memo relies on ``StepGraphon`` being frozen with read-only ``blocks``.
 
 The heat-trace route (slope of log <1_V, e^{tW} 1_U> against log t as t
 shrinks) recovers the same integers and is provided as an independent
@@ -25,16 +31,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .connectivity import (
-    UNREACHABLE,
-    _source_rows,
-    _walk_distances,
-    block_distance_matrix,
-    support_graph,
-)
+from .connectivity import UNREACHABLE, _source_rows, _walk
 from .core import (
     GridGraphon,
     IntervalSet,
@@ -85,10 +86,10 @@ class DistanceField:
     def within_block(self) -> np.ndarray:
         return np.diag(self.matrix)
 
-    @property
+    @cached_property
     def layer_count(self) -> int:
         """Number of distance layers = largest finite entry (the diameter
-        for connected graphons)."""
+        for connected graphons); computed on first read."""
         finite = self.matrix[np.isfinite(self.matrix)]
         return int(finite.max()) if finite.size else 0
 
@@ -114,12 +115,14 @@ def distance_field(w, epsilon: float | None = None) -> DistanceField:
 
     The distance layers are the level sets of the matrix; their count equals
     the diameter.  For a disconnected graphon the field is still returned,
-    with unreachable entries and ``connected=False``.
+    with unreachable entries and ``connected=False``.  Every call walks the
+    whole field again; the graphon keeps only what the walk decided about
+    its diameter and connectedness (see ``connectivity.diameter``).
     """
-    s = support_graph(w, epsilon)
-    d = block_distance_matrix(s)
+    walk = _walk(w, epsilon)
+    d = walk.cell_field()
     kind = "grid" if isinstance(w, GridGraphon) else "step"
-    return DistanceField(kind, w.partition, d, bool(np.isfinite(d).all()))
+    return DistanceField(kind, w.partition, d, walk.connected)
 
 
 def varadhan_distance(w, x, y, epsilon: float | None = None):
@@ -127,13 +130,18 @@ def varadhan_distance(w, x, y, epsilon: float | None = None):
 
     0 iff x == y; otherwise the walk distance of the blocks containing the
     two points, with the within-block rule on the diagonal.  One BFS row
-    runs from each distinct block of ``x``; the whole field is never built.
+    runs from each distinct support class among the blocks of ``x`` (twin
+    blocks share a row), on the packed support-twin quotient the graphon
+    keeps (see ``connectivity.diameter``), so only the graphon's first
+    query builds its support graph.  The rows are walked on every call: no
+    whole field is built, and none that ``distance_field`` built is read,
+    since the graphon keeps no field or level.
     """
-    s = support_graph(w, epsilon)
-    ix = w.partition.locate(x)
-    iy = w.partition.locate(y)
-    cells, row = np.unique(ix, return_inverse=True)
-    walks = _walk_distances(s.matrix, _source_rows(s.size, cells))
+    walk = _walk(w, epsilon)
+    ix = walk.classes[w.partition.locate(x)]
+    iy = walk.classes[w.partition.locate(y)]
+    sources, row = np.unique(ix, return_inverse=True)
+    walks = walk.rows(_source_rows(walk.size, sources))
     return _point_distances(x, y, walks[row.reshape(np.shape(ix)), iy])
 
 
@@ -142,17 +150,20 @@ def set_distance(w, u: IntervalSet, v: IntervalSet, epsilon: float | None = None
 
     0 when the sets overlap on positive measure; otherwise the minimum walk
     distance between any block touched by U and any block touched by V,
-    read off one BFS row whose sources are all the blocks U touches.
-    ``UNREACHABLE`` when no power connects them (disconnected graphon).
+    read off one BFS row on the graphon's kept support-twin quotient, whose
+    sources are the classes of all the blocks U touches.  ``UNREACHABLE``
+    when no power connects them (disconnected graphon).  The threshold is
+    checked also when the sets overlap.
     """
     if u.is_empty or v.is_empty:
         raise ValidationError("set distance requires nonempty interval sets")
+    walk = _walk(w, epsilon)
     if u.intersection_measure(v) > 0.0:
         return 0
-    ub = u.block_masses(w.partition) > 0.0
-    vb = v.block_masses(w.partition) > 0.0
-    walks = _walk_distances(support_graph(w, epsilon).matrix, ub[None, :])
-    best = float(walks[0, vb].min())
+    sources = np.zeros((1, walk.size), dtype=bool)
+    sources[0, walk.classes[u.block_masses(w.partition) > 0.0]] = True
+    vb = walk.classes[v.block_masses(w.partition) > 0.0]
+    best = float(walk.rows(sources)[0, vb].min())
     return int(best) if math.isfinite(best) else UNREACHABLE
 
 

@@ -23,6 +23,7 @@ from graphondist import (
     step,
     to_grid,
 )
+from graphondist.core import _check_symmetric
 from conftest import (
     cycle_adjacency,
     quadrature_block_average,
@@ -130,6 +131,18 @@ def test_step_graphon_keeps_a_private_symmetric_copy():
     assert w.blocks[0, 1] == w.blocks[1, 0] == (0.3 + 4e-13 + 0.3) / 2
     assert w.blocks[1, 1] == 1.0
     assert near[1, 1] == 1.0 + 5e-10
+
+
+@pytest.mark.parametrize("corner", [[[0.0, np.nan], [1.0, 0.0]], [[np.nan]]])
+def test_symmetry_check_rejects_a_nan_gap(corner):
+    # a NaN asymmetry is no asymmetry within any tolerance, also when the
+    # later tiles of a large matrix are symmetric
+    corner = np.array(corner)
+    big = np.zeros((600, 600))
+    big[:corner.shape[0], :corner.shape[0]] = corner
+    for a in (corner, big):
+        with pytest.raises(ValidationError, match="not symmetric"):
+            _check_symmetric(a, 1e-9, "matrix")
 
 
 def test_step_graphon_checks_every_tile_pair(rng):

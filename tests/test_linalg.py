@@ -52,6 +52,14 @@ def test_sym_eig_rejects_asymmetric():
         sym_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("b", [[[0.0, math.nan], [1.0, 0.0]], [[math.nan]],
+                               [[math.inf]]])
+def test_sym_eig_rejects_nonfinite(b):
+    with pytest.raises(ValidationError, match="finite"):
+        sym_eig(np.array(b))
+
+
+
 def test_sym_eig_descending_order(rng):
     b = rng.standard_normal((6, 6))
     b = b + b.T

@@ -103,6 +103,38 @@ def test_queries_match_the_bfs_oracle(w, choice, seed, data):
                 (int(best) if math.isfinite(best) else UNREACHABLE)
 
 
+QUERIES = ("field", "diameter", "connected", "points", "set")
+
+
+@PROPERTIES
+@given(step_graphons(), st.permutations(QUERIES), st.data())
+def test_answers_do_not_depend_on_the_order_of_queries(w, order, data):
+    # a graphon keeps its quotient and diameter after the first query, so
+    # every order of first and repeated queries meets the oracle
+    want = walk_oracle(w.blocks > 1e-12)
+    connected = bool(np.isfinite(want).all())
+    n = w.size
+    bp = w.partition.breakpoints
+    mid = (bp[:-1] + bp[1:]) / 2
+    lo = mid - (bp[1:] - bp[:-1]) / 4
+    u = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    v = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    best = 0.0 if set(u) & set(v) else float(want[np.ix_(u, v)].min())
+    answers = {
+        "field": lambda: np.array_equal(distance_field(w).matrix, want),
+        "diameter": lambda: diameter(w) == (int(want.max()) if connected
+                                            else UNREACHABLE),
+        "connected": lambda: is_connected(w) == connected,
+        "points": lambda: np.array_equal(
+            varadhan_distance(w, lo[:, None], mid[None, :]), want),
+        "set": lambda: set_distance(w, interval_set(w, u),
+                                    interval_set(w, v)) == \
+        (int(best) if math.isfinite(best) else UNREACHABLE),
+    }
+    for query in order + order:
+        assert answers[query](), query
+
+
 @PROPERTIES
 @given(step_graphons(), st.randoms(use_true_random=False))
 def test_permuting_blocks_changes_nothing(w, random):

@@ -1,18 +1,23 @@
 """Definition-level checks of the query-sized walks: the BFS kernel, the
 support-twin quotient and the diameter read from its levels, against the
-queue BFS oracle."""
+queue BFS oracle, and what a graphon keeps of its walks."""
 
+import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from graphondist import (
+    GRID_EPSILON,
+    STEP_EPSILON,
     UNREACHABLE,
     IntervalSet,
     Partition,
     SupportGraph,
+    ValidationError,
     block_distance_matrix,
     circular_band_graphon,
     diameter,
@@ -309,6 +314,107 @@ def test_rows_and_diameter_switch_steps_mid_walk(monkeypatch, rng):
     calls["panel"] = calls["packed"] = 0
     assert diameter(lift(sparse.astype(float))) == int(want.max())
     assert calls["panel"] >= 1 and calls["packed"] >= 1
+
+
+def test_a_graphon_walks_once_per_threshold(monkeypatch):
+    # band tau = 1/7 on 512 cells: the first diameter takes the field's
+    # three panel products, a second one and is_connected none, and a
+    # field's own walk answers both for a graphon not walked before
+    quotients = []
+    support_classes = connectivity._support_classes
+    monkeypatch.setattr(connectivity, "_support_classes",
+                        lambda adj: quotients.append(adj.shape[0])
+                        or support_classes(adj))
+    calls = counting_steps(monkeypatch)
+    w = circular_band_graphon(1 / 7, 512)
+    assert diameter(w) == 4
+    assert calls == {"packed": 0, "panel": 3}
+    assert diameter(w) == 4 and is_connected(w)
+    assert calls == {"packed": 0, "panel": 3}
+    w = circular_band_graphon(1 / 7, 512)
+    fld = distance_field(w)
+    assert diameter(w) == fld.layer_count == 4 and is_connected(w)
+    assert calls == {"packed": 0, "panel": 6}
+    # row queries walk rows of the kept quotient: one quotient per graphon
+    assert varadhan_distance(w, 0.1, 0.6) == 4
+    assert set_distance(w, block_set([0], 512), block_set([256], 512)) == 4
+    assert quotients == [512, 512]
+    # a disconnected support: the row walk from block 0 decides the
+    # diameter too, so no whole walk follows
+    two = np.zeros((12, 12), dtype=bool)
+    two[:6, :6] = two[6:, 6:] = path_support(6)
+    w = lift(two.astype(float))
+    calls["packed"] = calls["panel"] = 0
+    assert not is_connected(w)
+    rows = dict(calls)
+    assert diameter(w) == UNREACHABLE
+    assert calls == rows
+
+
+def test_thresholds_keep_their_own_walks():
+    # a path of 6 blocks whose odd edges weigh 0.3: one path at the
+    # default threshold, three pieces of two blocks above 0.3
+    k = 6
+    a = np.zeros((k, k))
+    for i in range(k - 1):
+        a[i, i + 1] = a[i + 1, i] = 0.3 if i % 2 else 1.0
+    w = lift(a)
+    u, v = block_set([0], k), block_set([5], k)
+    for _ in range(2):
+        for eps, connected in ((None, True), (0.5, False)):
+            want = walk_oracle(a > (STEP_EPSILON if eps is None else eps))
+            assert np.array_equal(distance_field(w, eps).matrix, want)
+            assert is_connected(w, eps) == connected
+            assert diameter(w, eps) == (5 if connected else UNREACHABLE)
+            assert set_distance(w, u, v, eps) == (5 if connected
+                                                  else UNREACHABLE)
+            assert varadhan_distance(w, 0.5 / k, 2.5 / k, eps) == want[0, 2]
+    # None stands for the default threshold and shares its entry
+    assert diameter(w, STEP_EPSILON) == 5
+    assert sorted(connectivity._WALKS[w]) == [STEP_EPSILON, 0.5]
+
+
+def test_kept_walks_go_with_their_graphon(monkeypatch):
+    memo = weakref.WeakKeyDictionary()
+    monkeypatch.setattr(connectivity, "_WALKS", memo)
+    w = circular_band_graphon(1 / 7, 200)
+    assert diameter(w) == 4
+    assert varadhan_distance(w, 0.1, 0.6, 1e-3) == 4
+    (kept,) = memo.values()
+    assert sorted(kept) == [GRID_EPSILON, 1e-3]
+    for walk in kept.values():
+        # the packed quotient, the class map and two scalars
+        k = walk.size
+        assert walk.words.shape == (k, -(-k // 64))
+        assert walk.words.dtype == np.uint64
+        assert walk.classes.shape == (200,)
+        assert not walk.words.flags.writeable
+    assert kept[GRID_EPSILON].diameter == 4
+    assert kept[1e-3].diameter is None
+    ref = weakref.ref(w)
+    del w, kept, walk
+    gc.collect()
+    assert ref() is None
+    assert len(memo) == 0
+
+
+@pytest.mark.parametrize("eps", [math.nan, -1.0])
+def test_bad_thresholds_raise_and_keep_nothing(monkeypatch, eps):
+    memo = weakref.WeakKeyDictionary()
+    monkeypatch.setattr(connectivity, "_WALKS", memo)
+    w = lift(path_support(5).astype(float))
+    u, v = block_set([0], 5), block_set([3], 5)
+    queries = (lambda: diameter(w, eps), lambda: is_connected(w, eps),
+               lambda: distance_field(w, eps),
+               lambda: varadhan_distance(w, 0.1, 0.7, eps),
+               lambda: set_distance(w, u, v, eps),
+               # overlapping sets are at distance 0 at any threshold, but
+               # the threshold is still checked
+               lambda: set_distance(w, u, u, eps))
+    for query in queries * 2:
+        with pytest.raises(ValidationError, match="threshold"):
+            query()
+    assert len(memo) == 0
 
 
 def glued_support(path: int, clique: int, tail: int = 0) -> np.ndarray:
