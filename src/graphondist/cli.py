@@ -34,11 +34,7 @@ from .connectivity import (
 from .core import GridGraphon, IntervalSet, MathDomainError, ValidationError
 from .io import load_graphon
 from .linalg import EXPONENTIAL, RESOLVENT
-from .metrics import (
-    communicability_distance,
-    communicability_embedding,
-    cut_norm,
-)
+from .metrics import _distance, _embedding, _spectrum, cut_norm
 from .sampler import RNG_ALGORITHM, _compare_samples, sample_graph
 from .varadhan import (
     _all_pair_slopes,
@@ -194,6 +190,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
                         for s in args.sets.split(";") if s.strip()]
         cfg.embed = args.embed
         cfg.cutnorm = args.cutnorm
+        if cfg.embed is not None and not cfg.sets:
+            raise ValidationError("--embed needs --sets")
     elif args.command == "sample":
         cfg.n = args.n
         cfg.trials = args.trials
@@ -437,47 +435,39 @@ def cmd_metrics(cfg: RunConfig) -> int:
     w = load_graphon(cfg.input, cfg.grid)
     if not cfg.sets and not cfg.cutnorm:
         raise ValidationError("metrics needs --sets and/or --cutnorm")
-    cfg.out.mkdir(parents=True, exist_ok=True)
-    wrote = []
+    # all results come before any write, so a rejected request writes nothing
+    writes = []
     if cfg.sets:
-        if isinstance(w, GridGraphon):
-            raise ValidationError(
-                "communicability metrics require a step graphon"
-            )
         sets = cfg.sets
+        spec = _spectrum(w)
         meta = _metadata(cfg, {"sets": [[list(p) for p in s.intervals]
                                         for s in sets]})
         m = np.zeros((len(sets), len(sets)))
         for i, si in enumerate(sets):
-            for j, sj in enumerate(sets):
-                if j < i:
-                    m[i, j] = m[j, i]
-                else:
-                    m[i, j] = communicability_distance(w, si, sj)
+            for j in range(i, len(sets)):
+                m[i, j] = m[j, i] = _distance(w, spec, si, sets[j])
         labels = [f"set_{i}" for i in range(len(sets))]
-        _write_csv(cfg.out / "metrics_communicability.csv", m, labels, meta)
-        wrote.append("metrics_communicability.csv")
+        writes.append(lambda: _write_csv(
+            cfg.out / "metrics_communicability.csv", m, labels, meta))
         if cfg.embed is not None:
-            entries = []
-            for i, s in enumerate(sets):
-                emb = communicability_embedding(w, s, cfg.embed)
-                entries.append({
-                    "set": [list(p) for p in s.intervals],
-                    "coordinates": emb.coordinates.tolist(),
-                    "kernel_norm": emb.kernel_norm,
-                    "truncation": emb.truncation,
-                })
-            _write_json(cfg.out / "metrics_embedding.json",
-                        {"meta": meta, "embeddings": entries})
-            wrote.append("metrics_embedding.json")
+            embs = [_embedding(w, spec, s, cfg.embed) for s in sets]
+            payload = {"meta": meta, "embeddings": [
+                {"set": [list(p) for p in s.intervals],
+                 "coordinates": e.coordinates.tolist(),
+                 "kernel_norm": e.kernel_norm, "truncation": e.truncation}
+                for s, e in zip(sets, embs)]}
+            writes.append(lambda: _write_json(
+                cfg.out / "metrics_embedding.json", payload))
     if cfg.cutnorm:
         if isinstance(w, GridGraphon):
             raise ValidationError("cut norm requires a step graphon")
-        meta = _metadata(cfg, {"cutnorm": True})
-        _write_json(cfg.out / "metrics_cutnorm.json",
-                    {"meta": meta, "cut_norm": cut_norm(w),
-                     "blocks": w.size})
-        wrote.append("metrics_cutnorm.json")
+        cut = {"meta": _metadata(cfg, {"cutnorm": True}),
+               "cut_norm": cut_norm(w), "blocks": w.size}
+        writes.append(lambda: _write_json(
+            cfg.out / "metrics_cutnorm.json", cut))
+    cfg.out.mkdir(parents=True, exist_ok=True)
+    for write in writes:
+        write()
     return 0
 
 

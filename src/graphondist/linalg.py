@@ -1,7 +1,7 @@
 """Dense numerics: symmetric eigendecomposition (numpy's LAPACK ``eigh``
-with a fixed sign convention), matrix exponential (scaling and squaring),
-and truncated analytic matrix transforms with an entrywise convergence
-guard."""
+with a fixed sign convention), truncated analytic matrix transforms with an
+entrywise convergence guard, and ``expm`` (scaling and squaring), which is
+public API and the tests' oracle; no library path calls it."""
 
 from __future__ import annotations
 

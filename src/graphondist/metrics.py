@@ -5,10 +5,11 @@ distance for step graphons.
 The communicability distance between sets is the L2 norm of
 ``e^{W/2} (1_X - 1_Y)``.  On a step graphon this is evaluated exactly: the
 indicator difference splits into its block-average part (on which the
-adjacency operator acts as a matrix) plus an orthogonal remainder, which the
-operator annihilates so the exponential fixes it.  The remainder's norm is
-carried explicitly as the "kernel" component of embeddings, making the
-embedding distance identity hold to rounding error.
+adjacency operator acts as the symmetric matrix B = D^{1/2} A D^{1/2}) plus
+an orthogonal remainder, which the operator annihilates so the exponential
+fixes it.  The distance and the embedding read one eigendecomposition of B,
+and the remainder's norm is carried as the "kernel" component of
+embeddings, so the embedding distance identity holds by construction.
 """
 
 from __future__ import annotations
@@ -28,18 +29,10 @@ from .core import (
     ValidationError,
     _readonly,
 )
-from .linalg import expm, sym_eig
+from .linalg import SpectralData, sym_eig
 
 _CUT_NORM_MAX_BLOCKS = 24
 _CUT_DISTANCE_MAX_BLOCKS = 8
-
-
-def _require_step(w: StepGraphon) -> None:
-    if isinstance(w, GridGraphon):
-        raise ValidationError(
-            "communicability metrics need a step graphon; coarsen or load "
-            "the kernel as one first"
-        )
 
 
 def _symmetrized_operator(w: StepGraphon) -> np.ndarray:
@@ -49,32 +42,44 @@ def _symmetrized_operator(w: StepGraphon) -> np.ndarray:
     return root[:, None] * w.blocks * root[None, :]
 
 
-def _indicator_split(w: StepGraphon, x: IntervalSet, y: IntervalSet):
-    """Masses, block-average coefficients and orthogonal-part norm of
-    f = 1_X - 1_Y."""
-    _require_step(w)
+def _spectrum(w: StepGraphon) -> SpectralData:
+    """Eigenpairs of B, the one decomposition the communicability side
+    reads."""
+    if isinstance(w, GridGraphon):
+        raise ValidationError("communicability metrics need a step graphon; "
+                              "coarsen or load the kernel as one first")
+    return sym_eig(_symmetrized_operator(w))
+
+
+def _image(w: StepGraphon, spec: SpectralData,
+           masses: np.ndarray) -> np.ndarray:
+    """``e^{lam_k/2} <f, phi_k>`` over every eigenpair, for f with block
+    masses ``masses``: B's eigenvectors applied to ``masses / sqrt(mu)``."""
+    g = masses / np.sqrt(w.partition.measures)
+    return np.exp(spec.eigenvalues / 2.0) * (spec.eigenvectors.T @ g)
+
+
+def _distance(w: StepGraphon, spec: SpectralData, x: IntervalSet,
+              y: IntervalSet) -> float:
+    """The communicability distance on the eigenpairs ``spec`` of B."""
     mu = w.partition.measures
-    xm = x.block_masses(w.partition)
-    ym = y.block_masses(w.partition)
-    coeffs = (xm - ym) / mu
+    diff = x.block_masses(w.partition) - y.block_masses(w.partition)
+    step_image = _image(w, spec, diff)
     f_norm2 = x.measure + y.measure - 2.0 * x.intersection_measure(y)
-    step_norm2 = float(np.sum(mu * coeffs * coeffs))
-    orth2 = max(0.0, f_norm2 - step_norm2)
-    return xm, ym, coeffs, orth2
+    orth2 = max(0.0, f_norm2 - float(np.sum(diff * diff / mu)))
+    return math.sqrt(float(step_image @ step_image) + orth2)
 
 
 def communicability_distance(w: StepGraphon, x: IntervalSet,
                              y: IntervalSet) -> float:
     """|| e^{W/2} (1_X - 1_Y) ||_2, exact for step graphons.
 
-    Empty sets are allowed and stand for the zero function, so the distance
-    to the empty set measures total communicability mass of a set.
+    The difference 1_X - 1_Y is projected as a whole, so nearly equal sets
+    keep their relative precision.  Empty sets are allowed and stand for
+    the zero function, so the distance to the empty set measures total
+    communicability mass of a set.
     """
-    _, _, coeffs, orth2 = _indicator_split(w, x, y)
-    root = np.sqrt(w.partition.measures)
-    half = expm(_symmetrized_operator(w) / 2.0)
-    step_image = half @ (root * coeffs)
-    return math.sqrt(float(step_image @ step_image) + orth2)
+    return _distance(w, _spectrum(w), x, y)
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,10 +87,8 @@ class Embedding:
     """Truncated communicability coordinates of a set.
 
     ``coordinates[k] = e^{lam_k/2} <1_X, phi_k>`` over the retained
-    eigenpairs; ``kernel_norm`` is the mass of the indicator outside the
-    eigenfunction span (the step-orthogonal remainder), carried so that the
-    squared embedding distance plus the squared remainder of the indicator
-    difference reproduces the communicability distance.
+    eigenpairs; ``kernel_norm`` is the norm of the indicator outside the
+    eigenfunction span (its step-orthogonal remainder).
     """
 
     truncation: int
@@ -97,6 +100,20 @@ class Embedding:
                            _readonly(np.asarray(self.coordinates, float)))
 
 
+def _embedding(w: StepGraphon, spec: SpectralData, x: IntervalSet,
+               truncation: int) -> Embedding:
+    """The embedding of ``x`` on the eigenpairs ``spec`` of B."""
+    k = int(truncation)
+    if not (0 <= k <= w.size):
+        raise ValidationError(
+            f"truncation must lie in [0, {w.size}], got {truncation}"
+        )
+    mu = w.partition.measures
+    xm = x.block_masses(w.partition)
+    kernel2 = max(0.0, x.measure - float(np.sum(xm * xm / mu)))
+    return Embedding(k, _image(w, spec, xm)[:k], math.sqrt(kernel2))
+
+
 def communicability_embedding(w: StepGraphon, x: IntervalSet,
                               truncation: int) -> Embedding:
     """Spectral communicability coordinates of an interval set.
@@ -104,19 +121,7 @@ def communicability_embedding(w: StepGraphon, x: IntervalSet,
     Eigenfunctions are recovered from the symmetrized block operator as step
     functions with block values ``v_k[i] / sqrt(mu_i)``.
     """
-    _require_step(w)
-    k = int(truncation)
-    if not (0 <= k <= w.size):
-        raise ValidationError(
-            f"truncation must lie in [0, {w.size}], got {truncation}"
-        )
-    spec = sym_eig(_symmetrized_operator(w))
-    mu = w.partition.measures
-    xm = x.block_masses(w.partition)
-    projections = spec.eigenvectors[:, :k].T @ (xm / np.sqrt(mu))
-    coords = np.exp(spec.eigenvalues[:k] / 2.0) * projections
-    kernel2 = max(0.0, x.measure - float(np.sum(xm * xm / mu)))
-    return Embedding(k, coords, math.sqrt(kernel2))
+    return _embedding(w, _spectrum(w), x, truncation)
 
 
 def _slice_rows(w, x: float, y: float) -> list[int]:

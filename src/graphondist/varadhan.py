@@ -51,8 +51,9 @@ from .linalg import (
     TaylorFamily,
     _Series,
     _walk_series,
-    expm,
+    sym_eig,
 )
+from .metrics import _symmetrized_operator
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,11 +198,13 @@ def heat_content(w, u: IntervalSet, v: IntervalSet, t: float,
     annihilates the remainder, while the Laplacian acts as multiplication
     by the degree values there.  The adjacency series has nonnegative terms
     only, so tiny leading orders (t^d at walk distance d) are summed without
-    cancellation; it is exactly 0 between sets no walk joins.
+    cancellation; it is exactly 0 between sets no walk joins.  The
+    Laplacian's block part reads the eigenpairs of diag(k) - D^{1/2} A
+    D^{1/2}, so it is defined for every finite t >= 0.
     """
     t = float(t)
-    if not t >= 0.0:
-        raise ValidationError("heat content requires t >= 0")
+    if not 0.0 <= t < math.inf:
+        raise ValidationError("heat content requires finite t >= 0")
     if u.is_empty or v.is_empty:
         raise ValidationError("heat content requires nonempty interval sets")
 
@@ -212,14 +215,15 @@ def heat_content(w, u: IntervalSet, v: IntervalSet, t: float,
 
     if generator == "laplacian":
         mu = w.partition.measures
-        a = w.blocks
         um = u.block_masses(w.partition)
         vm = v.block_masses(w.partition)
         kv = degree(w).values
-        mmat = a * mu[None, :]
-        lap = np.diag(kv) - mmat
-        c = um / mu
-        step_part = float(vm @ (expm(-t * lap) @ c))
+        spec = sym_eig(np.diag(kv) - _symmetrized_operator(w))
+        pu, pv = (np.stack([um, vm]) / np.sqrt(mu)) @ spec.eigenvectors
+        # L is positive semidefinite; an eigenvalue rounded below 0 must not
+        # grow with t
+        decay = np.exp(-t * np.maximum(spec.eigenvalues, 0.0))
+        step_part = float(pv @ (decay * pu))
         per_block_overlap = u.intersect(v).block_masses(w.partition)
         orth_part = float(np.sum(np.exp(-t * kv) *
                                  (per_block_overlap - um * vm / mu)))

@@ -1,18 +1,22 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from graphondist import (
     ValidationError,
+    communicability_distance,
+    communicability_embedding,
     distance_field,
     dump_graphon,
     lift,
     load_graphon,
 )
+from graphondist import linalg
 from graphondist.cli import main, parse_interval_set, parse_t_grid, read_csv_matrix
-from conftest import cycle_adjacency
+from conftest import cycle_adjacency, random_step_graphon
 
 BIPARTITE = {"kind": "builtin", "name": "bipartite"}
 ER = {"kind": "builtin", "name": "er", "params": {"p": 0.3}}
@@ -233,6 +237,67 @@ def test_cmd_metrics_requires_a_mode(tmp_path):
     spec = write_spec(tmp_path, ER)
     assert main(["metrics", "--input", str(spec),
                  "--out", str(tmp_path)]) == 2
+
+
+def test_cmd_metrics_decomposes_once(tmp_path, monkeypatch, rng):
+    # every pair's distance and every set's embedding read one sym_eig,
+    # and give what the public functions give
+    calls = []
+    sym_eig = linalg.sym_eig
+
+    def counting(b):
+        calls.append(1)
+        return sym_eig(b)
+
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] == "graphondist"
+                and getattr(module, "sym_eig", None) is sym_eig):
+            monkeypatch.setattr(module, "sym_eig", counting)
+    w = random_step_graphon(rng, 12)
+    spec = write_spec(tmp_path, {"kind": "step",
+                                 "measures": w.partition.measures.tolist(),
+                                 "blocks": w.blocks.tolist()})
+    texts = [f"{a / 10}:{a / 10 + 0.15}" for a in range(8)]
+    out = tmp_path / "m"
+    assert main(["metrics", "--input", str(spec), "--out", str(out),
+                 "--sets", ";".join(texts), "--embed", "4"]) == 0
+    assert len(calls) == 1
+    sets = [parse_interval_set(t) for t in texts]
+    matrix = read_csv_matrix(out / "metrics_communicability.csv")
+    want = [[communicability_distance(w, x, y) for y in sets] for x in sets]
+    assert np.array_equal(matrix, want)
+    emb = json.loads((out / "metrics_embedding.json").read_text())
+    for s, entry in zip(sets, emb["embeddings"]):
+        assert entry["coordinates"] == \
+            communicability_embedding(w, s, 4).coordinates.tolist()
+
+
+def wrote_nothing(out) -> bool:
+    return not out.exists() or not any(out.iterdir())
+
+
+def test_cmd_metrics_rejects_before_writing(tmp_path):
+    # a truncation beyond the block count, and a cut norm beyond its block
+    # limit, are rejected after the distances are known but before any
+    # file is written
+    out = tmp_path / "m"
+    assert main(["metrics", "--input", str(write_spec(tmp_path, BIPARTITE)),
+                 "--out", str(out), "--sets", "0:0.5;0.5:1",
+                 "--embed", "5"]) == 2
+    assert wrote_nothing(out)
+    big = write_spec(tmp_path, {"kind": "step", "measures": [1 / 25] * 25,
+                                "blocks": np.full((25, 25), 0.5).tolist()},
+                     "big.json")
+    assert main(["metrics", "--input", str(big), "--out", str(out),
+                 "--sets", "0:0.5", "--cutnorm"]) == 2
+    assert wrote_nothing(out)
+
+
+def test_cmd_metrics_embed_needs_sets(tmp_path):
+    out = tmp_path / "m"
+    assert main(["metrics", "--input", str(write_spec(tmp_path, ER)),
+                 "--out", str(out), "--embed", "1", "--cutnorm"]) == 2
+    assert wrote_nothing(out)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
+import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
+import graphondist
 from graphondist import (
     IntervalSet,
     Partition,
@@ -14,6 +17,7 @@ from graphondist import (
     cut_distance_homogeneous,
     cut_norm,
     er_graphon,
+    heat_content,
     lift,
     merge_twins,
     neighbourhood_distance,
@@ -21,6 +25,7 @@ from graphondist import (
     similarity_distance,
     step,
 )
+from graphondist.cli import main
 from conftest import bfs_oracle, cycle_adjacency, random_step_graphon
 
 I = lambda a, b: IntervalSet(((a, b),))
@@ -138,6 +143,30 @@ def test_embedding_truncation_keeps_leading_coordinates():
     assert top.coordinates.shape == (1,)
     assert top.coordinates[0] == full.coordinates[0]
     assert top.truncation == 1
+
+
+def test_no_library_path_calls_expm(monkeypatch, tmp_path, rng):
+    # the communicability side reads sym_eig only; expm is the tests' oracle
+    def banned(x):
+        raise AssertionError("a library path called expm")
+
+    expm = graphondist.expm
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] == "graphondist"
+                and getattr(module, "expm", None) is expm):
+            monkeypatch.setattr(module, "expm", banned)
+    w = random_step_graphon(rng, 6)
+    x, y = I(0.1, 0.6), I(0.3, 0.9)
+    assert communicability_distance(w, x, y) > 0.0
+    assert communicability_embedding(w, x, 3).coordinates.shape == (3,)
+    assert heat_content(w, x, y, 2.0, "laplacian") > 0.0
+    spec = tmp_path / "w.json"
+    spec.write_text(json.dumps({"kind": "step",
+                                "measures": w.partition.measures.tolist(),
+                                "blocks": w.blocks.tolist()}))
+    assert main(["metrics", "--input", str(spec), "--out", str(tmp_path),
+                 "--sets", "0:0.5;0.2:0.7", "--embed", "2",
+                 "--cutnorm"]) == 0
 
 
 # ---------------------------------------------------------------------------

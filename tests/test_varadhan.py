@@ -301,6 +301,24 @@ def test_heat_content_laplacian_constant_invariant():
             1.0, abs=1e-12)
 
 
+def test_heat_content_laplacian_at_long_times():
+    # e^{-tL} is a contraction: at t = 800 only the constant survives, so
+    # <1, e^{-tL} 1> = 1 and the two halves share <1_U, 1> <1, 1_V> = 1/4
+    w = bipartite_graphon()
+    full = IntervalSet.full()
+    assert heat_content(w, full, full, 800.0, "laplacian") == pytest.approx(
+        1.0, abs=1e-9)
+    assert heat_content(w, I(0, 0.5), I(0.5, 1), 800.0,
+                        "laplacian") == pytest.approx(0.25, abs=1e-9)
+
+
+def test_heat_content_rejects_infinite_time():
+    for generator in ("adjacency", "laplacian"):
+        with pytest.raises(ValidationError, match="finite t"):
+            heat_content(bipartite_graphon(), I(0, 0.5), I(0.5, 1), math.inf,
+                         generator)
+
+
 def test_heat_content_laplacian_against_refined_grid_oracle(rng):
     # blocks and sets aligned to a 1/12 lattice: the 12-cell discretization
     # is exact, so a dense eigensolver on it gives an independent answer

@@ -285,6 +285,23 @@ def test_field_step_kinds_follow_the_frontier(monkeypatch, rng):
     assert calls["panel"] >= 1 and calls["packed"] >= 1
 
 
+def test_popcount_without_bitwise_count(monkeypatch, rng):
+    # numpy < 2 has no bitwise_count: _popcount falls back to unpackbits,
+    # and the packed steps that read frontier counts still walk right
+    words = rng.integers(0, np.iinfo(np.uint64).max, size=(37, 5),
+                         dtype=np.uint64, endpoint=True)
+    fast = connectivity._popcount(words)
+    monkeypatch.delattr(np, "bitwise_count")
+    assert connectivity._popcount(words) == fast
+    counted = []
+    popcount = connectivity._popcount
+    monkeypatch.setattr(connectivity, "_popcount",
+                        lambda w: counted.append(1) or popcount(w))
+    assert count_steps(monkeypatch, path_support(301)) == \
+        {"packed": 299, "panel": 0}
+    assert counted
+
+
 def test_diameter_takes_the_steps_of_the_field(monkeypatch):
     # the diameter is the largest level of the whole-field walk, so it
     # takes exactly the products the field takes
