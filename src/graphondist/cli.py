@@ -175,6 +175,11 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     )
     if cfg.grid < 1:
         raise ValidationError("--grid must be a positive resolution")
+    if cfg.seed < 0:
+        raise ValidationError(f"--seed must be nonnegative, got {cfg.seed}")
+    if cfg.tolerance < 0.0:
+        raise ValidationError(
+            f"--tolerance must be nonnegative, got {cfg.tolerance!r}")
     if args.command == "slope":
         cfg.tgrid = parse_t_grid(args.tgrid) if args.tgrid else None
         cfg.expect = _finite("--expect", args.expect)

@@ -29,27 +29,27 @@ collected.  This relies on a graphon being immutable: ``StepGraphon`` is a
 frozen dataclass whose ``blocks`` are read-only.  ``block_distance_matrix``
 takes a bare ``SupportGraph`` and keeps nothing.
 
-Every product goes through one kernel, ``_compose``, which takes the
-cheaper of two steps for the left operand it is given:
+Every product goes through one kernel, ``_compose``, and every BFS level
+is bit-packed: each row of k classes in ceil(k / 64) uint64 words.  The
+kernel takes the cheaper of two steps for the left operand it is given, by
+a word count derived from the operands (no measured constant):
 
 - the packed step, a top-down BFS step on bit-parallel rows, ORs together
-  the uint64-packed rows of the right operand that the nonzeros of the
-  left one select: nnz * k / 64 word operations, so a thin frontier costs
-  what it holds;
-- the panel product multiplies float32 matrices: r k^2 multiply-adds for
-  r source rows, and about k^3 / 2 for a whole field, whose rows are taken
-  in panels of ``PANEL_ROWS``, each multiplying only the columns on and
-  right of its diagonal block, with the block mirrored below the diagonal.
-  That is exact because the part of every level the walk keeps (the pairs
-  at one walk distance) is symmetric on a symmetric support.
+  the packed rows of the right operand that the nonzeros of the left one
+  select: nnz * k / 64 word operations, so a thin frontier costs what it
+  holds;
+- the table step, the Method of Four Russians (Arlazarov, Dinic, Kronrod
+  and Faradzev 1970; the M4RI library of Albrecht, Bard and Hart, ACM TOMS
+  2010), builds for each group of 8 right-operand rows a 256-row table of
+  the ORs of their subsets and ORs into every output row the table row its
+  byte of the left operand selects: (k / 8)(256 + r) k / 64 word
+  operations for r rows, whatever their density.
 
-The choice prices both from the left operand's nonzero count with
-constants measured on a 2-vCPU Xeon (one BLAS thread): a whole field turns
-to the panel product above about 20 % density at 1,024 classes and 18 %
-at 2,048, and one source row takes the packed step from about 600 classes
-on.  A BFS keeps each level in the form its step made, so a walk that only
-takes panel products never packs a level, and a thin walk never scans a
-dense matrix.
+So the packed step is taken while nnz < ceil(k / 8)(256 + r): a whole
+field turns to the table step above about 1/8 + 32/k density, and a
+source row always takes the packed step, since it has at most k
+nonzeros.  A thin walk never scans a dense matrix, and no walk multiplies
+a floating-point matrix.
 """
 
 from __future__ import annotations
@@ -69,18 +69,6 @@ UNREACHABLE = math.inf
 #: quadrature noise allowed for grids
 STEP_EPSILON = 1e-12
 GRID_EPSILON = 1e-9
-
-#: row panel height of the symmetric boolean product ``_panel_step``
-PANEL_ROWS = 256
-
-#: measured prices of the two steps, in multiply-adds of the float32
-#: panel product (see ``_prefers_packed``): the packed step costs
-#: ``WORD_MACS`` per gathered 64-bit word plus ``STEP_MACS`` per step, and
-#: the panel product pays ``READ_ROWS`` rows' worth for streaming its
-#: right operand, which dominates a product of a few rows
-WORD_MACS = 200
-STEP_MACS = 3_000_000
-READ_ROWS = 8
 
 #: words the packed step gathers at a time (512 KB), so the rows it ORs
 #: together are still in cache
@@ -152,70 +140,53 @@ def _support_classes(adj: np.ndarray):
 
 
 class _Bits:
-    """An r x k boolean matrix, held in the form of the step that made it:
-    dense (a bool array) or packed (``rows``, the ascending indices of the
-    rows that may be nonempty, and ``words``, those rows bit-packed by
-    ``_pack``).  The nonzeros, the other form and the float32 copy the
-    panel product reads are derived on first use and kept; a packed
-    matrix that lists every row is its own ``bits``."""
+    """An r x k boolean matrix, bit-packed: ``rows``, the ascending
+    indices of the rows that may be nonempty, and ``words``, those rows
+    packed by ``_pack``.  The nonzeros are derived on first use and
+    kept."""
 
-    def __init__(self, dense=None, *, shape=None, rows=None, words=None):
-        self.shape = shape if dense is None else dense.shape
-        self._dense = dense
-        self.rows, self.words = rows, words
-        self._nonzero = self._nnz = self._bits = self._f32 = None
+    def __init__(self, shape, rows, words):
+        self.shape, self.rows, self.words = shape, rows, words
+        self._nonzero = self._nnz = None
 
-    @property
-    def is_packed(self) -> bool:
-        return self.words is not None
+    @classmethod
+    def of(cls, m: np.ndarray) -> "_Bits":
+        """Every row of a boolean matrix, packed."""
+        return cls(m.shape, np.arange(m.shape[0]), _pack(m))
 
     @property
     def nnz(self) -> int:
         if self._nnz is None:
-            self._nnz = (_popcount(self.words) if self.is_packed
-                         else int(np.count_nonzero(self._dense)))
+            self._nnz = _popcount(self.words)
         return self._nnz
 
     def nonzero(self):
         """Row and column indices of the true entries, in row-major order."""
         if self._nonzero is None:
-            self._nonzero = (_unpack(self.rows, self.words) if self.is_packed
-                             else np.nonzero(self._dense))
+            self._nonzero = _unpack(self.rows, self.words)
         return self._nonzero
 
     def index(self):
         """The true entries as an index: the nonzeros where they were
-        derived, the dense matrix otherwise."""
-        return self._nonzero if self._nonzero is not None else self.dense
-
-    @property
-    def dense(self) -> np.ndarray:
-        if self._dense is None:
-            dense = np.zeros(self.shape, dtype=bool)
-            dense[self.rows] = np.unpackbits(
-                self.words.view(np.uint8), axis=1, count=self.shape[1],
-                bitorder="little")
-            self._dense = dense
-        return self._dense
-
-    @property
-    def bits(self) -> np.ndarray:
-        """Every row bit-packed, for gathering rows by index."""
-        if self._bits is None:
-            every = self.is_packed and self.rows.size == self.shape[0]
-            self._bits = self.words if every else _pack(self.dense)
-        return self._bits
-
-    @property
-    def f32(self) -> np.ndarray:
-        if self._f32 is None:
-            self._f32 = self.dense.astype(np.float32)
-        return self._f32
+        derived, the unpacked boolean matrix otherwise (scattered into a
+        zero matrix only when some row is not listed)."""
+        if self._nonzero is not None:
+            return self._nonzero
+        bits = np.unpackbits(
+            self.words.view(np.uint8), axis=1, count=self.shape[1],
+            bitorder="little").view(bool)
+        if self.rows.size == self.shape[0]:
+            return bits
+        dense = np.zeros(self.shape, dtype=bool)
+        dense[self.rows] = bits
+        return dense
 
 
 def _pack(m: np.ndarray) -> np.ndarray:
-    """Rows of a boolean matrix as uint64 words, column j at bit j % 64 of
-    word j // 64 (bytes in memory order, so only bitwise use is portable)."""
+    """Rows of a boolean matrix as uint64 words, column j at bit j % 8 of
+    byte j // 8 of the row (so byte g of ``view(np.uint8)`` holds columns
+    8g..8g + 7 on any byte order; only bitwise use of the words is
+    portable)."""
     r, k = m.shape
     out = np.zeros((r, -(-k // 64) * 8), dtype=np.uint8)
     out[:, :-(-k // 8)] = np.packbits(m, axis=1, bitorder="little")
@@ -230,58 +201,40 @@ def _popcount(words: np.ndarray) -> int:
 
 def _unpack(rows: np.ndarray, words: np.ndarray):
     """Row and column indices of the set bits of packed rows, read from
-    the nonzero words only, in row-major order."""
-    at = np.flatnonzero(words)
-    bits = np.unpackbits(words.reshape(-1)[at].view(np.uint8),
-                         bitorder="little")
-    hit = np.flatnonzero(bits)
+    the nonzero words only, in row-major order.  The unpacked bits are 0
+    or 1 bytes, so they are searched as booleans, which numpy scans several
+    times faster than uint8."""
+    flat = words.reshape(-1)
+    at = flat.nonzero()[0]
+    hit = np.unpackbits(flat[at].view(np.uint8),
+                        bitorder="little").view(bool).nonzero()[0]
     row, word = np.divmod(at[hit >> 6], words.shape[1])
     return rows[row], (word << 6) | (hit & 63)
 
 
-def _panel_macs(r: int, k: int, symmetric: bool) -> int:
-    """Price of the panel product of an r x k and a k x k matrix: its
-    multiply-adds, plus ``READ_ROWS`` rows' worth for streaming b."""
-    if not symmetric:
-        return (r + READ_ROWS) * k * k
-    return READ_ROWS * k * k + sum(min(PANEL_ROWS, k - lo) * k * (k - lo)
-                                   for lo in range(0, k, PANEL_ROWS))
-
-
-def _prefers_packed(a: _Bits, symmetric: bool) -> bool:
-    """Whether the packed step prices below the panel product for a o b:
-    ``WORD_MACS`` per gathered word, nnz(a) * k / 64 of them, plus
-    ``STEP_MACS``, against ``_panel_macs``."""
-    r, k = a.shape
-    words = a.nnz * -(-k // 64)
-    return WORD_MACS * words + STEP_MACS < _panel_macs(r, k, symmetric)
-
-
-def _compose(a: _Bits, b: _Bits, symmetric: bool) -> _Bits:
+def _compose(a: _Bits, b: _Bits) -> _Bits:
     """Boolean product (a o b)[i, j] = any_l a[i, l] & b[l, j] of an r x k
-    and a k x k matrix, by the cheaper of two steps.
+    matrix and a k x k one that lists every row, by the cheaper of two
+    steps on packed rows.
 
-    The packed step ORs together the bit-packed rows of b that the
-    nonzeros of a select: about nnz(a) * k / 64 word operations, so a thin
-    a costs little.  The panel product multiplies float32 matrices: r k^2
-    multiply-adds, or about k^3 / 2 when ``symmetric`` (a square and the
-    kept part of the product symmetric; see ``_panel_step``).  The choice
-    is made per product from a's observed nonzero count.
+    The packed step costs nnz(a) ceil(k / 64) word operations and the
+    table step ceil(k / 8)(256 + r) ceil(k / 64), r the rows a lists; the
+    packed step is taken while it costs less.
     """
-    if _prefers_packed(a, symmetric):
+    if a.nnz < -(-a.shape[1] // 8) * (256 + a.rows.size):
         return _packed_step(a, b)
-    return _Bits(_panel_step(a, b, symmetric))
+    return _table_step(a, b)
 
 
 def _packed_step(a: _Bits, b: _Bits) -> _Bits:
     """a o b as the OR of the packed rows of b that each row of a selects
     (top-down BFS step on bit-parallel rows), in slices of about
-    ``GATHER_WORDS`` gathered words."""
+    ``GATHER_WORDS`` gathered words: nnz(a) * k / 64 word operations."""
     rows, cols = a.nonzero()
-    bits = b.bits
+    bits = b.words
     first = np.ones(rows.size, dtype=bool)
     np.not_equal(rows[1:], rows[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
+    starts = first.nonzero()[0]
     out = np.empty((starts.size, bits.shape[1]), dtype=np.uint64)
     per = max(1, GATHER_WORDS // bits.shape[1])
     s = 0
@@ -291,78 +244,70 @@ def _packed_step(a: _Bits, b: _Bits) -> _Bits:
         out[s:e] = np.bitwise_or.reduceat(bits[cols[lo:hi]], starts[s:e] - lo,
                                           axis=0)
         s = e
-    return _Bits(shape=a.shape, rows=rows[starts], words=out)
+    return _Bits(a.shape, rows[starts], out)
 
 
-def _panel_step(a: _Bits, b: _Bits, symmetric: bool) -> np.ndarray:
-    """a o b as a float32 product, exact on and above the diagonal when
-    ``symmetric``.
+def _table_step(a: _Bits, b: _Bits) -> _Bits:
+    """a o b by the Method of Four Russians (Arlazarov, Dinic, Kronrod and
+    Faradzev 1970) on packed rows: (k / 8)(256 + r) k / 64 word
+    operations for the r rows a lists, whatever its density.
 
-    Rows go in panels of ``PANEL_ROWS``; with ``symmetric`` panel
-    [lo, hi) multiplies only the columns lo: and its block right of the
-    diagonal block is mirrored into the lower triangle, which costs about
-    half of one full product.  The result is then exact wherever the part
-    of a o b the caller keeps is symmetric, as the BFS level
-    ``(F_m o A) & ~R_m`` (the pairs at walk distance m + 1) is.  At
-    k <= ``PANEL_ROWS`` it is one full product.
+    b's rows go in groups of 8.  For group g one 256-row table holds the
+    OR of every subset of the group's rows, built by doubling (row s | 2^j
+    of the table is row s OR b's row 8g + j), and every output row ORs in
+    the table row that its byte g selects: byte g of a packed row holds
+    columns 8g..8g + 7 of a.  One table and one buffer of chosen rows
+    are reused for every group.
     """
-    af = a.dense.astype(np.float32)
-    if not symmetric:
-        return (af @ b.f32) > 0.0
-    n = af.shape[0]
-    out = np.empty((n, n), dtype=bool)
-    for lo in range(0, n, PANEL_ROWS):
-        hi = min(lo + PANEL_ROWS, n)
-        panel = (af[lo:hi] @ b.f32[:, lo:]) > 0.0
-        out[lo:hi, lo:] = panel
-        out[hi:, lo:hi] = panel[:, hi - lo:].T
-    return out
+    k = a.shape[1]
+    bits = b.words
+    picks = a.words.view(np.uint8)
+    out = np.zeros((a.rows.size, bits.shape[1]), dtype=np.uint64)
+    table = np.zeros((256, bits.shape[1]), dtype=np.uint64)
+    chosen = np.empty_like(out)
+    for g in range(-(-k // 8)):
+        s = 1
+        for row in bits[8 * g:8 * g + 8]:
+            np.bitwise_or(table[:s], row, out=table[s:2 * s])
+            s *= 2
+        # a byte never exceeds 255, so "clip" only spares the buffering
+        # that the default mode does for ``out``
+        np.take(table, picks[:, g], axis=0, out=chosen, mode="clip")
+        out |= chosen
+    return _Bits(a.shape, a.rows, out)
 
 
 def _bfs(b: _Bits, sources: np.ndarray | None = None) -> np.ndarray:
-    """Level-synchronous BFS on the symmetric boolean graph ``b`` from
-    boolean source sets, one per row.
+    """Level-synchronous BFS on the symmetric boolean graph ``b`` (every
+    row packed) from boolean source sets, one per row.
 
     Row r holds the least m >= 1 such that some vertex of ``sources[r]``
     has a length-m walk to vertex j, 0 where there is none, as small
     integers.  The first frontier is the one-step neighbourhood of the
     sources, so a source reaches itself at 1 through a self-loop and at 2
     through a neighbour.  ``None`` takes every vertex as its own source:
-    level 1 is then ``b`` itself and each later level one symmetric
-    ``_compose``.  The walk stops at the level that reaches the last
-    entry, or at the first empty level.
+    level 1 is then ``b`` itself and each later level one ``_compose``.
+    The walk stops at the level that reaches the last entry, or at the
+    first empty level.
 
-    Each level stays in the form its step made.  A packed level is masked
-    against a packed reached set, kept while the levels are packed; a
-    dense one against ``dist`` itself, which costs nothing next to its
-    product.  A level is recorded from the form the next step reads: its
-    nonzeros, found from its nonzero words when it is packed, or its dense
-    matrix.  So a thin walk never scans a dense r x k matrix and a fat one
-    packs no level after the first.
+    Every level is packed and masked against the packed reached set.  A
+    level is recorded from its nonzeros where the next step derived them
+    (a packed step), and from its unpacked matrix otherwise.
     """
-    whole = sources is None
-    front = b if whole else _compose(_Bits(sources), b, False)
+    front = b if sources is None else _compose(_Bits.of(sources), b)
     dist = np.zeros(front.shape, dtype=np.min_scalar_type(b.shape[0] + 1))
-    seen = None  # packed reached set, kept while the levels are packed
+    seen = np.zeros((front.shape[0], b.words.shape[1]), dtype=np.uint64)
     reached = 0
     level = 1
     while True:
-        if front.is_packed:
-            if seen is None:
-                seen = _pack(dist != 0)
-            words = front.words & ~seen[front.rows]
-            seen[front.rows] |= words
-            front = _Bits(shape=front.shape, rows=front.rows, words=words)
-        else:
-            new = dist == 0
-            new &= front.dense
-            front = _Bits(new)
-            seen = None
+        words = front.words & ~seen[front.rows]
+        seen[front.rows] |= words
+        front = _Bits(front.shape, front.rows, words)
         if front.nnz == 0:
             break
         reached += front.nnz
         done = reached == dist.size
-        nxt = None if done else _compose(front, b, whole)
+        nxt = None if done else _compose(front, b)
         dist[front.index()] = level
         if done:
             break
@@ -384,8 +329,8 @@ class _Walk:
     decided them (``None`` before).
 
     Nothing k x k or n x n is kept beyond the packed quotient: every walk
-    unpacks what its products read and drops it with its levels.  There is
-    no reference to the graphon the support came from.
+    drops its levels when it returns.  There is no reference to the
+    graphon the support came from.
     """
 
     __slots__ = ("words", "classes", "diameter", "connected")
@@ -403,7 +348,7 @@ class _Walk:
 
     def _support(self) -> _Bits:
         k = self.size
-        return _Bits(shape=(k, k), rows=np.arange(k), words=self.words)
+        return _Bits((k, k), np.arange(k), self.words)
 
     def field(self) -> np.ndarray:
         """Walk distances between every pair of classes (k x k), from one
@@ -455,8 +400,9 @@ def _source_rows(n: int, cells) -> np.ndarray:
 
 def block_distance_matrix(s: SupportGraph) -> np.ndarray:
     """Walk distances d'(i,j) = least m >= 1 with a length-m walk from i
-    to j on the support graph, for every block pair: about (L - 1) k^3 / 2
-    on k support classes with largest walk distance L.
+    to j on the support graph, for every block pair: at most k^3 / 64
+    word operations on k support classes, and less where the levels are
+    fat (see the module docstring).
 
     Off-diagonal entries coincide with shortest-path lengths.  A diagonal
     entry is 1 when the block carries a self-loop, otherwise 2 when the
@@ -468,7 +414,8 @@ def block_distance_matrix(s: SupportGraph) -> np.ndarray:
 def is_connected(w, epsilon: float | None = None) -> bool:
     """Whether the graphon is connected, decided on the support graph: one
     BFS from block 0 reaches every block (so no union of blocks is cut off
-    from the rest, and a lone block carries a self-loop): O(levels * k^2).
+    from the rest, and a lone block carries a self-loop): at most k^2 / 64
+    word operations on k support classes.
 
     The graphon keeps the answer (see ``diameter``), so it is walked at
     most once per threshold, and not at all once ``distance_field`` or

@@ -68,6 +68,9 @@ def sample_graph(w, n: int, seed: int) -> SampledGraph:
     n = int(n)
     if n < 1:
         raise ValidationError("sampling requires n >= 1")
+    if seed < 0:
+        raise ValidationError(f"sampling requires a nonnegative seed, got "
+                              f"{seed}")
     rng = np.random.default_rng(seed)
     coords = rng.random(n)
     cells = w.partition.locate(coords)

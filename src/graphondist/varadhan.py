@@ -9,8 +9,11 @@ block/cell support graph -- walk counting, never series summation.
 Each query walks only from its own sources, on the support-twin quotient of
 the support graph (cells with identical support rows merged into one of k
 classes, which is exact): a point query runs one BFS row per distinct class
-among the cells of ``x`` and a set query one merged row, O(levels * k^2)
-per row; the whole field is O(levels * k^3).  The graphon keeps that
+among the cells of ``x`` and a set query one merged row.  Every level is
+bit-packed, and each class enters a row's frontier once, so a row's walk
+gathers at most k^2 / 64 words in all and the whole field at most
+k^3 / 64; fat levels take a table step that costs less (see
+``connectivity``).  The graphon keeps that
 quotient bit-packed (k^2 / 8 bytes), its cell-to-class map, its diameter
 and its connectedness, per support threshold, until it is collected (see
 ``connectivity``), so repeated queries skip the support graph and the

@@ -440,6 +440,27 @@ def test_cli_non_finite_tolerance_is_code_2(tmp_path):
                  "--tolerance", "inf"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["sample", "--seed", "-1"],
+    ["slope", "--transform", "exp", "--seed", "-3"],
+])
+def test_cli_negative_seed_is_code_2(tmp_path, argv):
+    spec = c6_file(tmp_path)
+    out = tmp_path / "neg"
+    assert main(argv + ["--input", str(spec), "--out", str(out)]) == 2
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_cli_negative_tolerance_is_code_2(tmp_path):
+    # a negative tolerance would fail every expectation check (exit 1)
+    spec = c6_file(tmp_path)
+    out = tmp_path / "s"
+    assert main(["slope", "--input", str(spec), "--out", str(out),
+                 "--u", "0:0.1667", "--v", "0.5:0.6667", "--expect", "3",
+                 "--tolerance", "-1"]) == 2
+    assert not (out / "slope.json").exists()
+
+
 def test_cli_non_finite_expect_is_code_2(tmp_path):
     spec = c6_file(tmp_path)
     out = tmp_path / "s"

@@ -3,8 +3,8 @@
 The digests pin the exact files written by ``varadhan``, ``connectivity``
 and ``sample`` for one step and one grid description, so a refactor that
 changes any output byte fails here; a 600-cell band and a 600-vertex
-sample pin outputs whose walks cross the row panels of the boolean
-product.  Inputs are passed as relative paths
+sample pin outputs of walks on hundreds of classes, several words per
+packed row.  Inputs are passed as relative paths
 from a fixed working directory, which keeps ``meta.input`` stable.  Slope
 and metrics outputs are not pinned: their last float digits depend on the
 BLAS build.

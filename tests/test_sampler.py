@@ -126,6 +126,13 @@ def test_sample_rejects_empty_graph_request():
         sample_graph(er_graphon(0.5), 0, seed=1)
 
 
+def test_sample_rejects_negative_seed():
+    with pytest.raises(ValidationError, match="nonnegative seed"):
+        sample_graph(er_graphon(0.5), 10, seed=-1)
+    with pytest.raises(ValidationError, match="nonnegative seed"):
+        compare_with_varadhan(er_graphon(0.5), 10, trials=2, seed=-3)
+
+
 def test_one_vertex_samples_but_does_not_compare():
     w = er_graphon(0.5)
     g = sample_graph(w, 1, seed=1)

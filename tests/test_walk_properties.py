@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from graphondist import (  # noqa: E402
     UNREACHABLE,
@@ -24,6 +24,7 @@ from graphondist import (  # noqa: E402
     step,
     varadhan_distance,
 )
+from graphondist import connectivity  # noqa: E402
 from test_walks import choose_steps, walk_oracle  # noqa: E402
 
 PROPERTIES = settings(derandomize=True, max_examples=60, deadline=None)
@@ -77,7 +78,8 @@ def test_field_is_the_least_power_with_support(w):
 
 
 @PROPERTIES
-@given(step_graphons(), st.sampled_from(("priced", "packed", "mixed")),
+@given(step_graphons(),
+       st.sampled_from(("priced", "packed", "table", "mixed")),
        st.integers(0, 2**16), st.data())
 def test_queries_match_the_bfs_oracle(w, choice, seed, data):
     want = walk_oracle(w.blocks > 1e-12)
@@ -101,6 +103,48 @@ def test_queries_match_the_bfs_oracle(w, choice, seed, data):
             assert set_distance(w, interval_set(w, sorted(u)),
                                 interval_set(w, sorted(v))) == \
                 (int(best) if math.isfinite(best) else UNREACHABLE)
+
+
+def unpacked(bits) -> np.ndarray:
+    """A packed ``_Bits`` as a boolean matrix; every set bit must lie in
+    one of its listed rows and below its column count."""
+    rows, cols = bits.nonzero()
+    assert np.isin(rows, bits.rows).all() and (cols < bits.shape[1]).all()
+    out = np.zeros(bits.shape, dtype=bool)
+    out[rows, cols] = True
+    return out
+
+
+@PROPERTIES
+@example(k=65, r=1, listed=1.0, emptied=0.0, density=0.3, seed=0)
+@example(k=9, r=5, listed=1.0, emptied=0.0, density=0.0, seed=1)
+@example(k=200, r=7, listed=0.5, emptied=0.5, density=0.5, seed=2)
+@given(st.integers(1, 200), st.integers(1, 12), st.floats(0.0, 1.0),
+       st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.integers(0, 2**16))
+def test_table_step_equals_packed_step(k, r, listed, emptied, density, seed):
+    # a lists a random subset of its r rows, some of them empty, over k
+    # columns (often not a multiple of 8 or 64: a ragged last group and
+    # word); b is any k x k matrix with every row listed
+    rng = np.random.default_rng(seed)
+    rows = np.flatnonzero(rng.random(r) < listed)
+    m = np.zeros((r, k), dtype=bool)
+    m[rows] = rng.random((rows.size, k)) < density
+    m[rows[rng.random(rows.size) < emptied]] = False
+    a = connectivity._Bits((r, k), rows, connectivity._pack(m[rows]))
+    bm = rng.random((k, k)) < rng.random()
+    b = connectivity._Bits.of(bm)
+    table = connectivity._table_step(a, b)
+    packed = connectivity._packed_step(a, b)
+    want = (m.astype(np.int64) @ bm.astype(np.int64)) > 0
+    assert np.array_equal(unpacked(table), want)
+    assert np.array_equal(unpacked(packed), want)
+    # rows both list hold the same words, padding bits included
+    _, at_t, at_p = np.intersect1d(table.rows, packed.rows,
+                                   return_indices=True)
+    assert np.array_equal(table.words[at_t], packed.words[at_p])
+    # column j of the identity selects row j of b alone, in every group
+    eye = connectivity._Bits.of(np.eye(k, dtype=bool))
+    assert np.array_equal(unpacked(connectivity._table_step(eye, b)), bm)
 
 
 QUERIES = ("field", "diameter", "connected", "points", "set")

@@ -159,7 +159,7 @@ def test_point_query_allocates_less_than_a_field():
     assert peak < 2048 * 2048 * 8  # one n x n float64 field: 32 MB
 
 
-def panel_support(rng, k: int, connected: bool) -> np.ndarray:
+def distinct_support(rng, k: int, connected: bool) -> np.ndarray:
     """Symmetric boolean support with exactly k distinct rows: paths with
     random chords and random self-loops; two of them and an isolated
     block unless connected."""
@@ -190,10 +190,11 @@ def with_twins(rng, a: np.ndarray, extra: int) -> np.ndarray:
 
 def test_field_and_diameter_across_panel_edges(rng):
     # the walk runs on the support-twin quotient, so k is the number of
-    # classes: one below, at and one above a panel, and two panels plus one
+    # classes: one below, at and one above 256, and 513, whose last word
+    # and last table group are ragged
     for k in (255, 256, 257, 513):
         for connected in (True, False):
-            cells = with_twins(rng, panel_support(rng, k, connected), 24)
+            cells = with_twins(rng, distinct_support(rng, k, connected), 24)
             want = walk_oracle(cells)
             assert np.isfinite(want).all() == connected
             got = block_distance_matrix(SupportGraph(cells, 0.0))
@@ -204,19 +205,19 @@ def test_field_and_diameter_across_panel_edges(rng):
 
 def counting_steps(monkeypatch) -> dict:
     """Count the products of each kind from now on."""
-    calls = {"packed": 0, "panel": 0}
-    packed, panel = connectivity._packed_step, connectivity._panel_step
+    calls = {"packed": 0, "table": 0}
+    packed, table = connectivity._packed_step, connectivity._table_step
 
     def counted_packed(a, b):
         calls["packed"] += 1
         return packed(a, b)
 
-    def counted_panel(a, b, symmetric):
-        calls["panel"] += 1
-        return panel(a, b, symmetric)
+    def counted_table(a, b):
+        calls["table"] += 1
+        return table(a, b)
 
     monkeypatch.setattr(connectivity, "_packed_step", counted_packed)
-    monkeypatch.setattr(connectivity, "_panel_step", counted_panel)
+    monkeypatch.setattr(connectivity, "_table_step", counted_table)
     return calls
 
 
@@ -235,10 +236,10 @@ def count_products(monkeypatch, adj) -> int:
     return sum(count_steps(monkeypatch, adj).values())
 
 
-def panel_field(monkeypatch, adj) -> np.ndarray:
-    """The field by panel products alone: the walk before packed steps."""
+def table_field(monkeypatch, adj) -> np.ndarray:
+    """The field by table steps alone."""
     with monkeypatch.context() as m:
-        choose_steps(m, "panel")
+        choose_steps(m, "table")
         return block_distance_matrix(SupportGraph(adj, 0.0))
 
 
@@ -268,21 +269,21 @@ def test_field_product_counts(monkeypatch):
 def test_field_step_kinds_follow_the_frontier(monkeypatch, rng):
     # a long path is thin on every level: only packed steps
     assert count_steps(monkeypatch, path_support(301)) == \
-        {"packed": 299, "panel": 0}
+        {"packed": 299, "table": 0}
     # band tau = 1/7 on 512 cells: four levels, each 2/7 of the pairs
     fat = support_graph(circular_band_graphon(1 / 7, 512)).matrix
-    assert count_steps(monkeypatch, fat, panel_field(monkeypatch, fat)) == \
-        {"packed": 0, "panel": 3}
-    # a clique glued to a path: the fat first level takes the panel
-    # product, the thin levels along the path the packed step
+    assert count_steps(monkeypatch, fat, table_field(monkeypatch, fat)) == \
+        {"packed": 0, "table": 3}
+    # a clique glued to a path: the fat first level takes the table step,
+    # the thin levels along the path the packed step
     glued = glued_support(300, 300)
-    calls = count_steps(monkeypatch, glued, panel_field(monkeypatch, glued))
-    assert calls["panel"] >= 1 and calls["packed"] >= 1
+    calls = count_steps(monkeypatch, glued, table_field(monkeypatch, glued))
+    assert calls["table"] >= 1 and calls["packed"] >= 1
     assert sum(calls.values()) == 300
-    # a sparse random graph fattens level by level: packed, then panel
+    # a sparse random graph fattens level by level: packed, then table
     sparse = expanding_support(rng, 700, 3.0)
-    calls = count_steps(monkeypatch, sparse, panel_field(monkeypatch, sparse))
-    assert calls["panel"] >= 1 and calls["packed"] >= 1
+    calls = count_steps(monkeypatch, sparse, table_field(monkeypatch, sparse))
+    assert calls["table"] >= 1 and calls["packed"] >= 1
 
 
 def test_popcount_without_bitwise_count(monkeypatch, rng):
@@ -291,24 +292,24 @@ def test_popcount_without_bitwise_count(monkeypatch, rng):
     words = rng.integers(0, np.iinfo(np.uint64).max, size=(37, 5),
                          dtype=np.uint64, endpoint=True)
     fast = connectivity._popcount(words)
-    monkeypatch.delattr(np, "bitwise_count")
+    monkeypatch.delattr(np, "bitwise_count", raising=False)
     assert connectivity._popcount(words) == fast
     counted = []
     popcount = connectivity._popcount
     monkeypatch.setattr(connectivity, "_popcount",
                         lambda w: counted.append(1) or popcount(w))
     assert count_steps(monkeypatch, path_support(301)) == \
-        {"packed": 299, "panel": 0}
+        {"packed": 299, "table": 0}
     assert counted
 
 
 def test_diameter_takes_the_steps_of_the_field(monkeypatch):
     # the diameter is the largest level of the whole-field walk, so it
     # takes exactly the products the field takes
-    for adj, kinds in [(path_support(301), {"packed": 299, "panel": 0}),
+    for adj, kinds in [(path_support(301), {"packed": 299, "table": 0}),
                        (support_graph(circular_band_graphon(1 / 7, 512))
-                        .matrix, {"packed": 0, "panel": 3})]:
-        want = panel_field(monkeypatch, adj)
+                        .matrix, {"packed": 0, "table": 3})]:
+        want = table_field(monkeypatch, adj)
         assert count_steps(monkeypatch, adj, want) == kinds
         with monkeypatch.context() as m:
             calls = counting_steps(m)
@@ -318,24 +319,25 @@ def test_diameter_takes_the_steps_of_the_field(monkeypatch):
 
 def test_rows_and_diameter_switch_steps_mid_walk(monkeypatch, rng):
     # from the far end of the path a point query walks thin levels, then
-    # meets the clique; the diameter's walk on a sparse graph starts thin
-    # and fattens
+    # meets the clique: one source row holds at most k nonzeros, so it
+    # takes the packed step at every level, one product per level; the
+    # diameter's walk on a sparse graph starts thin and fattens
     glued = glued_support(300, 250, 50)
     w = lift(glued.astype(float))
     calls = counting_steps(monkeypatch)
     got = varadhan_distance(w, 0.5 / 600, (np.arange(600) + 0.25) / 600)
     assert np.array_equal(got, walk_oracle(glued, [0])[0])
-    assert calls["panel"] >= 1 and calls["packed"] >= 1
+    assert calls == {"packed": 351, "table": 0}
     sparse = expanding_support(rng, 700, 3.0)
-    want = panel_field(monkeypatch, sparse)
-    calls["panel"] = calls["packed"] = 0
+    want = table_field(monkeypatch, sparse)
+    calls["table"] = calls["packed"] = 0
     assert diameter(lift(sparse.astype(float))) == int(want.max())
-    assert calls["panel"] >= 1 and calls["packed"] >= 1
+    assert calls["table"] >= 1 and calls["packed"] >= 1
 
 
 def test_a_graphon_walks_once_per_threshold(monkeypatch):
     # band tau = 1/7 on 512 cells: the first diameter takes the field's
-    # three panel products, a second one and is_connected none, and a
+    # three table steps, a second one and is_connected none, and a
     # field's own walk answers both for a graphon not walked before
     quotients = []
     support_classes = connectivity._support_classes
@@ -345,13 +347,13 @@ def test_a_graphon_walks_once_per_threshold(monkeypatch):
     calls = counting_steps(monkeypatch)
     w = circular_band_graphon(1 / 7, 512)
     assert diameter(w) == 4
-    assert calls == {"packed": 0, "panel": 3}
+    assert calls == {"packed": 0, "table": 3}
     assert diameter(w) == 4 and is_connected(w)
-    assert calls == {"packed": 0, "panel": 3}
+    assert calls == {"packed": 0, "table": 3}
     w = circular_band_graphon(1 / 7, 512)
     fld = distance_field(w)
     assert diameter(w) == fld.layer_count == 4 and is_connected(w)
-    assert calls == {"packed": 0, "panel": 6}
+    assert calls == {"packed": 0, "table": 6}
     # row queries walk rows of the kept quotient: one quotient per graphon
     assert varadhan_distance(w, 0.1, 0.6) == 4
     assert set_distance(w, block_set([0], 512), block_set([256], 512)) == 4
@@ -361,7 +363,7 @@ def test_a_graphon_walks_once_per_threshold(monkeypatch):
     two = np.zeros((12, 12), dtype=bool)
     two[:6, :6] = two[6:, 6:] = path_support(6)
     w = lift(two.astype(float))
-    calls["packed"] = calls["panel"] = 0
+    calls["packed"] = calls["table"] = 0
     assert not is_connected(w)
     rows = dict(calls)
     assert diameter(w) == UNREACHABLE
@@ -456,7 +458,7 @@ def expanding_support(rng, k: int, degree: float) -> np.ndarray:
 
 # every support is checked under the priced step choice and under forced
 # choices, so both steps and every switch between them meet the oracle
-STEP_CHOICES = ("priced", "packed", "panel", "mixed")
+STEP_CHOICES = ("priced", "packed", "table", "mixed")
 
 
 @pytest.fixture(params=STEP_CHOICES)
@@ -466,12 +468,18 @@ def step_choice(request, monkeypatch):
 
 
 def choose_steps(monkeypatch, choice: str, seed: int = 7) -> None:
+    """Force every product of the walks to one step (``packed``, ``table``),
+    or to a coin's pick per product (``mixed``); ``priced`` keeps
+    ``_compose``'s own choice.  The steps are looked up per product, so
+    they can be counted by ``counting_steps`` as well."""
     coin = np.random.default_rng(seed)
-    forced = {"packed": lambda a, symmetric: True,
-              "panel": lambda a, symmetric: False,
-              "mixed": lambda a, symmetric: bool(coin.random() < 0.5)}
-    if choice != "priced":
-        monkeypatch.setattr(connectivity, "_prefers_packed", forced[choice])
+    forced = {"packed": lambda: True, "table": lambda: False,
+              "mixed": lambda: bool(coin.random() < 0.5)}
+    if choice == "priced":
+        return
+    pick = forced[choice]
+    monkeypatch.setattr(connectivity, "_compose", lambda a, b: (
+        connectivity._packed_step if pick() else connectivity._table_step)(a, b))
 
 
 def check_against_oracle(rng, cells: np.ndarray) -> None:
@@ -507,7 +515,7 @@ def test_walks_at_word_edges(rng, step_choice):
     # classes: one below, at and one above one and two 64-bit words
     for k in (63, 64, 65, 127, 128, 129):
         for connected in (True, False):
-            a = panel_support(rng, k, connected)
+            a = distinct_support(rng, k, connected)
             check_against_oracle(rng, a)
             check_against_oracle(rng, with_twins(rng, a, 17))
 
