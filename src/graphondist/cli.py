@@ -1,23 +1,25 @@
 """Batch command line front end.
 
 Subcommands: ``varadhan`` (distance matrix CSV + layer heatmap PGM + summary
-JSON), ``slope`` (log-log slope experiments, set-pair or matrix-transform
-mode), ``metrics`` (communicability matrix / embedding / cut norm),
-``connectivity`` and ``sample``.  Exit codes: 0 ok, 1 expectation check
-failed (in slope transform mode: some pair misses its distance or has no
-defined slope; slope.json is still written), 2 invalid input,
-3 mathematical domain error (including a disconnected graphon without
---allow-disconnected), 4 I/O failure.
+JSON, every row looked up from the ``DistanceField``'s k x k class levels
+at the classes of its cells, one string per level, so no n x n float
+matrix is built), ``slope`` (log-log slope experiments, set-pair or
+matrix-transform mode), ``metrics`` (communicability matrix / embedding /
+cut norm), ``connectivity`` and ``sample``.  Exit codes: 0 ok,
+1 expectation check failed (in slope transform mode: some pair misses its
+distance or has no defined slope; slope.json is still written), 2 invalid
+input, 3 mathematical domain error (including a disconnected graphon
+without --allow-disconnected), 4 I/O failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -25,6 +27,7 @@ import numpy as np
 
 from . import __version__
 from .connectivity import (
+    _cell_levels,
     block_distance_matrix,
     default_epsilon,
     diameter,
@@ -43,32 +46,6 @@ from .varadhan import (
     distance_field,
     varadhan_slope,
 )
-
-
-@dataclass
-class RunConfig:
-    """Validated options of one CLI invocation."""
-
-    command: str
-    input: Path
-    out: Path
-    grid: int = 512
-    epsilon: float | None = None
-    tgrid: np.ndarray | None = None
-    expect: float | None = None
-    tolerance: float = 0.1
-    seed: int = 0
-    reproducible: bool = False
-    allow_disconnected: bool = False
-    sets: list[IntervalSet] = field(default_factory=list)
-    set_u: IntervalSet | None = None
-    set_v: IntervalSet | None = None
-    transform: str | None = None
-    weights: str = "random"
-    embed: int | None = None
-    cutnorm: bool = False
-    n: int = 500
-    trials: int = 1
 
 
 def parse_interval_set(text: str) -> IntervalSet:
@@ -154,60 +131,43 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _finite(flag: str, value: float | None) -> float | None:
-    """An optional float flag, rejected when NaN or infinite."""
+def _finite(flag: str, value: float | None) -> None:
+    """Reject an optional float flag that is NaN or infinite."""
     if value is not None and not math.isfinite(value):
         raise ValidationError(f"{flag} must be a finite number, got {value!r}")
-    return value
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(
-        command=args.command,
-        input=Path(args.input),
-        out=Path(args.out),
-        grid=args.grid,
-        epsilon=_finite("--epsilon", args.epsilon),
-        tolerance=_finite("--tolerance", args.tolerance),
-        seed=args.seed,
-        reproducible=args.reproducible,
-        allow_disconnected=args.allow_disconnected,
-    )
-    if cfg.grid < 1:
+def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
+    """The parsed options, validated, with the paths, the t-grid and the
+    interval sets parsed in place."""
+    args.input, args.out = Path(args.input), Path(args.out)
+    _finite("--epsilon", args.epsilon)
+    _finite("--tolerance", args.tolerance)
+    if args.grid < 1:
         raise ValidationError("--grid must be a positive resolution")
-    if cfg.seed < 0:
-        raise ValidationError(f"--seed must be nonnegative, got {cfg.seed}")
-    if cfg.tolerance < 0.0:
+    if args.seed < 0:
+        raise ValidationError(f"--seed must be nonnegative, got {args.seed}")
+    if args.tolerance < 0.0:
         raise ValidationError(
-            f"--tolerance must be nonnegative, got {cfg.tolerance!r}")
+            f"--tolerance must be nonnegative, got {args.tolerance!r}")
     if args.command == "slope":
-        cfg.tgrid = parse_t_grid(args.tgrid) if args.tgrid else None
-        cfg.expect = _finite("--expect", args.expect)
-        cfg.transform = args.transform
-        cfg.weights = args.weights
-        if args.u:
-            cfg.set_u = parse_interval_set(args.u)
-        if args.v:
-            cfg.set_v = parse_interval_set(args.v)
+        args.tgrid = parse_t_grid(args.tgrid) if args.tgrid else None
+        _finite("--expect", args.expect)
+        args.set_u = parse_interval_set(args.u) if args.u else None
+        args.set_v = parse_interval_set(args.v) if args.v else None
     elif args.command == "metrics":
-        if args.sets:
-            cfg.sets = [parse_interval_set(s)
-                        for s in args.sets.split(";") if s.strip()]
-        cfg.embed = args.embed
-        cfg.cutnorm = args.cutnorm
-        if cfg.embed is not None and not cfg.sets:
+        args.sets = [parse_interval_set(s)
+                     for s in (args.sets or "").split(";") if s.strip()]
+        if args.embed is not None and not args.sets:
             raise ValidationError("--embed needs --sets")
-    elif args.command == "sample":
-        cfg.n = args.n
-        cfg.trials = args.trials
-    return cfg
+    return args
 
 
 # ---------------------------------------------------------------------------
 # output helpers
 # ---------------------------------------------------------------------------
 
-def _metadata(cfg: RunConfig, options: dict) -> dict:
+def _metadata(cfg: argparse.Namespace, options: dict) -> dict:
     meta = {
         "tool": "graphondist",
         "version": __version__,
@@ -218,10 +178,6 @@ def _metadata(cfg: RunConfig, options: dict) -> dict:
     if not cfg.reproducible:
         meta["generated_at"] = datetime.now(timezone.utc).isoformat()
     return meta
-
-
-#: rows per chunk when gathering the distinct values of an output matrix
-_ROW_CHUNK = 64
 
 
 def _meta_lines(meta: dict) -> list[str]:
@@ -240,35 +196,19 @@ def _axis_labels(w) -> list[str]:
     return [f"block_{i}" for i in range(w.size)]
 
 
-def _formatted_rows(matrix: np.ndarray, fmt):
-    """The rows of a float matrix as lists of strings, formatting each
-    distinct value once.
-
-    Values are keyed by their bit pattern, so ``-0.0`` and ``0.0`` keep
-    their own strings.  The distinct keys are gathered ``_ROW_CHUNK`` rows
-    at a time and only one row of indices exists at a time, so nothing of
-    the matrix's size is allocated.
-    """
-    bits = np.ascontiguousarray(matrix, dtype=np.float64).view(np.uint64)
-    keys = np.unique(np.concatenate(
-        [np.unique(bits[lo:lo + _ROW_CHUNK])
-         for lo in range(0, bits.shape[0], _ROW_CHUNK)]))
-    table = np.array([fmt(v) for v in keys.view(np.float64).tolist()],
-                     dtype=object)
-    for row in bits:
-        yield table[np.searchsorted(keys, row)].tolist()
-
-
-def _write_csv(path: Path, matrix: np.ndarray, labels: list[str],
-               meta: dict) -> None:
+def _write_lines(path: Path, *parts) -> None:
+    """A text output: every line of every part, each ending in a newline."""
     with path.open("w", encoding="utf-8") as f:
-        for line in _meta_lines(meta):
+        for line in itertools.chain(*parts):
             f.write(line + "\n")
-        f.write(",".join(["index"] + labels) + "\n")
-        rows = _formatted_rows(
-            matrix, lambda v: "inf" if math.isinf(v) else repr(v))
-        for label, cells in zip(labels, rows):
-            f.write(label + "," + ",".join(cells) + "\n")
+
+
+def _write_csv(path: Path, rows, labels: list[str], meta: dict) -> None:
+    """The metadata lines, a header of labels, then each label with its
+    row of formatted cells."""
+    _write_lines(path, _meta_lines(meta), [",".join(["index"] + labels)],
+                 (label + "," + ",".join(cells)
+                  for label, cells in zip(labels, rows)))
 
 
 def read_csv_matrix(path) -> np.ndarray:
@@ -282,16 +222,21 @@ def read_csv_matrix(path) -> np.ndarray:
     return np.asarray(rows)
 
 
-def _write_pgm(path: Path, values: np.ndarray, maxval: int,
+def _write_pgm(path: Path, rows, shape: tuple[int, int], maxval: int,
                meta: dict) -> None:
-    n_rows, n_cols = values.shape
-    with path.open("w", encoding="utf-8") as f:
-        f.write("P2\n")
-        for line in _meta_lines(meta):
-            f.write(line + "\n")
-        f.write(f"{n_cols} {n_rows}\n{max(1, maxval)}\n")
-        for cells in _formatted_rows(values, lambda v: str(int(v))):
-            f.write(" ".join(cells) + "\n")
+    """A plain PGM of ``shape`` (rows, columns) from formatted pixel rows."""
+    _write_lines(path, ["P2"], _meta_lines(meta),
+                 [f"{shape[1]} {shape[0]}", str(max(1, maxval))],
+                 (" ".join(cells) for cells in rows))
+
+
+def _level_rows(fld, table: list[str]):
+    """The cell rows of a distance field as lists of strings, level m
+    written ``table[m]`` (``table[0]`` for unreachable): row i looks up
+    ``levels[classes[i]][classes]``."""
+    table = np.array(table, dtype=object)
+    for c in fld.classes:
+        yield table[fld.levels[c][fld.classes]].tolist()
 
 
 def _write_edges(path: Path, graph, meta: dict) -> None:
@@ -313,7 +258,7 @@ def _write_edges(path: Path, graph, meta: dict) -> None:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_varadhan(cfg: RunConfig) -> int:
+def cmd_varadhan(cfg: argparse.Namespace) -> int:
     w = load_graphon(cfg.input, cfg.grid)
     fld = distance_field(w, cfg.epsilon)
     if not fld.connected and not cfg.allow_disconnected:
@@ -324,24 +269,29 @@ def cmd_varadhan(cfg: RunConfig) -> int:
                            "kind": fld.kind})
     cfg.out.mkdir(parents=True, exist_ok=True)
     labels = _axis_labels(w)
-    _write_csv(cfg.out / "varadhan_distance.csv", fld.matrix, labels, meta)
+    top = fld.layer_count
+    _write_csv(cfg.out / "varadhan_distance.csv",
+               _level_rows(fld, ["inf"] + [repr(float(m))
+                                           for m in range(1, top + 1)]),
+               labels, meta)
 
-    has_unreachable = not fld.connected
-    maxval = fld.layer_count + (1 if has_unreachable else 0)
+    maxval = top + (0 if fld.connected else 1)
     _write_pgm(cfg.out / "varadhan_layers.pgm",
-               np.where(np.isfinite(fld.matrix), fld.matrix, maxval),
-               maxval, meta)
+               _level_rows(fld, [str(maxval)] + [str(m)
+                                                 for m in range(1, top + 1)]),
+               (fld.size, fld.size), maxval, meta)
 
+    # each layer's mass is summed over the same entries in the same
+    # row-major order as over the float field, so the sums are bit-stable
     mass = np.outer(w.partition.measures, w.partition.measures)
-    layer_sizes = {}
-    for level in range(1, fld.layer_count + 1):
-        mask = fld.matrix == level
-        layer_sizes[str(level)] = float(np.sum(mass[mask]))
+    cells = _cell_levels(fld.levels, fld.classes)
+    layer_sizes = {str(m): float(np.sum(mass[cells == m]))
+                   for m in range(1, top + 1)}
     summary = {
         "meta": meta,
         "connected": fld.connected,
-        "diameter": fld.layer_count if fld.connected else "unbounded",
-        "layer_count": fld.layer_count,
+        "diameter": top if fld.connected else "unbounded",
+        "layer_count": top,
         "layer_sizes": layer_sizes,
         "blocks": int(fld.size),
     }
@@ -353,7 +303,7 @@ def _transform_family(name: str):
     return EXPONENTIAL if name == "exp" else RESOLVENT
 
 
-def _slope_transform_mode(cfg: RunConfig, w) -> int:
+def _slope_transform_mode(cfg: argparse.Namespace, w) -> int:
     if isinstance(w, GridGraphon):
         raise ValidationError("transform mode requires a step graphon")
     support = support_graph(w, cfg.epsilon)
@@ -402,7 +352,7 @@ def _slope_transform_mode(cfg: RunConfig, w) -> int:
     return 0 if all_ok else 1
 
 
-def cmd_slope(cfg: RunConfig) -> int:
+def cmd_slope(cfg: argparse.Namespace) -> int:
     w = load_graphon(cfg.input, cfg.grid)
     if cfg.transform:
         return _slope_transform_mode(cfg, w)
@@ -436,7 +386,7 @@ def cmd_slope(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_metrics(cfg: RunConfig) -> int:
+def cmd_metrics(cfg: argparse.Namespace) -> int:
     w = load_graphon(cfg.input, cfg.grid)
     if not cfg.sets and not cfg.cutnorm:
         raise ValidationError("metrics needs --sets and/or --cutnorm")
@@ -452,8 +402,9 @@ def cmd_metrics(cfg: RunConfig) -> int:
             for j in range(i, len(sets)):
                 m[i, j] = m[j, i] = _distance(w, spec, si, sets[j])
         labels = [f"set_{i}" for i in range(len(sets))]
+        rows = [[repr(v) for v in row] for row in m.tolist()]
         writes.append(lambda: _write_csv(
-            cfg.out / "metrics_communicability.csv", m, labels, meta))
+            cfg.out / "metrics_communicability.csv", rows, labels, meta))
         if cfg.embed is not None:
             embs = [_embedding(w, spec, s, cfg.embed) for s in sets]
             payload = {"meta": meta, "embeddings": [
@@ -476,7 +427,7 @@ def cmd_metrics(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_connectivity(cfg: RunConfig) -> int:
+def cmd_connectivity(cfg: argparse.Namespace) -> int:
     w = load_graphon(cfg.input, cfg.grid)
     eps = cfg.epsilon if cfg.epsilon is not None else default_epsilon(w)
     diam = diameter(w, eps)
@@ -498,7 +449,7 @@ def cmd_connectivity(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_sample(cfg: RunConfig) -> int:
+def cmd_sample(cfg: argparse.Namespace) -> int:
     w = load_graphon(cfg.input, cfg.grid)
     connected = is_connected(w, cfg.epsilon)
     if not connected and not cfg.allow_disconnected:

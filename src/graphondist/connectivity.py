@@ -21,12 +21,12 @@ A graphon keeps what its walks share, per support threshold, in a
 support-twin quotient bit-packed into 64-bit words (k^2 / 8 bytes), the
 class of each cell, and the diameter and connectedness once a walk has
 decided them.  So the support graph and its quotient are built once per
-graphon and threshold, row queries walk the kept quotient, and
-``diameter`` and ``is_connected`` answer without walking once any whole
-walk has run (``distance_field``'s included).  No level and no field is
-kept.  The entries hold no reference to the graphon and go when it is
-collected.  This relies on a graphon being immutable: ``StepGraphon`` is a
-frozen dataclass whose ``blocks`` are read-only.  ``block_distance_matrix``
+graphon and threshold, and ``diameter`` and ``is_connected`` answer
+without walking once any whole walk has run (``distance_field``'s
+included).  No level is kept: a whole walk returns its k x k class levels
+(``_Walk.levels``), which a ``DistanceField`` holds.  The entries go with
+the graphon, which must be immutable: ``StepGraphon`` is a frozen
+dataclass whose ``blocks`` are read-only.  ``block_distance_matrix``
 takes a bare ``SupportGraph`` and keeps nothing.
 
 Every product goes through one kernel, ``_compose``, and every BFS level
@@ -49,7 +49,9 @@ So the packed step is taken while nnz < ceil(k / 8)(256 + r): a whole
 field turns to the table step above about 1/8 + 32/k density, and a
 source row always takes the packed step, since it has at most k
 nonzeros.  A thin walk never scans a dense matrix, and no walk multiplies
-a floating-point matrix.
+a floating-point matrix.  ``_bfs`` is a plain boolean product per level,
+so it also walks the directed pattern of a slope series' operator
+(``linalg._walk_series``).
 """
 
 from __future__ import annotations
@@ -215,7 +217,7 @@ def _unpack(rows: np.ndarray, words: np.ndarray):
 def _compose(a: _Bits, b: _Bits) -> _Bits:
     """Boolean product (a o b)[i, j] = any_l a[i, l] & b[l, j] of an r x k
     matrix and a k x k one that lists every row, by the cheaper of two
-    steps on packed rows.
+    steps on packed rows; b need not be symmetric.
 
     The packed step costs nnz(a) ceil(k / 64) word operations and the
     table step ceil(k / 8)(256 + r) ceil(k / 64), r the rows a lists; the
@@ -278,8 +280,10 @@ def _table_step(a: _Bits, b: _Bits) -> _Bits:
 
 
 def _bfs(b: _Bits, sources: np.ndarray | None = None) -> np.ndarray:
-    """Level-synchronous BFS on the symmetric boolean graph ``b`` (every
-    row packed) from boolean source sets, one per row.
+    """Level-synchronous BFS on the boolean graph ``b`` (every row packed)
+    from boolean source sets, one per row.  Each level is a plain boolean
+    product with ``b``, so ``b`` may be directed (edge i -> j where
+    b[i, j]).
 
     Row r holds the least m >= 1 such that some vertex of ``sources[r]``
     has a length-m walk to vertex j, 0 where there is none, as small
@@ -317,21 +321,24 @@ def _bfs(b: _Bits, sources: np.ndarray | None = None) -> np.ndarray:
 
 def _distances(levels: np.ndarray) -> np.ndarray:
     """BFS levels as walk distances: float64, inf where no walk reaches."""
-    d = levels.astype(np.float64)
+    d = np.array(levels, dtype=np.float64)
     d[levels == 0] = np.inf
     return d
 
 
-class _Walk:
-    """What the walks of one support keep: the support-twin quotient
-    bit-packed by ``_pack`` (k x ceil(k/64) words, k^2 / 8 bytes), the
-    class of each cell, and the diameter and connectedness once a walk has
-    decided them (``None`` before).
+def _cell_levels(levels: np.ndarray, classes: np.ndarray) -> np.ndarray:
+    """Class levels spread to every pair of cells (n x n), read from
+    ``levels`` itself when every cell is its own class."""
+    if levels.shape[0] == classes.shape[0]:  # twin-free: classes are cells
+        return levels
+    return levels[np.ix_(classes, classes)]
 
-    Nothing k x k or n x n is kept beyond the packed quotient: every walk
-    drops its levels when it returns.  There is no reference to the
-    graphon the support came from.
-    """
+
+class _Walk:
+    """What the walks of one support keep (see the module docstring): the
+    support-twin quotient packed by ``_pack``, the class of each cell, and
+    the diameter and connectedness once a walk has decided them (``None``
+    before); no level, and no reference to the graphon."""
 
     __slots__ = ("words", "classes", "diameter", "connected")
 
@@ -350,27 +357,19 @@ class _Walk:
         k = self.size
         return _Bits((k, k), np.arange(k), self.words)
 
-    def field(self) -> np.ndarray:
-        """Walk distances between every pair of classes (k x k), from one
-        whole-field BFS, which also decides the diameter and connectedness:
-        the largest level, or ``UNREACHABLE`` when some pair has none."""
+    def levels(self) -> np.ndarray:
+        """BFS levels between every pair of classes (k x k small integers,
+        0 where no walk joins them), from one whole-field BFS, which also
+        decides the diameter and connectedness: the largest level, or
+        ``UNREACHABLE`` when some pair has none."""
         levels = _bfs(self._support())
         self.connected = bool(levels.all())
         self.diameter = int(levels.max()) if self.connected else UNREACHABLE
-        return _distances(levels)
-
-    def cell_field(self) -> np.ndarray:
-        """``field`` spread to every pair of cells (n x n)."""
-        d = self.field()
-        if d.shape[0] == self.classes.shape[0]:  # twin-free: classes are cells
-            return d
-        return d[np.ix_(self.classes, self.classes)]
+        return levels
 
     def rows(self, sources: np.ndarray) -> np.ndarray:
         """Walk distances from source sets of classes (an r x k boolean
-        matrix) to every class: row r is the least m >= 1 such that some
-        class of ``sources[r]`` has a length-m walk to class c, inf where
-        there is none.  One BFS row per source set."""
+        matrix) to every class, inf where none: one BFS row per set."""
         return _distances(_bfs(self._support(), sources))
 
 
@@ -408,19 +407,18 @@ def block_distance_matrix(s: SupportGraph) -> np.ndarray:
     entry is 1 when the block carries a self-loop, otherwise 2 when the
     block has any neighbour (walk i -> j -> i), otherwise unreachable.
     """
-    return _Walk(s.matrix).cell_field()
+    walk = _Walk(s.matrix)
+    return _distances(_cell_levels(walk.levels(), walk.classes))
 
 
 def is_connected(w, epsilon: float | None = None) -> bool:
     """Whether the graphon is connected, decided on the support graph: one
     BFS from block 0 reaches every block (so no union of blocks is cut off
     from the rest, and a lone block carries a self-loop): at most k^2 / 64
-    word operations on k support classes.
-
-    The graphon keeps the answer (see ``diameter``), so it is walked at
-    most once per threshold, and not at all once ``distance_field`` or
-    ``diameter`` has walked it: connected iff the diameter is finite.
-    """
+    word operations on k support classes.  The graphon keeps the answer,
+    so it walks at most once per threshold, and not at all after
+    ``distance_field`` or ``diameter``: connected iff the diameter is
+    finite."""
     walk = _walk(w, epsilon)
     if walk.connected is None:
         d = walk.rows(_source_rows(walk.size, 0))
@@ -436,12 +434,11 @@ def diameter(w, epsilon: float | None = None):
 
     The largest level of the whole-field BFS on the support-twin quotient,
     so the first call costs what ``block_distance_matrix`` does.  The
-    graphon keeps its packed quotient (k^2 / 8 bytes), its cell-to-class
-    map and the diameter, per threshold, until it is collected: a later
-    call, or one after ``distance_field`` (whose walk is the same) or a
-    disconnected ``is_connected``, walks nothing.
+    graphon keeps the answer per threshold: a later call, or one after
+    ``distance_field`` (whose walk is the same) or a disconnected
+    ``is_connected``, walks nothing.
     """
     walk = _walk(w, epsilon)
     if walk.diameter is None:
-        walk.field()
+        walk.levels()
     return walk.diameter

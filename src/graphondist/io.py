@@ -37,9 +37,24 @@ def bipartite_graphon() -> StepGraphon:
     return lift(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
+def _parsed(convert, value, what: str, **kwargs):
+    """``convert(value, **kwargs)``, what it rejects as a ValidationError."""
+    try:
+        return convert(value, **kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed {what} {value!r}: {exc}") from exc
+
+
+def _resolution(value) -> int:
+    res = _parsed(float, value, "'resolution'")
+    if not res.is_integer():
+        raise ValidationError(f"'resolution' must be an integer, got {value!r}")
+    return int(res)
+
+
 def er_graphon(p: float) -> StepGraphon:
     """Constant kernel of density p (Erdos-Renyi limit)."""
-    p = float(p)
+    p = _parsed(float, p, "'p'")
     return StepGraphon(Partition(np.array([1.0])), np.array([[p]]))
 
 
@@ -49,7 +64,7 @@ def circular_band_graphon(tau: float, resolution: int) -> GridGraphon:
     Cell-center sampling keeps the support band exactly ``floor(tau * n)``
     cells wide on each side, which the distance layers rely on.
     """
-    tau = float(tau)
+    tau = _parsed(float, tau, "'tau'")
     if not (0.0 < tau <= 0.5):
         raise ValidationError("circular band needs 0 < tau <= 1/2")
     n = int(resolution)
@@ -76,8 +91,10 @@ def builtin_graphon(name: str, params: dict | None = None,
                     resolution: int = 512):
     """Construct a named builtin; grid builtins honor a ``resolution``
     entry in params, falling back to the given default."""
-    params = dict(params or {})
-    res = int(params.get("resolution", resolution))
+    if params is not None and not isinstance(params, dict):
+        raise ValidationError(f"'params' must be an object, got {params!r}")
+    params = params or {}
+    res = _resolution(params.get("resolution", resolution))
     if name == "bipartite":
         return bipartite_graphon()
     if name == "er":
@@ -98,7 +115,7 @@ def builtin_graphon(name: str, params: dict | None = None,
 
 
 def _load_matrix(rows, what: str) -> np.ndarray:
-    a = np.asarray(rows, dtype=float)
+    a = _parsed(np.asarray, rows, what, dtype=float)
     _check_symmetric(a, LOAD_SYM_TOL, what, scale=1.0)
     return (a + a.T) / 2.0
 
@@ -108,12 +125,13 @@ def graphon_from_dict(data: dict, grid_resolution: int = 512):
     if kind == "step":
         if "measures" not in data or "blocks" not in data:
             raise ValidationError("step graphon needs 'measures' and 'blocks'")
-        return StepGraphon(Partition(np.asarray(data["measures"], float)),
+        return StepGraphon(Partition(_parsed(np.asarray, data["measures"],
+                                               "'measures'", dtype=float)),
                            _load_matrix(data["blocks"], "'blocks'"))
     if kind == "grid":
         if "resolution" not in data or "values" not in data:
             raise ValidationError("grid graphon needs 'resolution' and 'values'")
-        return GridGraphon(int(data["resolution"]),
+        return GridGraphon(_resolution(data["resolution"]),
                            _load_matrix(data["values"], "'values'"))
     if kind == "builtin":
         if "name" not in data:

@@ -12,6 +12,7 @@ from typing import Callable
 
 import numpy as np
 
+from .connectivity import _bfs, _Bits
 from .core import MathDomainError, ValidationError, _check_symmetric, _readonly
 
 
@@ -189,9 +190,12 @@ def _walk_series(family: TaylorFamily, L: np.ndarray, ts: np.ndarray,
     columns reached from its row in at most k steps stops growing is zero
     at every order ("unreachable"), or, if the set reaches it, is compared
     with the row's largest term instead ("vanished": exact cancellation
-    or underflow).  The sum stops when every entry has stopped.  Memory is
-    |t| accumulators per entry plus one block of powers, never a stack of
-    all powers.
+    or underflow).  Those sets are the levels of one packed BFS
+    (``connectivity._bfs``) of (L != 0) | I from the start rows' support,
+    run once some entry is still zero after the first block; the first
+    nonzero terms are found in the powers, never in the BFS.  The sum
+    stops when every entry has stopped.  Memory is |t| accumulators per
+    entry plus one block of powers, never a stack of all powers.
     """
     n = L.shape[0]
     ts = np.asarray(ts, dtype=float).reshape(-1)
@@ -232,8 +236,7 @@ def _walk_series(family: TaylorFamily, L: np.ndarray, ts: np.ndarray,
     acc = np.zeros((ts.shape[0], rows, cols))   # later terms / first term
     buffer = np.empty((block, rows, n))
     buffer[0] = start
-    reach, reach_at = None, 0                   # columns reached in <= k steps
-    grow = None                                 # one step of reach, staying put included
+    level = None                                # BFS levels from the start rows
     pending = True                              # an entry is neither led nor settled
     k0 = 0
     with np.errstate(divide="ignore"):
@@ -282,18 +285,21 @@ def _walk_series(family: TaylorFamily, L: np.ndarray, ts: np.ndarray,
 
             mass = np.log(np.abs(powers).sum(axis=2)) + scale * _LOG2
             if pending:
-                if grow is None:
-                    grow = ((L != 0.0) | np.eye(n, dtype=bool)).astype(float)
-                    reach = (buffer[0] != 0.0).astype(float)  # first block
-                steps, before = k1 - 1 - reach_at, reach
-                for _ in range(steps):
-                    before, reach = reach, np.minimum(reach @ grow, 1.0)
-                reach_at = k1 - 1
-                settle = (~has & (kind == 0) & (steps > 0)
-                          & (reach == before).all(axis=1)[:, None])
+                if level is None:
+                    level = _bfs(_Bits.of((L != 0.0) | np.eye(n, dtype=bool)),
+                                 start != 0.0)
+                # the columns reached in <= k1 - 1 steps are levels
+                # 1..k1 - 1; they grew at the last step where level k1 - 1
+                # is new (at step 1: where level 1 is off the start row)
+                settle = ~has & (kind == 0) & (k1 > 1)
                 if settle.any():
-                    reached = (reach if end is None
-                               else reach @ (end != 0.0)) > 0.0
+                    grown = ((level == 1) != (start != 0.0) if k1 == 2
+                             else level == k1 - 1)
+                    settle &= ~grown.any(axis=1)[:, None]
+                if settle.any():
+                    reached = (level != 0) & (level < k1)
+                    if end is not None:
+                        reached = reached @ (end != 0.0)
                     peak = (mass + (la[:-2] + kb * log_top)[:, None]).max(
                         axis=0) - math.log(n)
                     kind[settle] = np.where(reached[settle], 2, 1)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connectivity import _Walk
+from .connectivity import _Walk, _cell_levels
 from .core import (
     GridGraphon,
     IntervalSet,
@@ -176,7 +176,8 @@ def merge_twins(w: StepGraphon, tol: float = 1e-9) -> StepGraphon:
         rd = _row_distances(current.blocks, mu)
         # components of the closeness relation; every block belongs to its
         # own, also when tol = 0
-        reach = np.isfinite(_Walk(rd < tol).cell_field())
+        walk = _Walk(rd < tol)
+        reach = _cell_levels(walk.levels() > 0, walk.classes)
         reach |= np.eye(current.size, dtype=bool)
         first = reach.argmax(axis=1) == np.arange(current.size)
         if first.all():

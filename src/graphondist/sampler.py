@@ -12,9 +12,10 @@ too, and changes no distance between distinct vertices.  A sample of a
 {0,1} step graphon is a blow-up of its block graph, the vertices of a
 block twins of one kind, so it walks on at most its number of occupied
 blocks.  The comparison and the distance profile then count over pairs of
-vertex groups (twin class and cell, with vertices that share a coordinate
-apart), each weighted by its vertex pairs: O(groups^2) time and memory,
-never an n x n matrix."""
+vertex groups (twin class and the support class of the cell, with
+vertices that share a coordinate apart), each weighted by its vertex
+pairs: O(groups^2) time and memory, never an n x n matrix; the expected
+distances are read from the field's class levels."""
 
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connectivity import _Walk, _support_classes
+from .connectivity import _Walk, _distances, _support_classes
 from .core import ValidationError, _readonly
 from .varadhan import distance_field
 
@@ -108,7 +109,7 @@ def _sample_classes(graph: SampledGraph):
     distance of every pair of distinct vertices drawn from classes a and b;
     a sample of a {0,1} step graphon has at most one class per block."""
     walk = _Walk(_true_twin_loops(graph.adjacency))
-    return walk.field(), walk.classes
+    return _distances(walk.levels()), walk.classes
 
 
 def _pair_counts(sizes: np.ndarray) -> np.ndarray:
@@ -191,22 +192,26 @@ def _tally_pairs(field, graph: SampledGraph):
     """Vertex pairs whose walk distance equals the pointwise distance,
     equals it or exceeds it by one, and is unreachable, as integers.
 
-    Vertices are grouped by (twin class, cell, tie), where tie numbers the
-    coordinates that two or more vertices share (-1 for the rest): every
+    Vertices are grouped by (twin class, field class, tie): the field
+    class is the support class of the vertex's cell, and tie numbers the
+    coordinates that two or more vertices share (-1 for the rest).  Every
     pair of distinct vertices across two groups, or within one, has one
-    walk distance and one expected distance, the cell-level field value or
-    exactly 0 on coincident coordinates.  So each pair of groups is
-    counted once, weighted by its vertex pairs: O(groups^2), not O(n^2).
+    walk distance and one expected distance, read from ``field.levels`` at
+    the two field classes, or exactly 0 on coincident coordinates.  So
+    each pair of groups is counted once, weighted by its vertex pairs:
+    O(groups^2), not O(n^2), and the field's n x n ``matrix`` is never
+    built.
     """
     d, cls = _sample_classes(graph)
     coords = graph.coordinates
     _, at, shared = np.unique(coords, return_inverse=True, return_counts=True)
     tie = np.where(shared[at] > 1, at, -1)
-    keys = np.stack([cls, field.partition.locate(coords), tie], axis=1)
+    keys = np.stack([cls, field.classes[field.partition.locate(coords)], tie],
+                    axis=1)
     groups, sizes = np.unique(keys, axis=0, return_counts=True)
-    c, cell, tie = groups.T
+    c, fc, tie = groups.T
     emp = d[np.ix_(c, c)]
-    exp = field.matrix[np.ix_(cell, cell)]
+    exp = _distances(field.levels[np.ix_(fc, fc)])
     exp[(tie[:, None] == tie[None, :]) & (tie[:, None] >= 0)] = 0.0
     pairs = _pair_counts(sizes)
     agree = emp == exp

@@ -6,20 +6,15 @@ the adjacency operator with mass between them, ``min { m : <1_U, W^m 1_V> >
 whose support contains the pair.  Both are computed combinatorially on the
 block/cell support graph -- walk counting, never series summation.
 
-Each query walks only from its own sources, on the support-twin quotient of
-the support graph (cells with identical support rows merged into one of k
-classes, which is exact): a point query runs one BFS row per distinct class
-among the cells of ``x`` and a set query one merged row.  Every level is
-bit-packed, and each class enters a row's frontier once, so a row's walk
-gathers at most k^2 / 64 words in all and the whole field at most
-k^3 / 64; fat levels take a table step that costs less (see
-``connectivity``).  The graphon keeps that
-quotient bit-packed (k^2 / 8 bytes), its cell-to-class map, its diameter
-and its connectedness, per support threshold, until it is collected (see
-``connectivity``), so repeated queries skip the support graph and the
-quotient, and a field's walk also answers ``diameter`` and
-``is_connected``.  Rows and fields are computed per call and never kept;
-the memo relies on ``StepGraphon`` being frozen with read-only ``blocks``.
+Each query walks only from its own sources, on the support-twin quotient
+of the support graph (cells with identical support rows merged into one of
+k classes, which is exact): a point query runs one BFS row per distinct
+class among the cells of ``x`` and a set query one merged row, at most
+k^2 / 64 word operations a row (see ``connectivity``, also for what the
+graphon keeps).  A ``DistanceField`` holds what the whole-field walk
+leaves, O(k^2 + n) bytes: the k x k BFS levels between classes and the
+class of each of the n cells; its n x n float ``matrix`` is derived only
+when read.
 
 The heat-trace route (slope of log <1_V, e^{tW} 1_U> against log t as t
 shrinks) recovers the same integers and is provided as an independent
@@ -38,7 +33,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .connectivity import UNREACHABLE, _source_rows, _walk
+from .connectivity import (UNREACHABLE, _cell_levels, _distances,
+                           _source_rows, _walk)
 from .core import (
     GridGraphon,
     IntervalSet,
@@ -61,26 +57,36 @@ from .metrics import _symmetrized_operator
 
 @dataclass(frozen=True, eq=False)
 class DistanceField:
-    """Pairwise walk distances of a graphon at block/cell resolution.
+    """Pairwise walk distances of a graphon at block/cell resolution:
+    ``levels``, the read-only k x k small-integer BFS levels between the
+    k support classes (0 where no walk joins two), and ``classes``, the
+    class of each of the n blocks/cells.
 
-    ``matrix[i, j]`` is the distance between distinct points of blocks i and
-    j; the diagonal holds the within-block distance for x != y (1 with a
-    self-loop block, else 2 via a neighbour).  The zero distance of
-    coincident points lives only in the pointwise API.
+    ``matrix``, built on first read and kept, is the n x n float64 field:
+    ``matrix[i, j]`` is the distance between distinct points of blocks i
+    and j; the diagonal holds the within-block distance for x != y (1 with
+    a self-loop block, else 2 via a neighbour).  No other read builds it.
+    The zero distance of coincident points lives only in ``pointwise``.
     """
 
     kind: str
     partition: Partition
-    matrix: np.ndarray
+    levels: np.ndarray
+    classes: np.ndarray
     connected: bool
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix",
-                           _readonly(np.asarray(self.matrix, float)))
+        object.__setattr__(self, "levels", _readonly(np.asarray(self.levels)))
+        object.__setattr__(self, "classes",
+                           _readonly(np.asarray(self.classes)))
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        return _readonly(_distances(_cell_levels(self.levels, self.classes)))
 
     @property
     def size(self) -> int:
-        return int(self.matrix.shape[0])
+        return int(self.classes.shape[0])
 
     @property
     def breakpoints(self) -> np.ndarray:
@@ -88,20 +94,20 @@ class DistanceField:
 
     @property
     def within_block(self) -> np.ndarray:
-        return np.diag(self.matrix)
+        return _distances(self.levels[self.classes, self.classes])
 
-    @cached_property
+    @property
     def layer_count(self) -> int:
         """Number of distance layers = largest finite entry (the diameter
-        for connected graphons); computed on first read."""
-        finite = self.matrix[np.isfinite(self.matrix)]
-        return int(finite.max()) if finite.size else 0
+        for connected graphons), 0 when no walk joins any pair."""
+        return int(self.levels.max())
 
     def pointwise(self, x, y):
         """Distance between points (scalars or broadcastable arrays);
         exactly 0 on coincident coordinates."""
-        d = self.matrix[self.partition.locate(x), self.partition.locate(y)]
-        return _point_distances(x, y, d)
+        cx = self.classes[self.partition.locate(x)]
+        cy = self.classes[self.partition.locate(y)]
+        return _point_distances(x, y, _distances(self.levels[cx, cy]))
 
 
 def _point_distances(x, y, d):
@@ -115,18 +121,19 @@ def _point_distances(x, y, d):
 
 
 def distance_field(w, epsilon: float | None = None) -> DistanceField:
-    """Build the full distance field of a graphon.
+    """Build the full distance field of a graphon from one whole-field
+    walk.
 
-    The distance layers are the level sets of the matrix; their count equals
-    the diameter.  For a disconnected graphon the field is still returned,
-    with unreachable entries and ``connected=False``.  Every call walks the
-    whole field again; the graphon keeps only what the walk decided about
-    its diameter and connectedness (see ``connectivity.diameter``).
+    The distance layers are the level sets of the levels; their count
+    equals the diameter.  For a disconnected graphon the field is still
+    returned, with level-0 (unreachable) entries and ``connected=False``.
+    Every call walks again; the graphon keeps only the diameter and
+    connectedness the walk decided (see ``connectivity.diameter``).
     """
     walk = _walk(w, epsilon)
-    d = walk.cell_field()
     kind = "grid" if isinstance(w, GridGraphon) else "step"
-    return DistanceField(kind, w.partition, d, walk.connected)
+    return DistanceField(kind, w.partition, walk.levels(), walk.classes,
+                         walk.connected)
 
 
 def varadhan_distance(w, x, y, epsilon: float | None = None):
@@ -137,9 +144,8 @@ def varadhan_distance(w, x, y, epsilon: float | None = None):
     runs from each distinct support class among the blocks of ``x`` (twin
     blocks share a row), on the packed support-twin quotient the graphon
     keeps (see ``connectivity.diameter``), so only the graphon's first
-    query builds its support graph.  The rows are walked on every call: no
-    whole field is built, and none that ``distance_field`` built is read,
-    since the graphon keeps no field or level.
+    query builds its support graph.  The rows are walked on every call;
+    the graphon keeps no field or level.
     """
     walk = _walk(w, epsilon)
     ix = walk.classes[w.partition.locate(x)]

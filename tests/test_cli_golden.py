@@ -124,3 +124,82 @@ def test_outputs_across_row_panels_match_golden_digests(tmp_path, monkeypatch,
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in sorted((tmp_path / "out").iterdir())}
     assert digests == PANEL_GOLDEN[command]
+
+
+# a disconnected step graphon: blocks 0-1 and 2-3 are two pieces and block
+# 4 carries no edge at all, so the field holds unreachable entries (CSV
+# "inf", PGM maxval = layer count + 1) and sample writes no comparison
+SPLIT = {"kind": "step", "measures": [0.1, 0.2, 0.3, 0.25, 0.15],
+         "blocks": [[0.9, 0.4, 0.0, 0.0, 0.0],
+                    [0.4, 0.0, 0.0, 0.0, 0.0],
+                    [0.0, 0.0, 0.0, 0.5, 0.0],
+                    [0.0, 0.0, 0.5, 0.3, 0.0],
+                    [0.0, 0.0, 0.0, 0.0, 0.0]]}
+
+
+def _twin_value(i: int, j: int) -> float:
+    """A path of four 3-cell blocks with self-loops on the end blocks:
+    the cells of a block are support twins, with values that differ."""
+    a, b = i // 3, j // 3
+    if abs(a - b) == 1 or (a == b and a in (0, 3)):
+        return 0.5 + 0.01 * (i + j)
+    return 0.0
+
+
+# a grid whose 12 cells fall into 4 support classes, so every output row
+# is spread from the class field
+TWINS = {"kind": "grid", "resolution": 12,
+         "values": [[_twin_value(i, j) for j in range(12)]
+                    for i in range(12)]}
+
+EXPANSION_COMMANDS = {
+    "varadhan": ["varadhan", "--allow-disconnected"],
+    "sample": ["sample", "--n", "60", "--trials", "2", "--seed", "5",
+               "--allow-disconnected"],
+}
+
+EXPANSION_GOLDEN = {
+    ("split", "sample"): {
+        "sample_edges.txt":
+            "dbafe21b5832234deb7588a4ec4a8d1ca7c42b6b181084ef16b2e572849e4e9f",
+        "sample_report.json":
+            "abe0b55059b950de302aaedba3c13b0233e8dc302b04d189da278bf1b3650af5",
+    },
+    ("split", "varadhan"): {
+        "varadhan_distance.csv":
+            "43640e4ea7916247bc709e46aacdd23e22ee16c775c156efb385624306b61c67",
+        "varadhan_layers.pgm":
+            "bc84aa061670ac540f4b69999ef553b518e55444a2d2e2c7db539a9122d9241d",
+        "varadhan_summary.json":
+            "bd17bbc2ad97d4e8a1dfb00b84e3884ec01bb46f221052632584ea93859a0bd5",
+    },
+    ("twins", "sample"): {
+        "sample_edges.txt":
+            "1bf75070a917a9e22913d7760ad3b6b67d44c8e62ff4f9bbb77b2e1410cf0285",
+        "sample_report.json":
+            "2bfe06c298253b2ab1dd9efcb183e02be8994e67239fbda1a0529fb28ee6841d",
+    },
+    ("twins", "varadhan"): {
+        "varadhan_distance.csv":
+            "c7629e6f4873923c331cd7b9a0cbfb82465cca379c99163f68e4eadeb490c00a",
+        "varadhan_layers.pgm":
+            "25175c9614e49cef8a074b253dddcd110cdd14709d93918bd4acae36678c4fa8",
+        "varadhan_summary.json":
+            "f030dbc2985c3571271f1e222313d921e5ba1482b2cb9bcc2a349a1a86f81403",
+    },
+}
+
+
+@pytest.mark.parametrize("kind", ["split", "twins"])
+@pytest.mark.parametrize("command", sorted(EXPANSION_COMMANDS))
+def test_unreachable_and_twin_outputs_match_golden_digests(
+        tmp_path, monkeypatch, kind, command):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / f"{kind}.json").write_text(
+        json.dumps(SPLIT if kind == "split" else TWINS))
+    argv = EXPANSION_COMMANDS[command] + ["--input", f"{kind}.json",
+                                          "--out", "out", "--reproducible"]
+    assert main(argv) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in sorted((tmp_path / "out").iterdir())}
+    assert digests == EXPANSION_GOLDEN[kind, command]

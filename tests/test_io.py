@@ -98,3 +98,54 @@ def test_load_rejects_bad_json_and_kind(tmp_path):
         graphon_from_dict({"kind": "mystery"})
     with pytest.raises(ValidationError):
         graphon_to_dict("not a graphon")
+
+
+GRID_2 = [[0.5, 0.5], [0.5, 0.5]]
+
+MALFORMED = {
+    "builtin resolution": {"kind": "builtin", "name": "circular_band",
+                           "params": {"tau": 0.25, "resolution": "abc"}},
+    "grid resolution": {"kind": "grid", "resolution": "abc",
+                        "values": GRID_2},
+    "p": {"kind": "builtin", "name": "er", "params": {"p": "x"}},
+    "tau": {"kind": "builtin", "name": "circular_band",
+            "params": {"tau": [0.25]}},
+    "params": {"kind": "builtin", "name": "er", "params": [1, 2]},
+    "measures": {"kind": "step", "measures": "abc", "blocks": GRID_2},
+    "ragged blocks": {"kind": "step", "measures": [0.5, 0.5],
+                      "blocks": [[0.5, 0.5], [0.5]]},
+    "non-numeric block": {"kind": "step", "measures": [0.5, 0.5],
+                          "blocks": [[0.5, "x"], ["x", 0.5]]},
+    "fractional grid resolution": {"kind": "grid", "resolution": 1.7,
+                                   "values": [[0.5]]},
+    "fractional builtin resolution": {
+        "kind": "builtin", "name": "one_minus_max",
+        "params": {"resolution": 1.7}},
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_fields_are_validation_errors(case):
+    with pytest.raises(ValidationError):
+        graphon_from_dict(MALFORMED[case])
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_cli_exits_2_on_malformed_fields(tmp_path, capsys, case):
+    from graphondist.cli import main
+
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(MALFORMED[case]))
+    assert main(["connectivity", "--input", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "input error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_integral_resolutions_still_load():
+    grid = graphon_from_dict({"kind": "grid", "resolution": 2.0,
+                              "values": GRID_2})
+    assert grid.resolution == 2
+    band = graphon_from_dict({"kind": "builtin", "name": "circular_band",
+                              "params": {"tau": 0.25, "resolution": 16}})
+    assert band.resolution == 16

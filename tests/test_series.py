@@ -116,6 +116,22 @@ def test_heat_mass_inside_a_bare_isolated_block_is_zero():
         varadhan_slope(w, u, v)
 
 
+@pytest.mark.parametrize("tiny, terms", [(1e-120, 1), (1e-300, 2)])
+def test_a_row_that_reaches_nothing_new_settles_after_power_one(tiny, terms):
+    # a tiny entry keeps the blocks of powers to two (1e-120) or one
+    # (1e-300): vertex 0 has no edge, so its walks reach no new vertex at
+    # step 1, and its entry to vertex 1 settles as unreachable at the end
+    # of the block that holds power 1
+    from graphondist.linalg import STOP_REASONS, _walk_series
+
+    a = np.array([[0.0, 0.0], [0.0, tiny]])
+    series = _walk_series(EXPONENTIAL, a, np.array([1e-3, 1e-4]),
+                          start=np.eye(2)[[0]], end=np.eye(2)[:, [1]])
+    assert STOP_REASONS[series.stop[0, 0]] == "unreachable"
+    assert series.terms[0, 0] == terms
+    assert np.isneginf(series.log_abs).all()
+
+
 def _heat_series_reference(w, u, v, t):
     """The adjacency heat series as a plain sum of t^m/m! u^T M^{m-1} A v,
     stopping after two negligible terms once mass has appeared."""

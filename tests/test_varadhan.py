@@ -138,6 +138,59 @@ def test_distance_field_disconnected_flagged():
     assert fld.pointwise(0.1, 0.9) == UNREACHABLE
 
 
+def test_field_holds_class_levels_until_matrix_is_read():
+    # 2,048 cells in 64 support classes: the field holds a 64 x 64 level
+    # matrix and a class per cell, not a 32 MB float matrix
+    fld = distance_field(to_grid(lift(cycle_adjacency(64)), 2048))
+    assert fld.levels.shape == (64, 64) and fld.classes.shape == (2048,)
+    assert fld.levels.nbytes + fld.classes.nbytes < 64 * 2**10
+    assert fld.layer_count == 32 and fld.within_block.shape == (2048,)
+    assert "matrix" not in vars(fld)
+    assert fld.matrix.shape == (2048, 2048) and fld.matrix.max() == 32.0
+
+
+def recorded_fields(monkeypatch, module):
+    """Every field ``module`` builds through ``distance_field``."""
+    built = []
+
+    def recording(*args, **kwargs):
+        built.append(distance_field(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(module, "distance_field", recording)
+    return built
+
+
+@pytest.mark.parametrize("allow", [False, True])
+def test_cli_varadhan_never_builds_the_float_field(tmp_path, monkeypatch,
+                                                   allow):
+    import json
+
+    from graphondist import cli
+
+    built = recorded_fields(monkeypatch, cli)
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({
+        "kind": "grid", "resolution": 6,
+        "values": [[1.0 if (i < 3) == (j < 3) else 0.0 for j in range(6)]
+                   for i in range(6)]}))
+    argv = ["varadhan", "--input", str(path), "--out", str(tmp_path / "out")]
+    assert cli.main(argv + ["--allow-disconnected"] * allow) == (0 if allow
+                                                                  else 3)
+    assert len(built) == 1 and "matrix" not in vars(built[0])
+
+
+def test_comparison_never_builds_the_float_field(monkeypatch):
+    from graphondist import compare_with_varadhan, sampler
+
+    built = recorded_fields(monkeypatch, sampler)
+    w = to_grid(step(Partition(np.array([0.3, 0.7])),
+                     np.array([[0.0, 0.8], [0.8, 0.5]])), 40)
+    report = compare_with_varadhan(w, 60, trials=2, seed=4)
+    assert report["trials"] == 2
+    assert len(built) == 1 and "matrix" not in vars(built[0])
+
+
 def test_distance_field_entries_bounded_by_diameter(rng):
     from graphondist import diameter
 

@@ -22,9 +22,11 @@ from graphondist import (  # noqa: E402
     permute_blocks,
     set_distance,
     step,
+    to_grid,
     varadhan_distance,
 )
 from graphondist import connectivity  # noqa: E402
+from graphondist.connectivity import default_epsilon  # noqa: E402
 from test_walks import choose_steps, walk_oracle  # noqa: E402
 
 PROPERTIES = settings(derandomize=True, max_examples=60, deadline=None)
@@ -115,23 +117,44 @@ def unpacked(bits) -> np.ndarray:
     return out
 
 
+def graph_of(kind: str, k: int, rng) -> np.ndarray:
+    """A random k x k boolean graph: any matrix, a directed one (strictly
+    upper triangular, so no edge runs both ways) or a symmetric one."""
+    bm = rng.random((k, k)) < rng.random()
+    if kind == "directed":
+        return np.triu(bm, k=1)
+    if kind == "symmetric":
+        return bm | bm.T
+    return bm
+
+
+GRAPHS = st.sampled_from(("any", "directed", "symmetric"))
+
+
 @PROPERTIES
-@example(k=65, r=1, listed=1.0, emptied=0.0, density=0.3, seed=0)
-@example(k=9, r=5, listed=1.0, emptied=0.0, density=0.0, seed=1)
-@example(k=200, r=7, listed=0.5, emptied=0.5, density=0.5, seed=2)
+@example(k=65, r=1, listed=1.0, emptied=0.0, density=0.3, seed=0,
+         graph="any")
+@example(k=9, r=5, listed=1.0, emptied=0.0, density=0.0, seed=1,
+         graph="any")
+@example(k=200, r=7, listed=0.5, emptied=0.5, density=0.5, seed=2,
+         graph="any")
+@example(k=70, r=6, listed=1.0, emptied=0.0, density=0.4, seed=3,
+         graph="directed")
 @given(st.integers(1, 200), st.integers(1, 12), st.floats(0.0, 1.0),
-       st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.integers(0, 2**16))
-def test_table_step_equals_packed_step(k, r, listed, emptied, density, seed):
+       st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.integers(0, 2**16),
+       GRAPHS)
+def test_table_step_equals_packed_step(k, r, listed, emptied, density, seed,
+                                       graph):
     # a lists a random subset of its r rows, some of them empty, over k
     # columns (often not a multiple of 8 or 64: a ragged last group and
-    # word); b is any k x k matrix with every row listed
+    # word); b is a k x k matrix with every row listed, directed or not
     rng = np.random.default_rng(seed)
     rows = np.flatnonzero(rng.random(r) < listed)
     m = np.zeros((r, k), dtype=bool)
     m[rows] = rng.random((rows.size, k)) < density
     m[rows[rng.random(rows.size) < emptied]] = False
     a = connectivity._Bits((r, k), rows, connectivity._pack(m[rows]))
-    bm = rng.random((k, k)) < rng.random()
+    bm = graph_of(graph, k, rng)
     b = connectivity._Bits.of(bm)
     table = connectivity._table_step(a, b)
     packed = connectivity._packed_step(a, b)
@@ -145,6 +168,66 @@ def test_table_step_equals_packed_step(k, r, listed, emptied, density, seed):
     # column j of the identity selects row j of b alone, in every group
     eye = connectivity._Bits.of(np.eye(k, dtype=bool))
     assert np.array_equal(unpacked(connectivity._table_step(eye, b)), bm)
+
+
+def power_levels(adj: np.ndarray, sources: np.ndarray) -> np.ndarray:
+    """Least m >= 1 with a length-m walk i -> j along adj[i, j] from some
+    vertex of each source row, by integer powers: 0 where no m <= k + 1
+    has one."""
+    k = adj.shape[0]
+    out = np.zeros(sources.shape, dtype=np.int64)
+    step = adj.astype(np.int64)
+    walk = sources.astype(np.int64)
+    for m in range(1, k + 2):
+        walk = np.minimum(walk @ step, 1)
+        out[(out == 0) & (walk > 0)] = m
+    return out
+
+
+@PROPERTIES
+@given(st.integers(1, 150), st.integers(1, 6), st.integers(0, 2**16), GRAPHS)
+def test_bfs_walks_directed_graphs(k, r, seed, graph):
+    # _bfs takes a plain boolean product per level, so a directed graph
+    # walks along its edges' direction
+    rng = np.random.default_rng(seed)
+    adj = graph_of(graph, k, rng)
+    sources = rng.random((r, k)) < rng.random() / 4
+    got = connectivity._bfs(connectivity._Bits.of(adj), sources)
+    assert np.array_equal(got, power_levels(adj, sources))
+
+
+@PROPERTIES
+@given(step_graphons(), st.integers(1, 48))
+def test_field_keeps_class_levels_that_expand_to_the_oracle(w, resolution):
+    # the step graphon and its grid rendering, whose cells repeat blocks
+    # (support twins); every read but ``matrix`` leaves it unbuilt
+    for g in (w, to_grid(w, resolution)):
+        want = walk_oracle(g.blocks > default_epsilon(g))
+        fld = distance_field(g)
+        k = fld.levels.shape[0]
+        assert fld.classes.shape == (g.size,) and fld.size == g.size
+        assert fld.levels.shape == (k, k) and k <= g.size
+        assert fld.levels.dtype.kind == "u" and fld.levels.itemsize <= 2
+        assert not fld.levels.flags.writeable
+        assert not fld.classes.flags.writeable
+        cells = fld.levels[np.ix_(fld.classes, fld.classes)]
+        assert np.array_equal(np.where(cells == 0, math.inf, cells), want)
+        bp = g.partition.breakpoints
+        mid = (bp[:-1] + bp[1:]) / 2
+        lo = mid - (bp[1:] - bp[:-1]) / 4
+        points = fld.pointwise(lo[:, None], mid[None, :])
+        within = fld.within_block
+        layers = fld.layer_count
+        finite = want[np.isfinite(want)]
+        assert layers == (int(finite.max()) if finite.size else 0)
+        assert "matrix" not in vars(fld)
+        assert np.array_equal(fld.matrix, want)
+        assert not fld.matrix.flags.writeable
+        assert np.array_equal(points, fld.matrix)
+        assert np.array_equal(within, np.diag(fld.matrix))
+        assert fld.pointwise(mid[0], mid[0]) == 0
+        assert fld.pointwise(lo[0], mid[-1]) == (
+            int(want[0, -1]) if math.isfinite(want[0, -1]) else UNREACHABLE)
 
 
 QUERIES = ("field", "diameter", "connected", "points", "set")
