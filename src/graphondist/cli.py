@@ -5,11 +5,16 @@ JSON, every row looked up from the ``DistanceField``'s k x k class levels
 at the classes of its cells, one string per level, so no n x n float
 matrix is built), ``slope`` (log-log slope experiments, set-pair or
 matrix-transform mode), ``metrics`` (communicability matrix / embedding /
-cut norm), ``connectivity`` and ``sample``.  Exit codes: 0 ok,
-1 expectation check failed (in slope transform mode: some pair misses its
-distance or has no defined slope; slope.json is still written), 2 invalid
-input, 3 mathematical domain error (including a disconnected graphon
-without --allow-disconnected), 4 I/O failure.
+cut norm), ``connectivity`` and ``sample``.  Each subcommand accepts only
+the flags it reads.  ``main`` loads the graphon once; the subcommand
+computes everything and returns its exit code and its writes, and only
+then is ``--out`` created and written, so a rejected request writes
+nothing.  Exit codes: 0 ok, 1 expectation check failed (in slope transform
+mode: some pair misses its distance or has no defined slope; slope.json is
+still written), 2 invalid input (a usage error, a bad graphon or option
+value, or a request too large to allocate), 3 mathematical domain error
+(including a disconnected graphon without --allow-disconnected), 4 I/O
+failure.
 """
 
 from __future__ import annotations
@@ -31,7 +36,6 @@ from .connectivity import (
     block_distance_matrix,
     default_epsilon,
     diameter,
-    is_connected,
     support_graph,
 )
 from .core import GridGraphon, IntervalSet, MathDomainError, ValidationError
@@ -42,6 +46,7 @@ from .sampler import RNG_ALGORITHM, _compare_samples, sample_graph
 from .varadhan import (
     _all_pair_slopes,
     _transform_operator,
+    _validate_t_grid,
     default_t_grid,
     distance_field,
     varadhan_slope,
@@ -66,7 +71,8 @@ def parse_interval_set(text: str) -> IntervalSet:
 
 
 def parse_t_grid(text: str) -> np.ndarray:
-    """Parse 'a:b:k' into k log-spaced t values, ordered decreasing."""
+    """Parse 'a:b:k' into the ``default_t_grid`` of k log-spaced t values
+    between a and b (either order), checked as every slope grid is."""
     try:
         lo_s, hi_s, k_s = text.split(":")
         lo, hi, k = float(lo_s), float(hi_s), int(k_s)
@@ -75,8 +81,35 @@ def parse_t_grid(text: str) -> np.ndarray:
     if not (0 < lo < math.inf and 0 < hi < math.inf and k >= 2):
         raise ValidationError("t grid needs finite positive endpoints and "
                               "k >= 2")
-    lo, hi = min(lo, hi), max(lo, hi)
-    return np.logspace(math.log10(hi), math.log10(lo), k)
+    return _validate_t_grid(default_t_grid(min(lo, hi), max(lo, hi), k))
+
+
+def _flag_type(convert, ok, rule: str):
+    """An argparse type: the converted text if ``ok`` accepts it, else a
+    usage error (exit 2) that names ``rule``."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{text!r} is not {rule}")
+    return parse
+
+
+_FINITE = _flag_type(float, math.isfinite, "a finite number")
+
+#: flags that several subcommands read; each adds only the ones it reads
+_SHARED_FLAGS = {
+    "--epsilon": {"type": _FINITE, "help": "support threshold override"},
+    "--seed": {"type": _flag_type(int, lambda v: v >= 0,
+                                  "a nonnegative integer"), "default": 0},
+    "--allow-disconnected": {"action": "store_true"},
+    "--tolerance": {"type": _flag_type(float, lambda v: 0.0 <= v < math.inf,
+                                       "a finite nonnegative number"),
+                    "default": 0.1},
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -88,71 +121,55 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name: str, summary: str, *shared: str):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--input", required=True, help="graphon JSON file")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--grid", type=int, default=512,
+        p.add_argument("--grid", default=512,
+                       type=_flag_type(int, lambda v: v >= 1,
+                                       "a positive resolution"),
                        help="grid resolution for builtin grid graphons")
-        p.add_argument("--epsilon", type=float, default=None,
-                       help="support threshold override")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--reproducible", action="store_true",
                        help="suppress timestamps for byte-identical output")
-        p.add_argument("--allow-disconnected", action="store_true")
-        p.add_argument("--tolerance", type=float, default=0.1)
+        for flag in shared:
+            p.add_argument(flag, **_SHARED_FLAGS[flag])
+        return p
 
-    p = sub.add_parser("varadhan", help="distance field, layers, summary")
-    common(p)
+    command("varadhan", "distance field, layers, summary",
+            "--epsilon", "--allow-disconnected")
 
-    p = sub.add_parser("slope", help="log-log slope experiments")
-    common(p)
+    p = command("slope", "log-log slope experiments",
+                "--epsilon", "--seed", "--tolerance")
     p.add_argument("--u", help="interval set 'a:b,c:d'")
     p.add_argument("--v", help="interval set 'a:b,c:d'")
     p.add_argument("--tgrid", default=None, help="'a:b:k' log-spaced t grid")
-    p.add_argument("--expect", type=float, default=None)
+    p.add_argument("--expect", type=_FINITE, default=None)
     p.add_argument("--transform", choices=["exp", "resolvent"], default=None,
                    help="matrix-transform mode over all block pairs")
     p.add_argument("--weights", choices=["unit", "random"], default="random")
 
-    p = sub.add_parser("metrics", help="communicability / embedding / cut norm")
-    common(p)
+    p = command("metrics", "communicability / embedding / cut norm")
     p.add_argument("--sets", help="semicolon-separated interval sets")
     p.add_argument("--embed", type=int, default=None,
                    help="embedding truncation (needs --sets)")
     p.add_argument("--cutnorm", action="store_true")
 
-    p = sub.add_parser("connectivity", help="connectedness and diameter")
-    common(p)
+    command("connectivity", "connectedness and diameter", "--epsilon")
 
-    p = sub.add_parser("sample", help="W-random graph and agreement report")
-    common(p)
+    p = command("sample", "W-random graph and agreement report",
+                "--epsilon", "--seed", "--allow-disconnected")
     p.add_argument("--n", type=int, default=500)
     p.add_argument("--trials", type=int, default=1)
     return parser
 
 
-def _finite(flag: str, value: float | None) -> None:
-    """Reject an optional float flag that is NaN or infinite."""
-    if value is not None and not math.isfinite(value):
-        raise ValidationError(f"{flag} must be a finite number, got {value!r}")
-
-
 def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
-    """The parsed options, validated, with the paths, the t-grid and the
-    interval sets parsed in place."""
+    """The parsed options with the paths, the t-grid and the interval sets
+    parsed in place."""
     args.input, args.out = Path(args.input), Path(args.out)
-    _finite("--epsilon", args.epsilon)
-    _finite("--tolerance", args.tolerance)
-    if args.grid < 1:
-        raise ValidationError("--grid must be a positive resolution")
-    if args.seed < 0:
-        raise ValidationError(f"--seed must be nonnegative, got {args.seed}")
-    if args.tolerance < 0.0:
-        raise ValidationError(
-            f"--tolerance must be nonnegative, got {args.tolerance!r}")
     if args.command == "slope":
-        args.tgrid = parse_t_grid(args.tgrid) if args.tgrid else None
-        _finite("--expect", args.expect)
+        args.tgrid = parse_t_grid(args.tgrid) if args.tgrid else \
+            default_t_grid()
         args.set_u = parse_interval_set(args.u) if args.u else None
         args.set_v = parse_interval_set(args.v) if args.v else None
     elif args.command == "metrics":
@@ -255,55 +272,52 @@ def _write_edges(path: Path, graph, meta: dict) -> None:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: (options, graphon) -> (exit code, [(writer, file, *args)])
 # ---------------------------------------------------------------------------
 
-def cmd_varadhan(cfg: argparse.Namespace) -> int:
-    w = load_graphon(cfg.input, cfg.grid)
-    fld = distance_field(w, cfg.epsilon)
-    if not fld.connected and not cfg.allow_disconnected:
-        print("graphon is disconnected; rerun with --allow-disconnected",
-              file=sys.stderr)
-        return 3
-    meta = _metadata(cfg, {"epsilon": cfg.epsilon, "grid": cfg.grid,
-                           "kind": fld.kind})
-    cfg.out.mkdir(parents=True, exist_ok=True)
-    labels = _axis_labels(w)
-    top = fld.layer_count
-    _write_csv(cfg.out / "varadhan_distance.csv",
-               _level_rows(fld, ["inf"] + [repr(float(m))
-                                           for m in range(1, top + 1)]),
-               labels, meta)
+def _require_connected(connected: bool, cfg: argparse.Namespace) -> None:
+    if not connected and not cfg.allow_disconnected:
+        raise MathDomainError("graphon is disconnected; rerun with "
+                              "--allow-disconnected")
 
-    maxval = top + (0 if fld.connected else 1)
-    _write_pgm(cfg.out / "varadhan_layers.pgm",
-               _level_rows(fld, [str(maxval)] + [str(m)
-                                                 for m in range(1, top + 1)]),
-               (fld.size, fld.size), maxval, meta)
 
-    # each layer's mass is summed over the same entries in the same
-    # row-major order as over the float field, so the sums are bit-stable
+def _layer_sizes(w, fld) -> dict:
+    """Each layer's product measure, summed in the float field's row-major
+    order (bit-stable); its n x n temporaries are freed on return."""
     mass = np.outer(w.partition.measures, w.partition.measures)
     cells = _cell_levels(fld.levels, fld.classes)
-    layer_sizes = {str(m): float(np.sum(mass[cells == m]))
-                   for m in range(1, top + 1)}
+    return {str(m): float(np.sum(mass[cells == m]))
+            for m in range(1, fld.layer_count + 1)}
+
+
+def cmd_varadhan(cfg: argparse.Namespace, w) -> tuple[int, list]:
+    fld = distance_field(w, cfg.epsilon)
+    _require_connected(fld.connected, cfg)
+    meta = _metadata(cfg, {"epsilon": cfg.epsilon, "grid": cfg.grid,
+                           "kind": fld.kind})
+    top = fld.layer_count
+    maxval = top + (0 if fld.connected else 1)
     summary = {
         "meta": meta,
         "connected": fld.connected,
         "diameter": top if fld.connected else "unbounded",
         "layer_count": top,
-        "layer_sizes": layer_sizes,
+        "layer_sizes": _layer_sizes(w, fld),
         "blocks": int(fld.size),
     }
-    _write_json(cfg.out / "varadhan_summary.json", summary)
-    return 0
+    levels = range(1, top + 1)
+    return 0, [
+        (_write_csv, "varadhan_distance.csv",
+         _level_rows(fld, ["inf"] + [repr(float(m)) for m in levels]),
+         _axis_labels(w), meta),
+        (_write_pgm, "varadhan_layers.pgm",
+         _level_rows(fld, [str(maxval)] + [str(m) for m in levels]),
+         (fld.size, fld.size), maxval, meta),
+        (_write_json, "varadhan_summary.json", summary),
+    ]
 
 
-def _transform_family(name: str):
-    return EXPONENTIAL if name == "exp" else RESOLVENT
-
-
-def _slope_transform_mode(cfg: argparse.Namespace, w) -> int:
+def _slope_transform_mode(cfg: argparse.Namespace, w) -> tuple[int, list]:
     if isinstance(w, GridGraphon):
         raise ValidationError("transform mode requires a step graphon")
     support = support_graph(w, cfg.epsilon)
@@ -320,8 +334,8 @@ def _slope_transform_mode(cfg: argparse.Namespace, w) -> int:
     lmat = _transform_operator(pattern, weights, diag)
     expected = block_distance_matrix(support).copy()
     np.fill_diagonal(expected, 0.0)
-    tgrid = cfg.tgrid if cfg.tgrid is not None else default_t_grid()
-    fits = _all_pair_slopes(lmat, _transform_family(cfg.transform), tgrid)
+    family = EXPONENTIAL if cfg.transform == "exp" else RESOLVENT
+    fits = _all_pair_slopes(lmat, family, cfg.tgrid)
     pairs = []
     for i in range(n):
         for j in range(n):
@@ -344,30 +358,24 @@ def _slope_transform_mode(cfg: argparse.Namespace, w) -> int:
     all_ok = all(entry["match"] for entry in pairs)
     meta = _metadata(cfg, {"transform": cfg.transform, "weights": cfg.weights,
                            "seed": cfg.seed, "tolerance": cfg.tolerance,
-                           "t_grid": tgrid.tolist()})
+                           "t_grid": cfg.tgrid.tolist()})
     payload = {"meta": meta, "mode": "transform", "family": cfg.transform,
                "pairs": pairs, "all_match": all_ok, "rng": RNG_ALGORITHM}
-    cfg.out.mkdir(parents=True, exist_ok=True)
-    _write_json(cfg.out / "slope.json", payload)
-    return 0 if all_ok else 1
+    return (0 if all_ok else 1), [(_write_json, "slope.json", payload)]
 
 
-def cmd_slope(cfg: argparse.Namespace) -> int:
-    w = load_graphon(cfg.input, cfg.grid)
+def cmd_slope(cfg: argparse.Namespace, w) -> tuple[int, list]:
     if cfg.transform:
         return _slope_transform_mode(cfg, w)
     if cfg.set_u is None or cfg.set_v is None:
         raise ValidationError("slope needs --u and --v (or --transform)")
-    tgrid = cfg.tgrid if cfg.tgrid is not None else default_t_grid()
-    est = varadhan_slope(w, cfg.set_u, cfg.set_v, tgrid)
-    meta = _metadata(cfg, {"u": [list(p) for p in cfg.set_u.intervals],
-                           "v": [list(p) for p in cfg.set_v.intervals],
-                           "tolerance": cfg.tolerance,
-                           "expect": cfg.expect})
+    est = varadhan_slope(w, cfg.set_u, cfg.set_v, cfg.tgrid)
+    pair = {"u": [list(p) for p in cfg.set_u.intervals],
+            "v": [list(p) for p in cfg.set_v.intervals]}
     payload = {
-        "meta": meta,
-        "pair": {"u": [list(p) for p in cfg.set_u.intervals],
-                 "v": [list(p) for p in cfg.set_v.intervals]},
+        "meta": _metadata(cfg, {**pair, "tolerance": cfg.tolerance,
+                                "expect": cfg.expect}),
+        "pair": pair,
         "t_grid": est.t_grid.tolist(),
         "log_values": est.log_values.tolist(),
         "slope": est.slope,
@@ -377,20 +385,17 @@ def cmd_slope(cfg: argparse.Namespace) -> int:
         "series_terms": est.series_terms,
         "series_stop": est.series_stop,
     }
-    cfg.out.mkdir(parents=True, exist_ok=True)
-    _write_json(cfg.out / "slope.json", payload)
-    if cfg.expect is not None and abs(est.slope - cfg.expect) > cfg.tolerance:
+    missed = (cfg.expect is not None
+              and abs(est.slope - cfg.expect) > cfg.tolerance)
+    if missed:
         print(f"slope {est.slope:.4f} misses expected {cfg.expect} "
               f"by more than {cfg.tolerance}", file=sys.stderr)
-        return 1
-    return 0
+    return int(missed), [(_write_json, "slope.json", payload)]
 
 
-def cmd_metrics(cfg: argparse.Namespace) -> int:
-    w = load_graphon(cfg.input, cfg.grid)
+def cmd_metrics(cfg: argparse.Namespace, w) -> tuple[int, list]:
     if not cfg.sets and not cfg.cutnorm:
         raise ValidationError("metrics needs --sets and/or --cutnorm")
-    # all results come before any write, so a rejected request writes nothing
     writes = []
     if cfg.sets:
         sets = cfg.sets
@@ -403,8 +408,8 @@ def cmd_metrics(cfg: argparse.Namespace) -> int:
                 m[i, j] = m[j, i] = _distance(w, spec, si, sets[j])
         labels = [f"set_{i}" for i in range(len(sets))]
         rows = [[repr(v) for v in row] for row in m.tolist()]
-        writes.append(lambda: _write_csv(
-            cfg.out / "metrics_communicability.csv", rows, labels, meta))
+        writes.append((_write_csv, "metrics_communicability.csv", rows,
+                       labels, meta))
         if cfg.embed is not None:
             embs = [_embedding(w, spec, s, cfg.embed) for s in sets]
             payload = {"meta": meta, "embeddings": [
@@ -412,23 +417,17 @@ def cmd_metrics(cfg: argparse.Namespace) -> int:
                  "coordinates": e.coordinates.tolist(),
                  "kernel_norm": e.kernel_norm, "truncation": e.truncation}
                 for s, e in zip(sets, embs)]}
-            writes.append(lambda: _write_json(
-                cfg.out / "metrics_embedding.json", payload))
+            writes.append((_write_json, "metrics_embedding.json", payload))
     if cfg.cutnorm:
         if isinstance(w, GridGraphon):
             raise ValidationError("cut norm requires a step graphon")
         cut = {"meta": _metadata(cfg, {"cutnorm": True}),
                "cut_norm": cut_norm(w), "blocks": w.size}
-        writes.append(lambda: _write_json(
-            cfg.out / "metrics_cutnorm.json", cut))
-    cfg.out.mkdir(parents=True, exist_ok=True)
-    for write in writes:
-        write()
-    return 0
+        writes.append((_write_json, "metrics_cutnorm.json", cut))
+    return 0, writes
 
 
-def cmd_connectivity(cfg: argparse.Namespace) -> int:
-    w = load_graphon(cfg.input, cfg.grid)
+def cmd_connectivity(cfg: argparse.Namespace, w) -> tuple[int, list]:
     eps = cfg.epsilon if cfg.epsilon is not None else default_epsilon(w)
     diam = diameter(w, eps)
     connected = math.isfinite(diam)
@@ -444,31 +443,25 @@ def cmd_connectivity(cfg: argparse.Namespace) -> int:
         # support graph of a grid is a discretization
         "exact": not grid,
     }
-    cfg.out.mkdir(parents=True, exist_ok=True)
-    _write_json(cfg.out / "connectivity.json", payload)
-    return 0
+    return 0, [(_write_json, "connectivity.json", payload)]
 
 
-def cmd_sample(cfg: argparse.Namespace) -> int:
-    w = load_graphon(cfg.input, cfg.grid)
-    connected = is_connected(w, cfg.epsilon)
-    if not connected and not cfg.allow_disconnected:
-        print("graphon is disconnected; rerun with --allow-disconnected",
-              file=sys.stderr)
-        return 3
+def cmd_sample(cfg: argparse.Namespace, w) -> tuple[int, list]:
+    # connectedness and the comparison read one field at --epsilon
+    fld = distance_field(w, cfg.epsilon)
+    _require_connected(fld.connected, cfg)
     graph = sample_graph(w, cfg.n, cfg.seed)
-    meta = _metadata(cfg, {"n": cfg.n, "trials": cfg.trials,
-                           "seed": cfg.seed, "rng": RNG_ALGORITHM})
+    options = {"n": cfg.n, "trials": cfg.trials, "seed": cfg.seed,
+               "rng": RNG_ALGORITHM}
+    if cfg.epsilon is not None:
+        options["epsilon"] = cfg.epsilon
+    meta = _metadata(cfg, options)
     payload = {"meta": meta, "edges": graph.edge_count,
                "vertices": graph.n}
-    if connected:
-        # compared before anything is written, so a request the comparison
-        # rejects (fewer than two vertices, no trial) leaves no output
-        payload["comparison"] = _compare_samples(w, cfg.trials, graph)
-    cfg.out.mkdir(parents=True, exist_ok=True)
-    _write_edges(cfg.out / "sample_edges.txt", graph, meta)
-    _write_json(cfg.out / "sample_report.json", payload)
-    return 0
+    if fld.connected:
+        payload["comparison"] = _compare_samples(w, cfg.trials, graph, fld)
+    return 0, [(_write_edges, "sample_edges.txt", graph, meta),
+               (_write_json, "sample_report.json", payload)]
 
 
 _DISPATCH = {
@@ -488,8 +481,14 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         cfg = _config_from_args(args)
-        return _DISPATCH[cfg.command](cfg)
-    except ValidationError as exc:
+        code, writes = _DISPATCH[cfg.command](
+            cfg, load_graphon(cfg.input, cfg.grid))
+        # created only now, so a rejected request writes nothing
+        cfg.out.mkdir(parents=True, exist_ok=True)
+        for write, name, *parts in writes:
+            write(cfg.out / name, *parts)
+        return code
+    except (ValidationError, MemoryError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except MathDomainError as exc:

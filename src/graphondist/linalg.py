@@ -344,6 +344,8 @@ def analytic_transform(family: TaylorFamily, L, t: float) -> tuple[np.ndarray, i
     L = np.asarray(L, dtype=float)
     if L.ndim != 2 or L.shape[0] != L.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {L.shape}")
+    if not np.isfinite(L).all():
+        raise ValidationError("analytic transform requires finite entries")
     t = float(t)
     if not math.isfinite(t):
         raise ValidationError(f"analytic transform requires finite t, got {t!r}")

@@ -149,12 +149,14 @@ def compare_with_varadhan(w, n: int, trials: int, seed: int) -> dict:
     finite samples.  Disconnected samples are reported, not fatal; fewer
     than two vertices, which leave no pair to compare, are invalid.
     """
-    return _compare_samples(w, trials, sample_graph(w, n, seed))
+    return _compare_samples(w, trials, sample_graph(w, n, seed),
+                            distance_field(w))
 
 
-def _compare_samples(w, trials: int, first: SampledGraph) -> dict:
+def _compare_samples(w, trials: int, first: SampledGraph, field) -> dict:
     """The report of ``compare_with_varadhan`` from an already drawn
-    trial-0 sample; trial t samples ``first.n`` vertices with seed
+    trial-0 sample, against the distance field ``field`` of ``w`` (at any
+    support threshold); trial t samples ``first.n`` vertices with seed
     ``first.seed + t``."""
     trials = int(trials)
     if trials < 1:
@@ -162,7 +164,6 @@ def _compare_samples(w, trials: int, first: SampledGraph) -> dict:
     n, seed = first.n, first.seed
     if n < 2:
         raise ValidationError("comparison needs at least two vertices")
-    field = distance_field(w)
     pairs = n * (n - 1) // 2
     per_trial = []
     for trial in range(trials):

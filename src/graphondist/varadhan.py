@@ -273,11 +273,15 @@ def default_t_grid(lo: float = 1e-5, hi: float = 1e-3, k: int = 8) -> np.ndarray
 
 
 def _validate_t_grid(t_grid) -> np.ndarray:
+    """A slope-fit grid as a float vector: at least two t values, each
+    finite and > 0, strictly decreasing.  There is no floor above 0: the
+    series are summed in the log domain, so a grid as low as 1e-25 still
+    has logarithms to fit."""
     tg = np.asarray(t_grid, dtype=float).reshape(-1)
     if tg.size < 2:
         raise ValidationError("slope fit needs at least two t values")
-    if float(tg.min()) < 1e-8:
-        raise ValidationError("t values below 1e-8 underflow the log fit")
+    if not np.all(np.isfinite(tg) & (tg > 0.0)):
+        raise ValidationError("t grid needs finite positive t values")
     if not np.all(np.diff(tg) < 0.0):
         raise ValidationError("t grid must be strictly decreasing")
     return tg
@@ -324,7 +328,7 @@ def varadhan_slope(w, u: IntervalSet, v: IntervalSet,
 
 def _transform_operator(adjacency, weights, diag) -> np.ndarray:
     """L = M + D after checking that M is nonnegative with exactly the
-    symmetric adjacency's zero pattern."""
+    symmetric adjacency's zero pattern, and that L is finite."""
     a = np.asarray(adjacency, dtype=float)
     m = np.asarray(weights, dtype=float)
     if a.shape != m.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -341,7 +345,10 @@ def _transform_operator(adjacency, weights, diag) -> np.ndarray:
     d = np.asarray(diag, dtype=float).reshape(-1)
     if d.shape[0] != a.shape[0]:
         raise ValidationError("diagonal length does not match matrix size")
-    return m + np.diag(d)
+    lmat = m + np.diag(d)
+    if not np.isfinite(lmat).all():
+        raise ValidationError("weights and diagonal must be finite")
+    return lmat
 
 
 def general_varadhan_slope(adjacency, weights, diag, family: TaylorFamily,

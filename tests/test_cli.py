@@ -13,9 +13,11 @@ from graphondist import (
     dump_graphon,
     lift,
     load_graphon,
+    sample_graph,
 )
 from graphondist import linalg
 from graphondist.cli import main, parse_interval_set, parse_t_grid, read_csv_matrix
+from graphondist.sampler import _compare_samples
 from conftest import cycle_adjacency, random_step_graphon
 
 BIPARTITE = {"kind": "builtin", "name": "bipartite"}
@@ -49,6 +51,9 @@ def test_parse_helpers():
     for bad in ("nan:1e-3:4", "1e-5:inf:4", "0:1e-3:4", "1e-5:1e-3:1"):
         with pytest.raises(ValidationError, match="finite positive"):
             parse_t_grid(bad)
+    # equal endpoints give no slope; both slope modes read this one rule
+    with pytest.raises(ValidationError, match="strictly decreasing"):
+        parse_t_grid("1e-4:1e-4:3")
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +193,26 @@ def test_cmd_connectivity_honors_epsilon(tmp_path):
     payload = json.loads((out / "connectivity.json").read_text())
     assert payload["connected"] is False
     assert payload["epsilon"] == 1e-3
+
+
+@pytest.mark.parametrize("mode", [
+    pytest.param(["--u", "0:0.16666", "--v", "0.5:0.66666", "--expect", "3"],
+                 id="set-pair"),
+    pytest.param(["--transform", "exp"], id="transform"),
+])
+def test_cmd_slope_fits_grids_far_below_the_default(tmp_path, mode):
+    # the log-domain series leave no floor on t but t > 0
+    spec = c6_file(tmp_path)
+    out = tmp_path / "tiny"
+    assert main(["slope", "--input", str(spec), "--out", str(out),
+                 "--tgrid", "1e-12:1e-9:4", *mode]) == 0
+    payload = json.loads((out / "slope.json").read_text())
+    if "pairs" in payload:
+        assert payload["all_match"] is True
+        assert payload["meta"]["options"]["t_grid"][-1] == pytest.approx(1e-12)
+    else:
+        assert abs(payload["slope"] - 3) < 1e-6
+        assert payload["t_grid"][-1] == pytest.approx(1e-12)
 
 
 def test_cmd_slope_transform_mode(tmp_path):
@@ -393,6 +418,104 @@ def test_cmd_sample_disconnected_needs_flag(tmp_path):
                  "--n", "50", "--allow-disconnected"]) == 0
     report = json.loads((out / "sample_report.json").read_text())
     assert "comparison" not in report
+
+
+# a step graphon whose 0.05 block pair closes the path 0-1-2-3 into a
+# 4-cycle: connected at both thresholds, with a different field at 0.1
+FAINT_CYCLE = {"kind": "step", "measures": [0.25] * 4,
+               "blocks": [[0.0, 0.9, 0.0, 0.05],
+                          [0.9, 0.0, 0.9, 0.0],
+                          [0.0, 0.9, 0.0, 0.9],
+                          [0.05, 0.0, 0.9, 0.0]]}
+
+
+def test_cmd_sample_compares_at_its_epsilon(tmp_path):
+    spec = write_spec(tmp_path, FAINT_CYCLE)
+    argv = ["sample", "--input", str(spec), "--n", "300", "--trials", "2",
+            "--seed", "4"]
+    assert main(argv + ["--out", str(tmp_path / "d")]) == 0
+    assert main(argv + ["--out", str(tmp_path / "e"), "--epsilon", "0.1"]) == 0
+    default = json.loads((tmp_path / "d" / "sample_report.json").read_text())
+    at = json.loads((tmp_path / "e" / "sample_report.json").read_text())
+    w = load_graphon(spec)
+    assert distance_field(w, 0.1).connected
+    want = _compare_samples(w, 2, sample_graph(w, 300, 4),
+                            distance_field(w, 0.1))
+    assert at["comparison"] == want
+    assert at["comparison"] != default["comparison"]
+    # the threshold is recorded only when it is given
+    assert at["meta"]["options"]["epsilon"] == 0.1
+    assert "epsilon" not in default["meta"]["options"]
+
+
+# each (subcommand, shared flag) pair that the subcommand never reads
+UNREAD_FLAGS = [
+    ("varadhan", ["--seed", "1"]), ("varadhan", ["--tolerance", "0.5"]),
+    ("slope", ["--allow-disconnected"]),
+    ("metrics", ["--epsilon", "0.1"]), ("metrics", ["--seed", "1"]),
+    ("metrics", ["--allow-disconnected"]), ("metrics", ["--tolerance", "0.5"]),
+    ("connectivity", ["--seed", "1"]),
+    ("connectivity", ["--allow-disconnected"]),
+    ("connectivity", ["--tolerance", "0.5"]),
+    ("sample", ["--tolerance", "0.5"]),
+]
+
+# a request of each subcommand that succeeds on the 6-cycle
+WORKING = {
+    "varadhan": [],
+    "slope": ["--transform", "exp"],
+    "metrics": ["--cutnorm"],
+    "connectivity": [],
+    "sample": ["--n", "20"],
+}
+
+
+@pytest.mark.parametrize("command, flag", UNREAD_FLAGS,
+                         ids=[c + f[0] for c, f in UNREAD_FLAGS])
+def test_cli_rejects_flags_a_subcommand_does_not_read(tmp_path, command, flag):
+    argv = [command, "--input", str(c6_file(tmp_path)), *WORKING[command]]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out), *flag]) == 2
+    assert not out.exists()
+    assert main(argv + ["--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("spec, argv, code", [
+    pytest.param(DISCONNECTED, ["varadhan"], 3, id="varadhan-disconnected"),
+    pytest.param(BIPARTITE, ["slope", "--u", "0:0.5"], 2, id="slope-no-v"),
+    pytest.param({"kind": "grid", "resolution": 4,
+                  "values": np.ones((4, 4)).tolist()},
+                 ["slope", "--transform", "exp"], 2, id="slope-grid"),
+    pytest.param(BIPARTITE, ["metrics", "--sets", "0:0.5", "--embed", "5"], 2,
+                 id="metrics-embed"),
+    pytest.param(BIPARTITE, ["connectivity", "--epsilon", "-1"], 2,
+                 id="connectivity-epsilon"),
+    pytest.param(BIPARTITE, ["sample", "--n", "1"], 2, id="sample-n1"),
+    pytest.param(DISCONNECTED, ["sample", "--n", "20"], 3,
+                 id="sample-disconnected"),
+])
+def test_cli_failed_requests_create_no_output(tmp_path, spec, argv, code):
+    out = tmp_path / "out"
+    assert main(argv + ["--input", str(write_spec(tmp_path, spec)),
+                        "--out", str(out)]) == code
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spec, flags", [
+    pytest.param({"kind": "builtin", "name": "one_minus_max",
+                  "params": {"resolution": 1e12}}, [], id="file"),
+    pytest.param({"kind": "builtin", "name": "circular_band",
+                  "params": {"tau": 0.1}}, ["--grid", "1000000000000"],
+                 id="grid-flag"),
+])
+def test_cli_oversize_resolution_is_code_2(tmp_path, capsys, spec, flags):
+    # the first 8 TB allocation is refused at once, so nothing is touched
+    out = tmp_path / "out"
+    assert main(["connectivity", "--input", str(write_spec(tmp_path, spec)),
+                 "--out", str(out), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and err.count("\n") == 1
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

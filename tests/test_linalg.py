@@ -169,6 +169,17 @@ def test_analytic_transform_rejects_nonfinite_t(t):
             analytic_transform(EXPONENTIAL, l, t)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_analytic_transform_rejects_nonfinite_entries(bad):
+    # NaN used to escape as a plain ValueError from the term cap, and an
+    # infinite entry as a MathDomainError about the convergence guard
+    l = cycle_adjacency(4)
+    l[0, 1] = l[1, 0] = bad
+    for family in (EXPONENTIAL, RESOLVENT):
+        with pytest.raises(ValidationError, match="finite entries"):
+            analytic_transform(family, l, 1e-3)
+
+
 def test_analytic_transform_rejects_zero_coefficients():
     broken = TaylorFamily("broken", lambda k: 0.0 if k == 1 else 1.0, math.inf)
     with pytest.raises(MathDomainError, match="zero coefficient"):

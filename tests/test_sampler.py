@@ -11,6 +11,7 @@ from graphondist import (
     bipartite_graphon,
     circular_band_graphon,
     compare_with_varadhan,
+    distance_field,
     empirical_distance_profile,
     er_graphon,
     evaluate,
@@ -205,7 +206,8 @@ def test_compare_counts_coincident_coordinates_at_distance_zero():
     adj = np.zeros((3, 3), dtype=bool)
     adj[0, 1] = adj[1, 0] = adj[1, 2] = adj[2, 1] = True
     g = SampledGraph(np.array([0.2, 0.2, 0.7]), adj, seed=0)
-    trial = _compare_samples(er_graphon(1.0), 1, g)["per_trial"][0]
+    w = er_graphon(1.0)
+    trial = _compare_samples(w, 1, g, distance_field(w))["per_trial"][0]
     assert trial["pairs"] == 3 and trial["unreachable_pairs"] == 0
     assert trial["agreement"] == 1 / 3
     assert trial["agreement_within_one"] == 1.0
@@ -230,7 +232,7 @@ def test_sample_walks_on_its_blow_up(monkeypatch):
         return original(adj, sources)
 
     monkeypatch.setattr(connectivity, "_bfs", recording)
-    _compare_samples(w, 1, g)
+    _compare_samples(w, 1, g, distance_field(w))
     empirical_distance_profile(g)
     # the field of 512 cells, the sample twice: each on at most 512 classes
     assert len(walked) == 3 and max(walked) <= 512
@@ -238,10 +240,11 @@ def test_sample_walks_on_its_blow_up(monkeypatch):
 
 def test_comparison_memory_is_class_pairs():
     w, g = band_sample()
-    _compare_samples(w, 1, sample_graph(w, 50, seed=1))  # warm numpy
+    _compare_samples(w, 1, sample_graph(w, 50, seed=1),
+                     distance_field(w))  # warm numpy
     tracemalloc.start()
     try:
-        _compare_samples(w, 1, g)
+        _compare_samples(w, 1, g, distance_field(w))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

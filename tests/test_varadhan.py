@@ -423,8 +423,9 @@ def test_slope_rejects_bad_grids():
         varadhan_slope(C6, u, v, np.array([1e-3]))
     with pytest.raises(ValidationError):
         varadhan_slope(C6, u, v, np.array([1e-5, 1e-3]))  # increasing
-    with pytest.raises(ValidationError):
-        varadhan_slope(C6, u, v, np.array([1e-6, 1e-9]))  # below 1e-8
+    for bad in ([1e-6, 0.0], [1e-6, -1e-9], [np.nan, 1e-6], [np.inf, 1e-6]):
+        with pytest.raises(ValidationError, match="finite positive"):
+            varadhan_slope(C6, u, v, np.array(bad))
 
 
 def test_slope_error_names_t_when_mass_vanishes():
@@ -487,6 +488,19 @@ def test_general_slope_rejects_pattern_violation():
     bad[0, 1] = bad[1, 0] = 0.0
     with pytest.raises(ValidationError, match="zero pattern"):
         general_varadhan_slope(a, bad, np.zeros(4), EXPONENTIAL, 0, 1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("where", ["weights", "diagonal"])
+def test_general_slope_rejects_nonfinite_operators(where, bad):
+    a = cycle_adjacency(4)
+    weights, diag = a.copy(), np.zeros(4)
+    if where == "weights":
+        weights[0, 1] = weights[1, 0] = bad
+    else:
+        diag[2] = bad
+    with pytest.raises(ValidationError, match="must be finite"):
+        general_varadhan_slope(a, weights, diag, EXPONENTIAL, 0, 1)
 
 
 def test_general_slope_rejects_guard_violation():
