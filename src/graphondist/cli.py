@@ -6,7 +6,7 @@ at the classes of its cells, one string per level, so no n x n float
 matrix is built), ``slope`` (log-log slope experiments, set-pair or
 matrix-transform mode), ``metrics`` (communicability matrix / embedding /
 cut norm), ``connectivity`` and ``sample``.  Each subcommand accepts only
-the flags it reads.  ``main`` loads the graphon once; the subcommand
+the flags it reads, and each slope mode only its own.  ``main`` loads the graphon once; the subcommand
 computes everything and returns its exit code and its writes, and only
 then is ``--out`` created and written, so a rejected request writes
 nothing.  Exit codes: 0 ok, 1 expectation check failed (in slope transform
@@ -146,7 +146,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--expect", type=_FINITE, default=None)
     p.add_argument("--transform", choices=["exp", "resolvent"], default=None,
                    help="matrix-transform mode over all block pairs")
-    p.add_argument("--weights", choices=["unit", "random"], default="random")
+    p.add_argument("--weights", choices=["unit", "random"], default=None,
+                   help="transform weights (default random)")
+    # None until given, so the mode check below sees every given flag
+    p.set_defaults(seed=None)
 
     p = command("metrics", "communicability / embedding / cut norm")
     p.add_argument("--sets", help="semicolon-separated interval sets")
@@ -163,11 +166,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: the slope flags that only one mode reads
+_TRANSFORM_FLAGS = ("--weights", "--seed", "--epsilon")
+_SET_PAIR_FLAGS = ("--u", "--v", "--expect")
+
+
 def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
     """The parsed options with the paths, the t-grid and the interval sets
-    parsed in place."""
+    parsed in place; a slope flag that the other mode reads is rejected
+    here, before the input is read."""
     args.input, args.out = Path(args.input), Path(args.out)
     if args.command == "slope":
+        transform = args.transform is not None
+        unread = [flag for flag in (_SET_PAIR_FLAGS if transform
+                                    else _TRANSFORM_FLAGS)
+                  if getattr(args, flag[2:]) is not None]
+        if unread:
+            mode = "transform" if transform else "set-pair"
+            raise ValidationError(f"slope {mode} mode does not read "
+                                  + ", ".join(unread))
+        if transform:
+            args.weights = args.weights or "random"
+            args.seed = args.seed or 0
         args.tgrid = parse_t_grid(args.tgrid) if args.tgrid else \
             default_t_grid()
         args.set_u = parse_interval_set(args.u) if args.u else None

@@ -10,7 +10,8 @@ as approximate by the CLI.
 The work is sized to the question.  Cells with identical support rows
 (support twins) are merged first; the walk on the k x k class graph is
 exact, since twins have the same neighbours.  ``is_connected`` runs one BFS
-from block 0 and a point or set query one BFS row per source set; the
+from block 0 and a point or set query one BFS row per source set, unless
+the graphon keeps the levels of a whole walk (below); the
 whole matrix of ``block_distance_matrix`` takes L - 1 products when the
 largest walk distance L joins every pair, and L when some pair is
 unreachable (one closing product finds the next level empty), and
@@ -19,15 +20,20 @@ unreachable (one closing product finds the next level empty), and
 A graphon keeps what its walks share, per support threshold, in a
 ``weakref.WeakKeyDictionary`` keyed by the graphon (``_walk``): the
 support-twin quotient bit-packed into 64-bit words (k^2 / 8 bytes), the
-class of each cell, and the diameter and connectedness once a walk has
-decided them.  So the support graph and its quotient are built once per
-graphon and threshold, and ``diameter`` and ``is_connected`` answer
+class of each cell, the diameter and connectedness once a walk has
+decided them, and the read-only k x k class levels of ``diameter``'s
+whole walk (k^2 bytes, 2 k^2 once k >= 255, against the graphon's own
+8 n^2 bytes of blocks).  So the support graph and its quotient are built
+once per graphon and threshold, ``diameter`` and ``is_connected`` answer
 without walking once any whole walk has run (``distance_field``'s
-included).  No level is kept: a whole walk returns its k x k class levels
-(``_Walk.levels``), which a ``DistanceField`` holds.  The entries go with
-the graphon, which must be immutable: ``StepGraphon`` is a frozen
-dataclass whose ``blocks`` are read-only.  ``block_distance_matrix``
-takes a bare ``SupportGraph`` and keeps nothing.
+included), and after ``diameter`` every point, set and field query reads
+the kept levels (``varadhan``).  ``distance_field``'s own walk keeps no
+level: the ``DistanceField`` it returns owns them, and keeping them too
+raised the peak RSS of the ``field`` benchmark by 14 %, more than the
+levels hold (allocator retention).  The entries go with the graphon,
+which must be immutable: ``StepGraphon`` is a frozen dataclass whose
+``blocks`` are read-only.  ``block_distance_matrix`` takes a bare
+``SupportGraph`` and keeps nothing.
 
 Every product goes through one kernel, ``_compose``, and every BFS level
 is bit-packed: each row of k classes in ceil(k / 64) uint64 words.  The
@@ -336,17 +342,18 @@ def _cell_levels(levels: np.ndarray, classes: np.ndarray) -> np.ndarray:
 
 class _Walk:
     """What the walks of one support keep (see the module docstring): the
-    support-twin quotient packed by ``_pack``, the class of each cell, and
-    the diameter and connectedness once a walk has decided them (``None``
-    before); no level, and no reference to the graphon."""
+    support-twin quotient packed by ``_pack``, the class of each cell, the
+    diameter and connectedness once a walk has decided them, and
+    ``kept``, the read-only class levels of ``diameter``'s whole walk
+    (each ``None`` before); no reference to the graphon."""
 
-    __slots__ = ("words", "classes", "diameter", "connected")
+    __slots__ = ("words", "classes", "diameter", "connected", "kept")
 
     def __init__(self, adj: np.ndarray):
         q, classes = _support_classes(adj)
         self.words = _readonly(_pack(q))
         self.classes = _readonly(classes)
-        self.diameter = self.connected = None
+        self.diameter = self.connected = self.kept = None
 
     @property
     def size(self) -> int:
@@ -436,9 +443,11 @@ def diameter(w, epsilon: float | None = None):
     so the first call costs what ``block_distance_matrix`` does.  The
     graphon keeps the answer per threshold: a later call, or one after
     ``distance_field`` (whose walk is the same) or a disconnected
-    ``is_connected``, walks nothing.
+    ``is_connected``, walks nothing.  A call that walks also keeps the
+    walk's k x k class levels, which later point, set and field queries
+    read instead of walking.
     """
     walk = _walk(w, epsilon)
     if walk.diameter is None:
-        walk.levels()
+        walk.kept = _readonly(walk.levels())
     return walk.diameter

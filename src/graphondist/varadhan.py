@@ -10,11 +10,13 @@ Each query walks only from its own sources, on the support-twin quotient
 of the support graph (cells with identical support rows merged into one of
 k classes, which is exact): a point query runs one BFS row per distinct
 class among the cells of ``x`` and a set query one merged row, at most
-k^2 / 64 word operations a row (see ``connectivity``, also for what the
-graphon keeps).  A ``DistanceField`` holds what the whole-field walk
-leaves, O(k^2 + n) bytes: the k x k BFS levels between classes and the
-class of each of the n cells; its n x n float ``matrix`` is derived only
-when read.
+k^2 / 64 word operations a row.  Once ``diameter`` has walked the whole
+field, the graphon keeps its k x k class levels, and point, set and field
+queries read them and walk nothing (see ``connectivity``, also for what
+else the graphon keeps).  A ``DistanceField`` holds what the whole-field
+walk leaves, O(k^2 + n) bytes: the k x k BFS levels between classes and
+the class of each of the n cells; its n x n float ``matrix`` is derived
+only when read.
 
 The heat-trace route (slope of log <1_V, e^{tW} 1_U> against log t as t
 shrinks) recovers the same integers and is provided as an independent
@@ -60,7 +62,8 @@ class DistanceField:
     """Pairwise walk distances of a graphon at block/cell resolution:
     ``levels``, the read-only k x k small-integer BFS levels between the
     k support classes (0 where no walk joins two), and ``classes``, the
-    class of each of the n blocks/cells.
+    class of each of the n blocks/cells.  The levels are the graphon's
+    kept ones when ``diameter`` has walked it, else the field's own.
 
     ``matrix``, built on first read and kept, is the n x n float64 field:
     ``matrix[i, j]`` is the distance between distinct points of blocks i
@@ -127,12 +130,15 @@ def distance_field(w, epsilon: float | None = None) -> DistanceField:
     The distance layers are the level sets of the levels; their count
     equals the diameter.  For a disconnected graphon the field is still
     returned, with level-0 (unreachable) entries and ``connected=False``.
-    Every call walks again; the graphon keeps only the diameter and
-    connectedness the walk decided (see ``connectivity.diameter``).
+    A graphon that keeps the levels of ``diameter``'s walk returns them
+    without walking.  Otherwise every call walks again, and the graphon
+    keeps only the diameter and connectedness the walk decided: the field
+    owns its levels (see ``connectivity``).
     """
     walk = _walk(w, epsilon)
     kind = "grid" if isinstance(w, GridGraphon) else "step"
-    return DistanceField(kind, w.partition, walk.levels(), walk.classes,
+    levels = walk.levels() if walk.kept is None else walk.kept
+    return DistanceField(kind, w.partition, levels, walk.classes,
                          walk.connected)
 
 
@@ -140,16 +146,18 @@ def varadhan_distance(w, x, y, epsilon: float | None = None):
     """Pointwise Varadhan distance (scalars or arrays).
 
     0 iff x == y; otherwise the walk distance of the blocks containing the
-    two points, with the within-block rule on the diagonal.  One BFS row
-    runs from each distinct support class among the blocks of ``x`` (twin
-    blocks share a row), on the packed support-twin quotient the graphon
-    keeps (see ``connectivity.diameter``), so only the graphon's first
-    query builds its support graph.  The rows are walked on every call;
-    the graphon keeps no field or level.
+    two points, with the within-block rule on the diagonal.  A graphon
+    that keeps the class levels of ``diameter``'s walk answers by lookup.
+    Otherwise one BFS row runs from each distinct support class among the
+    blocks of ``x`` (twin blocks share a row), on the packed support-twin
+    quotient the graphon keeps, so only the graphon's first query builds
+    its support graph; the rows are walked on every call and not kept.
     """
     walk = _walk(w, epsilon)
     ix = walk.classes[w.partition.locate(x)]
     iy = walk.classes[w.partition.locate(y)]
+    if walk.kept is not None:
+        return _point_distances(x, y, _distances(walk.kept[ix, iy]))
     sources, row = np.unique(ix, return_inverse=True)
     walks = walk.rows(_source_rows(walk.size, sources))
     return _point_distances(x, y, walks[row.reshape(np.shape(ix)), iy])
@@ -159,20 +167,27 @@ def set_distance(w, u: IntervalSet, v: IntervalSet, epsilon: float | None = None
     """Least adjacency power with mass between two interval sets.
 
     0 when the sets overlap on positive measure; otherwise the minimum walk
-    distance between any block touched by U and any block touched by V,
-    read off one BFS row on the graphon's kept support-twin quotient, whose
-    sources are the classes of all the blocks U touches.  ``UNREACHABLE``
-    when no power connects them (disconnected graphon).  The threshold is
-    checked also when the sets overlap.
+    distance between any block touched by U and any block touched by V:
+    the least nonzero level over U's classes x V's classes when the
+    graphon keeps the class levels of ``diameter``'s walk, else read off
+    one BFS row on the graphon's kept support-twin quotient, whose sources
+    are the classes of all the blocks U touches.  ``UNREACHABLE`` when no
+    power connects them (disconnected graphon).  The threshold is checked
+    also when the sets overlap.
     """
     if u.is_empty or v.is_empty:
         raise ValidationError("set distance requires nonempty interval sets")
     walk = _walk(w, epsilon)
     if u.intersection_measure(v) > 0.0:
         return 0
+    ub = np.unique(walk.classes[u.block_masses(w.partition) > 0.0])
+    vb = np.unique(walk.classes[v.block_masses(w.partition) > 0.0])
+    if walk.kept is not None:
+        block = walk.kept[np.ix_(ub, vb)]
+        reached = block[block > 0]
+        return int(reached.min()) if reached.size else UNREACHABLE
     sources = np.zeros((1, walk.size), dtype=bool)
-    sources[0, walk.classes[u.block_masses(w.partition) > 0.0]] = True
-    vb = walk.classes[v.block_masses(w.partition) > 0.0]
+    sources[0, ub] = True
     best = float(walk.rows(sources)[0, vb].min())
     return int(best) if math.isfinite(best) else UNREACHABLE
 

@@ -480,6 +480,35 @@ def test_cli_rejects_flags_a_subcommand_does_not_read(tmp_path, command, flag):
     assert main(argv + ["--out", str(out)]) == 0
 
 
+SET_PAIR = ["--u", "0:0.5", "--v", "0.5:1"]
+TRANSFORM = ["--transform", "exp"]
+
+# each slope flag that only the other mode reads
+OTHER_MODE_FLAGS = [
+    (SET_PAIR, ["--weights", "unit"]), (SET_PAIR, ["--epsilon", "0.5"]),
+    (SET_PAIR, ["--seed", "3"]),
+    (TRANSFORM, ["--u", "0:0.5"]), (TRANSFORM, ["--v", "0.5:1"]),
+    (TRANSFORM, ["--expect", "7"]),
+]
+
+
+@pytest.mark.parametrize("mode, flag", OTHER_MODE_FLAGS,
+                         ids=[("transform" if m is TRANSFORM else "set-pair")
+                              + f[0] for m, f in OTHER_MODE_FLAGS])
+def test_cli_slope_rejects_flags_of_the_other_mode(tmp_path, capsys, mode,
+                                                   flag):
+    spec = write_spec(tmp_path, BIPARTITE)
+    out = tmp_path / "out"
+    # rejected before the input is read: a missing file is not an i/o error
+    for path in (spec, tmp_path / "absent.json"):
+        assert main(["slope", "--input", str(path), "--out", str(out),
+                     *mode, *flag]) == 2
+        assert flag[0] in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["slope", "--input", str(spec), "--out", str(out),
+                 *mode]) == 0
+
+
 @pytest.mark.parametrize("spec, argv, code", [
     pytest.param(DISCONNECTED, ["varadhan"], 3, id="varadhan-disconnected"),
     pytest.param(BIPARTITE, ["slope", "--u", "0:0.5"], 2, id="slope-no-v"),

@@ -410,11 +410,59 @@ def test_kept_walks_go_with_their_graphon(monkeypatch):
         assert not walk.words.flags.writeable
     assert kept[GRID_EPSILON].diameter == 4
     assert kept[1e-3].diameter is None
-    ref = weakref.ref(w)
-    del w, kept, walk
+    # the class levels only on the threshold that diameter walked
+    levels = kept[GRID_EPSILON].kept
+    k = kept[GRID_EPSILON].size
+    assert levels.shape == (k, k) and levels.dtype == np.uint8
+    assert not levels.flags.writeable
+    assert kept[1e-3].kept is None
+    refs = weakref.ref(w), weakref.ref(levels)
+    del w, kept, walk, levels
     gc.collect()
-    assert ref() is None
+    assert all(ref() is None for ref in refs)
     assert len(memo) == 0
+
+
+def test_queries_after_diameter_read_its_levels(monkeypatch):
+    # band tau = 1/7 on 512 cells: the diameter's walk takes the field's
+    # three table steps and keeps its levels; point, 64-point, set and
+    # field queries then walk nothing
+    w = circular_band_graphon(1 / 7, 512)
+    want = walk_oracle(support_graph(w).matrix)
+    calls = counting_steps(monkeypatch)
+    assert diameter(w) == 4
+    assert calls == {"packed": 0, "table": 3}
+    ci, cj = np.arange(0, 512, 8), np.arange(511, 0, -8)
+    got = varadhan_distance(w, (ci + 0.5) / 512, (cj + 0.25) / 512)
+    assert np.array_equal(got, want[ci, cj])
+    assert varadhan_distance(w, 0.1, 0.6) == 4
+    assert varadhan_distance(w, 0.1, 0.1) == 0
+    assert set_distance(w, block_set([0], 512), block_set([256], 512)) == 4
+    assert set_distance(w, block_set([0, 1], 512),
+                        block_set([60, 300], 512)) == 1
+    fld = distance_field(w)
+    assert calls == {"packed": 0, "table": 3}
+    assert np.array_equal(fld.levels, connectivity._walk(w).kept)
+    assert np.array_equal(fld.matrix, want)
+
+
+def test_a_field_keeps_no_levels(monkeypatch):
+    # the field owns the levels of its walk: the graphon keeps only the
+    # diameter and connectedness, so a later diameter walks nothing and
+    # keeps nothing, and a point query walks its row
+    w = circular_band_graphon(1 / 7, 512)
+    calls = counting_steps(monkeypatch)
+    fld = distance_field(w)
+    assert calls == {"packed": 0, "table": 3}
+    assert diameter(w) == fld.layer_count == 4
+    walk = connectivity._walk(w)
+    assert walk.kept is None and walk.diameter == 4
+    assert calls == {"packed": 0, "table": 3}
+    assert varadhan_distance(w, 0.1, 0.6) == 4
+    assert calls == {"packed": 4, "table": 3}
+    assert set_distance(w, block_set([0], 512), block_set([256], 512)) == 4
+    assert calls == {"packed": 8, "table": 3}
+    assert walk.kept is None
 
 
 @pytest.mark.parametrize("eps", [math.nan, -1.0])
@@ -484,26 +532,48 @@ def choose_steps(monkeypatch, choice: str, seed: int = 7) -> None:
 
 def check_against_oracle(rng, cells: np.ndarray) -> None:
     """Field, point, set, connectivity and diameter answers of the lifted
-    support against the walk oracle."""
+    support against the walk oracle.  The point and set queries run on a
+    fresh graphon first, so they walk BFS rows, then again after
+    ``diameter``, so they read its kept levels."""
     want = walk_oracle(cells)
     n = cells.shape[0]
-    w = lift(cells.astype(float))
     assert np.array_equal(block_distance_matrix(SupportGraph(cells, 0.0)),
                           want)
     connected = bool(np.isfinite(want).all())
-    assert is_connected(w) == connected
-    assert diameter(w) == (int(want.max()) if connected else UNREACHABLE)
     i = rng.integers(0, n, 40)
     j = rng.integers(0, n, 40)
-    got = varadhan_distance(w, (i + 0.25) / n, (j + 0.75) / n)
-    assert np.array_equal(got, want[i, j])
+    x, y = (i + 0.25) / n, (j + 0.75) / n
+    y[:4] = x[:4]  # coincident points are at distance 0
+    points = want[i, j]
+    points[:4] = 0.0
+    sets = []
     for _ in range(3):
         blocks = rng.permutation(n)
         cut = int(rng.integers(1, n))
         u, v = np.sort(blocks[:cut]), np.sort(blocks[cut:])
         best = float(want[np.ix_(u, v)].min())
-        assert set_distance(w, block_set(u, n), block_set(v, n)) == \
-            (int(best) if math.isfinite(best) else UNREACHABLE)
+        sets.append((block_set(u, n), block_set(v, n),
+                     int(best) if math.isfinite(best) else UNREACHABLE))
+
+    def queries_match(w) -> None:
+        assert np.array_equal(varadhan_distance(w, x, y), points)
+        assert varadhan_distance(w, float(x[0]), float(y[0])) == 0
+        assert varadhan_distance(w, float(x[5]), float(y[5])) == \
+            (int(points[5]) if math.isfinite(points[5]) else UNREACHABLE)
+        for u, v, best in sets:
+            assert set_distance(w, u, v) == best
+
+    diam = int(want.max()) if connected else UNREACHABLE
+    # is_connected's row from block 0, then the diameter it may decide
+    w = lift(cells.astype(float))
+    assert is_connected(w) == connected
+    assert diameter(w) == diam
+    w = lift(cells.astype(float))
+    queries_match(w)  # no whole walk yet: BFS rows
+    assert diameter(w) == diam
+    assert is_connected(w) == connected
+    assert connectivity._walk(w).kept is not None
+    queries_match(w)  # the levels of the diameter's walk
 
 
 def block_set(blocks, n: int) -> IntervalSet:
