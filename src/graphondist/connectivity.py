@@ -8,12 +8,13 @@ same procedure on the cell support graph is a discretization and is flagged
 as approximate by the CLI.
 
 The work is sized to the question.  Cells with identical support rows
-(support twins) are merged first; the walk on the k x k class graph is
-exact, since twins have the same neighbours.  ``is_connected`` runs one BFS
-from block 0 and a point or set query one BFS row per source set, unless
-the graphon keeps the levels of a whole walk (below); the
-whole matrix of ``block_distance_matrix`` takes L - 1 products when the
-largest walk distance L joins every pair, and L when some pair is
+(support twins) are merged first by ``_row_classes``, which also finds the
+sampler's twins and the groups of ``merge_twins``; the walk on the k x k
+class graph is exact, since twins have the same neighbours.
+``is_connected`` runs one BFS from block 0 and a point or set query one BFS
+row per source set, unless the graphon keeps the levels of a whole walk
+(below); the whole matrix of ``block_distance_matrix`` takes L - 1 products
+when the largest walk distance L joins every pair, and L when some pair is
 unreachable (one closing product finds the next level empty), and
 ``diameter`` reads its largest level from that same walk.
 
@@ -28,9 +29,10 @@ once per graphon and threshold, ``diameter`` and ``is_connected`` answer
 without walking once any whole walk has run (``distance_field``'s
 included), and after ``diameter`` every point, set and field query reads
 the kept levels (``varadhan``).  ``distance_field``'s own walk keeps no
-level: the ``DistanceField`` it returns owns them, and keeping them too
-raised the peak RSS of the ``field`` benchmark by 14 %, more than the
-levels hold (allocator retention).  The entries go with the graphon,
+level: the ``DistanceField`` it returns owns them, and keeping them on the
+graphon too holds them twice (the ``field`` benchmark's peak RSS is
+bimodal, and keeping them raised each mode by about the levels' own size,
+262 -> 270 MB and 287 -> 300 MB).  The entries go with the graphon,
 which must be immutable: ``StepGraphon`` is a frozen dataclass whose
 ``blocks`` are read-only.  ``block_distance_matrix`` takes a bare
 ``SupportGraph`` and keeps nothing.
@@ -123,28 +125,21 @@ def support_graph(w, epsilon: float | None = None) -> SupportGraph:
     return SupportGraph(w.blocks > eps, eps)
 
 
-def _support_classes(adj: np.ndarray):
-    """Support-twin quotient of a symmetric boolean graph.
+def _row_classes(rows: np.ndarray):
+    """Classes of equal rows of a C-contiguous 2-d array, the rows compared
+    as bytes (so -0.0 and 0.0 differ: add 0.0 first to read them as equal).
 
-    Cells with identical support rows have the same neighbours, so every
-    walk distance from or to them is the same: BFS on the k x k class graph
-    is exact.  Returns the class graph and the class of each cell, with the
-    classes numbered in order of first occurrence; when every row is
-    distinct the class graph is ``adj`` itself and the map the identity.
+    Returns the first row of each class, ascending, and the class of each
+    row, the classes numbered in order of first occurrence.  Support twins
+    are the classes of the packed support rows.
     """
-    n = adj.shape[0]
-    packed = np.packbits(adj, axis=1)
-    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    keys = rows.view(np.dtype((np.void, rows[0].nbytes))).ravel()
     _, first, inverse = np.unique(keys, return_index=True,
                                   return_inverse=True)
-    k = first.size
-    if k == n:
-        return adj, np.arange(n)
     order = np.argsort(first)
-    rank = np.empty(k, dtype=np.intp)
-    rank[order] = np.arange(k)
-    reps = first[order]
-    return adj[np.ix_(reps, reps)], rank[inverse.reshape(-1)]
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return first[order], rank[inverse.reshape(-1)]
 
 
 class _Bits:
@@ -350,8 +345,10 @@ class _Walk:
     __slots__ = ("words", "classes", "diameter", "connected", "kept")
 
     def __init__(self, adj: np.ndarray):
-        q, classes = _support_classes(adj)
-        self.words = _readonly(_pack(q))
+        reps, classes = _row_classes(np.packbits(adj, axis=1))
+        if reps.size < adj.shape[0]:
+            adj = adj[np.ix_(reps, reps)]
+        self.words = _readonly(_pack(adj))
         self.classes = _readonly(classes)
         self.diameter = self.connected = self.kept = None
 
@@ -425,13 +422,12 @@ def is_connected(w, epsilon: float | None = None) -> bool:
     word operations on k support classes.  The graphon keeps the answer,
     so it walks at most once per threshold, and not at all after
     ``distance_field`` or ``diameter``: connected iff the diameter is
-    finite."""
+    finite.  It decides connectedness only, so a later ``diameter`` still
+    walks the whole field."""
     walk = _walk(w, epsilon)
     if walk.connected is None:
         d = walk.rows(_source_rows(walk.size, 0))
         walk.connected = bool(np.isfinite(d).all())
-        if not walk.connected:
-            walk.diameter = UNREACHABLE
     return walk.connected
 
 
@@ -442,10 +438,10 @@ def diameter(w, epsilon: float | None = None):
     The largest level of the whole-field BFS on the support-twin quotient,
     so the first call costs what ``block_distance_matrix`` does.  The
     graphon keeps the answer per threshold: a later call, or one after
-    ``distance_field`` (whose walk is the same) or a disconnected
-    ``is_connected``, walks nothing.  A call that walks also keeps the
-    walk's k x k class levels, which later point, set and field queries
-    read instead of walking.
+    ``distance_field`` (whose walk is the same), walks nothing; one after
+    ``is_connected`` walks, whatever that found.  A call that walks also
+    keeps the walk's k x k class levels, which later point, set and field
+    queries read instead of walking.
     """
     walk = _walk(w, epsilon)
     if walk.diameter is None:

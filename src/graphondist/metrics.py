@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connectivity import _Walk, _cell_levels
+from .connectivity import _Walk, _row_classes
 from .core import (
     GridGraphon,
     IntervalSet,
@@ -163,28 +163,30 @@ def _row_distances(blocks: np.ndarray, mu: np.ndarray) -> np.ndarray:
 
 def merge_twins(w: StepGraphon, tol: float = 1e-9) -> StepGraphon:
     """Merge blocks whose kernel rows agree within tol in measure-weighted
-    L1; measures add and merged values are measure-weighted row averages.
+    L1 (closer than tol, or equal); measures add and merged values are
+    measure-weighted row averages.
 
     Repeats until no two blocks are within tol of each other, so the result
-    has pairwise-distinct rows at the given tolerance.
+    has pairwise-distinct rows at the given tolerance.  A round costs
+    k^2 n + n^2 m for k distinct rows and m groups.
     """
     if not tol >= 0.0:
         raise ValidationError("merge tolerance must be nonnegative")
     current = w
     while current.size > 1:
         mu = current.partition.measures
-        rd = _row_distances(current.blocks, mu)
-        # components of the closeness relation; every block belongs to its
-        # own, also when tol = 0
-        walk = _Walk(rd < tol)
-        reach = _cell_levels(walk.levels() > 0, walk.classes)
-        reach |= np.eye(current.size, dtype=bool)
-        first = reach.argmax(axis=1) == np.arange(current.size)
-        if first.all():
+        # equal rows (-0.0 read as 0.0) are one distinct row, measured once
+        reps, row = _row_classes(current.blocks + 0.0)
+        close = _row_distances(current.blocks[reps], mu) < tol
+        np.fill_diagonal(close, True)
+        # the groups are the components of the closeness relation: rows of
+        # equal reach, numbered by first member
+        walk = _Walk(close)
+        heads, group = _row_classes(np.packbits(walk.levels() > 0, axis=1))
+        if heads.size == current.size:
             return current
-        # one-hot block -> component map E, components in order of first
-        # member: merged value = E^T (mu B mu) E / M M^T
-        onehot = reach[first].T.astype(float)
+        # one-hot block -> group map E: merged value = E^T (mu B mu) E / M M^T
+        onehot = np.eye(heads.size)[group[walk.classes[row]]]
         mu_new = mu @ onehot
         mass = mu[:, None] * current.blocks * mu[None, :]
         blocks_new = (onehot.T @ mass @ onehot) / np.outer(mu_new, mu_new)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connectivity import _Walk, _distances, _support_classes
+from .connectivity import _Walk, _distances, _row_classes
 from .core import ValidationError, _readonly
 from .varadhan import distance_field
 
@@ -98,7 +98,7 @@ def _true_twin_loops(adj: np.ndarray) -> np.ndarray:
     """
     closed = np.array(adj, dtype=bool)
     np.fill_diagonal(closed, True)
-    _, shared = _support_classes(closed)
+    _, shared = _row_classes(np.packbits(closed, axis=1))
     np.fill_diagonal(closed, np.bincount(shared)[shared] > 1)
     return closed
 

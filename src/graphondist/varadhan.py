@@ -180,15 +180,15 @@ def set_distance(w, u: IntervalSet, v: IntervalSet, epsilon: float | None = None
     walk = _walk(w, epsilon)
     if u.intersection_measure(v) > 0.0:
         return 0
-    ub = np.unique(walk.classes[u.block_masses(w.partition) > 0.0])
-    vb = np.unique(walk.classes[v.block_masses(w.partition) > 0.0])
+    um = np.zeros(walk.size, dtype=bool)  # U's classes
+    vm = np.zeros(walk.size, dtype=bool)  # V's classes
+    um[walk.classes[u.block_masses(w.partition) > 0.0]] = True
+    vm[walk.classes[v.block_masses(w.partition) > 0.0]] = True
     if walk.kept is not None:
-        block = walk.kept[np.ix_(ub, vb)]
+        block = walk.kept[um][:, vm]
         reached = block[block > 0]
         return int(reached.min()) if reached.size else UNREACHABLE
-    sources = np.zeros((1, walk.size), dtype=bool)
-    sources[0, ub] = True
-    best = float(walk.rows(sources)[0, vb].min())
+    best = float(walk.rows(um[None, :])[0, vm].min())
     return int(best) if math.isfinite(best) else UNREACHABLE
 
 

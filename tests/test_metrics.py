@@ -320,21 +320,51 @@ def _loop_merge(w, tol):
     return current
 
 
+def planted_copies(rng, k, copies, quiet_labels=0):
+    """Copies of the blocks of a random k-block graphon, shuffled, with
+    noise of 1e-9 in the rows and columns of every label but the first
+    ``quiet_labels``, whose copies stay exact (equal rows)."""
+    base = random_step_graphon(rng, k).blocks
+    labels = rng.permutation(np.repeat(np.arange(k), copies))
+    noise = rng.uniform(-1e-9, 1e-9, (labels.size, labels.size))
+    quiet = labels < quiet_labels
+    noise[quiet] = noise[:, quiet] = 0.0
+    blocks = np.clip(base[np.ix_(labels, labels)] + noise + noise.T, 0.0, 1.0)
+    mu = rng.uniform(0.5, 1.5, labels.size)
+    return step(Partition(mu / mu.sum()), blocks)
+
+
 def test_merge_twins_matches_the_group_pair_loop(rng):
     tol = 1e-6
-    for k, copies in [(3, 2), (8, 3), (64, 4)]:
-        base = random_step_graphon(rng, k).blocks
-        labels = rng.permutation(np.repeat(np.arange(k), copies))
-        noise = rng.uniform(-1e-9, 1e-9, (labels.size, labels.size))
-        blocks = np.clip(base[np.ix_(labels, labels)] + noise + noise.T,
-                         0.0, 1.0)
-        mu = rng.uniform(0.5, 1.5, labels.size)
-        w = step(Partition(mu / mu.sum()), blocks)
+    for k, copies, quiet in [(3, 2, 0), (8, 3, 0), (64, 4, 0), (16, 3, 8)]:
+        w = planted_copies(rng, k, copies, quiet)
         got, want = merge_twins(w, tol), _loop_merge(w, tol)
-        assert got.size == want.size < labels.size
+        assert got.size == want.size < w.size
         assert np.allclose(got.partition.measures, want.partition.measures,
                            rtol=0.0, atol=1e-12)
         assert np.allclose(got.blocks, want.blocks, rtol=0.0, atol=1e-12)
+
+
+def test_merge_twins_at_zero_tolerance_merges_equal_rows_only(rng):
+    # 8 of 16 labels have exact copies: each becomes one block, and every
+    # noisy copy (rows 1e-9 apart) stays its own block
+    w = planted_copies(rng, 16, 3, 8)
+    got = merge_twins(w, 0.0)
+    assert got.size == 8 + 8 * 3
+    # the loop at a tolerance below every noisy row distance merges the
+    # same groups
+    want = _loop_merge(w, 1e-15)
+    assert want.size == got.size
+    assert np.allclose(got.partition.measures, want.partition.measures,
+                       rtol=0.0, atol=1e-12)
+    assert np.allclose(got.blocks, want.blocks, rtol=0.0, atol=1e-12)
+    # -0.0 and 0.0 are equal values: the end blocks of a path merge
+    path = step(Partition.uniform(3), np.array([[0.0, 0.5, 0.0],
+                                                [0.5, 0.0, 0.5],
+                                                [0.0, 0.5, -0.0]]))
+    merged = merge_twins(path, 0.0)
+    assert np.array_equal(merged.partition.measures, [2 / 3, 1 / 3])
+    assert np.array_equal(merged.blocks, [[0.0, 0.5], [0.5, 0.0]])
 
 
 # ---------------------------------------------------------------------------

@@ -273,3 +273,24 @@ def test_permuting_blocks_changes_nothing(w, random):
                           field[np.ix_(sigma, sigma)])
     assert diameter(moved) == diameter(w)
     assert is_connected(moved) == is_connected(w)
+
+
+@PROPERTIES
+@given(st.sampled_from([(False, True), (0.0, -0.0, 0.5, 1.0)]), st.data())
+def test_row_classes_are_the_classes_of_equal_rows(pool, data):
+    # boolean rows go in packed, as the support quotient and the sampler
+    # pass them; float rows with 0.0 added, as merge_twins passes them
+    n, m = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 10))
+    rows = np.array(data.draw(st.lists(st.sampled_from(pool),
+                                       min_size=n * m, max_size=n * m)))
+    rows = rows.reshape(n, m)
+    keys = np.packbits(rows, axis=1) if rows.dtype == bool else rows + 0.0
+    first, classes = connectivity._row_classes(keys)
+    for i in range(n):
+        for j in range(n):
+            assert (classes[i] == classes[j]) == np.array_equal(rows[i],
+                                                                rows[j])
+    # classes numbered by first occurrence, each given row its class's first
+    numbers, at = np.unique(classes, return_index=True)
+    assert np.array_equal(numbers, np.arange(first.size))
+    assert np.array_equal(first, at) and np.all(np.diff(first) > 0)

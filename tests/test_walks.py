@@ -340,10 +340,10 @@ def test_a_graphon_walks_once_per_threshold(monkeypatch):
     # three table steps, a second one and is_connected none, and a
     # field's own walk answers both for a graphon not walked before
     quotients = []
-    support_classes = connectivity._support_classes
-    monkeypatch.setattr(connectivity, "_support_classes",
-                        lambda adj: quotients.append(adj.shape[0])
-                        or support_classes(adj))
+    row_classes = connectivity._row_classes
+    monkeypatch.setattr(connectivity, "_row_classes",
+                        lambda rows: quotients.append(rows.shape[0])
+                        or row_classes(rows))
     calls = counting_steps(monkeypatch)
     w = circular_band_graphon(1 / 7, 512)
     assert diameter(w) == 4
@@ -358,8 +358,9 @@ def test_a_graphon_walks_once_per_threshold(monkeypatch):
     assert varadhan_distance(w, 0.1, 0.6) == 4
     assert set_distance(w, block_set([0], 512), block_set([256], 512)) == 4
     assert quotients == [512, 512]
-    # a disconnected support: the row walk from block 0 decides the
-    # diameter too, so no whole walk follows
+    # a disconnected support: the row walk from block 0 decides only
+    # connectedness, so diameter walks the whole field and keeps its
+    # levels, and later point and set queries walk nothing
     two = np.zeros((12, 12), dtype=bool)
     two[:6, :6] = two[6:, 6:] = path_support(6)
     w = lift(two.astype(float))
@@ -367,7 +368,13 @@ def test_a_graphon_walks_once_per_threshold(monkeypatch):
     assert not is_connected(w)
     rows = dict(calls)
     assert diameter(w) == UNREACHABLE
-    assert calls == rows
+    assert calls != rows and connectivity._walk(w).kept is not None
+    walked = dict(calls)
+    assert varadhan_distance(w, 0.5 / 12, 5.5 / 12) == 5
+    assert set_distance(w, block_set([0], 12),
+                        block_set([6], 12)) == UNREACHABLE
+    assert calls == walked
+    assert quotients == [512, 512, 12]
 
 
 def test_thresholds_keep_their_own_walks():
