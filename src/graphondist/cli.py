@@ -99,12 +99,13 @@ def _flag_type(convert, ok, rule: str):
 
 
 _FINITE = _flag_type(float, math.isfinite, "a finite number")
+_NONNEGATIVE = _flag_type(int, lambda v: v >= 0, "a nonnegative integer")
+_POSITIVE = _flag_type(int, lambda v: v >= 1, "a positive integer")
 
 #: flags that several subcommands read; each adds only the ones it reads
 _SHARED_FLAGS = {
     "--epsilon": {"type": _FINITE, "help": "support threshold override"},
-    "--seed": {"type": _flag_type(int, lambda v: v >= 0,
-                                  "a nonnegative integer"), "default": 0},
+    "--seed": {"type": _NONNEGATIVE, "default": 0},
     "--allow-disconnected": {"action": "store_true"},
     "--tolerance": {"type": _flag_type(float, lambda v: 0.0 <= v < math.inf,
                                        "a finite nonnegative number"),
@@ -125,9 +126,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=summary)
         p.add_argument("--input", required=True, help="graphon JSON file")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--grid", default=512,
-                       type=_flag_type(int, lambda v: v >= 1,
-                                       "a positive resolution"),
+        p.add_argument("--grid", default=512, type=_POSITIVE,
                        help="grid resolution for builtin grid graphons")
         p.add_argument("--reproducible", action="store_true",
                        help="suppress timestamps for byte-identical output")
@@ -153,7 +152,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = command("metrics", "communicability / embedding / cut norm")
     p.add_argument("--sets", help="semicolon-separated interval sets")
-    p.add_argument("--embed", type=int, default=None,
+    p.add_argument("--embed", type=_NONNEGATIVE, default=None,
                    help="embedding truncation (needs --sets)")
     p.add_argument("--cutnorm", action="store_true")
 
@@ -161,8 +160,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = command("sample", "W-random graph and agreement report",
                 "--epsilon", "--seed", "--allow-disconnected")
-    p.add_argument("--n", type=int, default=500)
-    p.add_argument("--trials", type=int, default=1)
+    p.add_argument("--n", type=_POSITIVE, default=500)
+    p.add_argument("--trials", type=_POSITIVE, default=1)
     return parser
 
 

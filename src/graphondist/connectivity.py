@@ -10,32 +10,35 @@ as approximate by the CLI.
 The work is sized to the question.  Cells with identical support rows
 (support twins) are merged first by ``_row_classes``, which also finds the
 sampler's twins and the groups of ``merge_twins``; the walk on the k x k
-class graph is exact, since twins have the same neighbours.
-``is_connected`` runs one BFS from block 0 and a point or set query one BFS
-row per source set, unless the graphon keeps the levels of a whole walk
-(below); the whole matrix of ``block_distance_matrix`` takes L - 1 products
-when the largest walk distance L joins every pair, and L when some pair is
-unreachable (one closing product finds the next level empty), and
-``diameter`` reads its largest level from that same walk.
+class graph is exact, since twins have the same neighbours.  One whole
+walk of the class graph answers every query: it takes L - 1 products when
+the largest walk distance L joins every pair, and L when some pair is
+unreachable (one closing product finds the next level empty), and its
+largest level is the diameter.
 
 A graphon keeps what its walks share, per support threshold, in a
 ``weakref.WeakKeyDictionary`` keyed by the graphon (``_walk``): the
 support-twin quotient bit-packed into 64-bit words (k^2 / 8 bytes), the
-class of each cell, the diameter and connectedness once a walk has
-decided them, and the read-only k x k class levels of ``diameter``'s
-whole walk (k^2 bytes, 2 k^2 once k >= 255, against the graphon's own
-8 n^2 bytes of blocks).  So the support graph and its quotient are built
-once per graphon and threshold, ``diameter`` and ``is_connected`` answer
-without walking once any whole walk has run (``distance_field``'s
-included), and after ``diameter`` every point, set and field query reads
-the kept levels (``varadhan``).  ``distance_field``'s own walk keeps no
-level: the ``DistanceField`` it returns owns them, and keeping them on the
-graphon too holds them twice (the ``field`` benchmark's peak RSS is
-bimodal, and keeping them raised each mode by about the levels' own size,
-262 -> 270 MB and 287 -> 300 MB).  The entries go with the graphon,
-which must be immutable: ``StepGraphon`` is a frozen dataclass whose
-``blocks`` are read-only.  ``block_distance_matrix`` takes a bare
-``SupportGraph`` and keeps nothing.
+class of each cell, the diameter once a whole walk has decided it, and
+the read-only k x k class levels of that walk (k^2 bytes, 2 k^2 once
+k >= 255, against the graphon's own 8 n^2 bytes of blocks).  One rule
+holds: the first ``diameter``, ``is_connected``, point or set query on a
+graphon at a threshold walks the whole class graph once and keeps its
+levels; every later one reads them (connected iff the diameter is finite)
+and walks nothing, as do ``diameter`` and ``is_connected`` after a field.  So a cold one-shot query pays a whole walk where one
+BFS row would do (a point query on the band tau = 1/7 at 2,048 cells:
+about 0.1 s against 7 ms; tau = 1/1024: 1 s against 33 ms), and a query
+on a long-lived graphon costs a lookup.  The one exception is
+``distance_field`` (``varadhan``): it returns the kept levels when there
+are any, and otherwise keeps only the diameter of its walk, since the
+``DistanceField`` owns the levels.  Keeping them on the graphon too would
+share that array, yet it raised the ``field`` benchmark's peak RSS from
+262 to 300 MB, three times the levels' own 12 MB: the C allocator holds
+freed heap pages below the long-lived levels (``malloc_trim(0)`` after a
+pass gives them back).
+The entries go with the graphon, which must be immutable: ``StepGraphon``
+is a frozen dataclass whose ``blocks`` are read-only.
+``block_distance_matrix`` takes a bare ``SupportGraph`` and keeps nothing.
 
 Every product goes through one kernel, ``_compose``, and every BFS level
 is bit-packed: each row of k classes in ceil(k / 64) uint64 words.  The
@@ -58,8 +61,9 @@ field turns to the table step above about 1/8 + 32/k density, and a
 source row always takes the packed step, since it has at most k
 nonzeros.  A thin walk never scans a dense matrix, and no walk multiplies
 a floating-point matrix.  ``_bfs`` is a plain boolean product per level,
-so it also walks the directed pattern of a slope series' operator
-(``linalg._walk_series``).
+so it also walks from the source rows of a slope series' start set on
+the directed pattern of its operator (``linalg._walk_series``), the one
+walk that starts from source rows.
 """
 
 from __future__ import annotations
@@ -338,11 +342,11 @@ def _cell_levels(levels: np.ndarray, classes: np.ndarray) -> np.ndarray:
 class _Walk:
     """What the walks of one support keep (see the module docstring): the
     support-twin quotient packed by ``_pack``, the class of each cell, the
-    diameter and connectedness once a walk has decided them, and
-    ``kept``, the read-only class levels of ``diameter``'s whole walk
-    (each ``None`` before); no reference to the graphon."""
+    diameter once a whole walk has decided it, and ``kept``, the read-only
+    class levels of the walk that ``keep`` ran (each ``None`` before); no
+    reference to the graphon."""
 
-    __slots__ = ("words", "classes", "diameter", "connected", "kept")
+    __slots__ = ("words", "classes", "diameter", "kept")
 
     def __init__(self, adj: np.ndarray):
         reps, classes = _row_classes(np.packbits(adj, axis=1))
@@ -350,31 +354,29 @@ class _Walk:
             adj = adj[np.ix_(reps, reps)]
         self.words = _readonly(_pack(adj))
         self.classes = _readonly(classes)
-        self.diameter = self.connected = self.kept = None
+        self.diameter = self.kept = None
 
     @property
     def size(self) -> int:
         """The number k of support classes."""
         return int(self.words.shape[0])
 
-    def _support(self) -> _Bits:
-        k = self.size
-        return _Bits((k, k), np.arange(k), self.words)
-
     def levels(self) -> np.ndarray:
         """BFS levels between every pair of classes (k x k small integers,
         0 where no walk joins them), from one whole-field BFS, which also
-        decides the diameter and connectedness: the largest level, or
-        ``UNREACHABLE`` when some pair has none."""
-        levels = _bfs(self._support())
-        self.connected = bool(levels.all())
-        self.diameter = int(levels.max()) if self.connected else UNREACHABLE
+        decides the diameter: the largest level, or ``UNREACHABLE`` when
+        some pair has none."""
+        k = self.size
+        levels = _bfs(_Bits((k, k), np.arange(k), self.words))
+        self.diameter = int(levels.max()) if levels.all() else UNREACHABLE
         return levels
 
-    def rows(self, sources: np.ndarray) -> np.ndarray:
-        """Walk distances from source sets of classes (an r x k boolean
-        matrix) to every class, inf where none: one BFS row per set."""
-        return _distances(_bfs(self._support(), sources))
+    def keep(self) -> np.ndarray:
+        """The kept class levels: the first call walks (``levels``) and
+        keeps them read-only, later calls read them."""
+        if self.kept is None:
+            self.kept = _readonly(self.levels())
+        return self.kept
 
 
 #: graphon -> {support threshold: ``_Walk``}; see the module docstring
@@ -393,14 +395,6 @@ def _walk(w, epsilon: float | None = None) -> _Walk:
     return walk
 
 
-def _source_rows(n: int, cells) -> np.ndarray:
-    """One source row per given cell."""
-    cells = np.asarray(cells).reshape(-1)
-    rows = np.zeros((cells.size, n), dtype=bool)
-    rows[np.arange(cells.size), cells] = True
-    return rows
-
-
 def block_distance_matrix(s: SupportGraph) -> np.ndarray:
     """Walk distances d'(i,j) = least m >= 1 with a length-m walk from i
     to j on the support graph, for every block pair: at most k^3 / 64
@@ -416,19 +410,11 @@ def block_distance_matrix(s: SupportGraph) -> np.ndarray:
 
 
 def is_connected(w, epsilon: float | None = None) -> bool:
-    """Whether the graphon is connected, decided on the support graph: one
-    BFS from block 0 reaches every block (so no union of blocks is cut off
-    from the rest, and a lone block carries a self-loop): at most k^2 / 64
-    word operations on k support classes.  The graphon keeps the answer,
-    so it walks at most once per threshold, and not at all after
-    ``distance_field`` or ``diameter``: connected iff the diameter is
-    finite.  It decides connectedness only, so a later ``diameter`` still
-    walks the whole field."""
-    walk = _walk(w, epsilon)
-    if walk.connected is None:
-        d = walk.rows(_source_rows(walk.size, 0))
-        walk.connected = bool(np.isfinite(d).all())
-    return walk.connected
+    """Whether the graphon is connected, decided on the support graph: its
+    diameter is finite, so no union of blocks is cut off from the rest and
+    a lone block carries a self-loop.  It reads and walks what
+    ``diameter`` does."""
+    return math.isfinite(diameter(w, epsilon))
 
 
 def diameter(w, epsilon: float | None = None):
@@ -436,14 +422,12 @@ def diameter(w, epsilon: float | None = None):
     ``UNREACHABLE`` when some pair cannot be joined by any walk.
 
     The largest level of the whole-field BFS on the support-twin quotient,
-    so the first call costs what ``block_distance_matrix`` does.  The
-    graphon keeps the answer per threshold: a later call, or one after
-    ``distance_field`` (whose walk is the same), walks nothing; one after
-    ``is_connected`` walks, whatever that found.  A call that walks also
-    keeps the walk's k x k class levels, which later point, set and field
-    queries read instead of walking.
+    decided by the graphon's first whole walk at the threshold: the first
+    query's, which it keeps, or ``distance_field``'s.  Only a call before
+    either walks, at what ``block_distance_matrix`` costs, and keeps the
+    walk's k x k class levels for later queries.
     """
     walk = _walk(w, epsilon)
     if walk.diameter is None:
-        walk.kept = _readonly(walk.levels())
+        walk.keep()
     return walk.diameter

@@ -6,17 +6,15 @@ the adjacency operator with mass between them, ``min { m : <1_U, W^m 1_V> >
 whose support contains the pair.  Both are computed combinatorially on the
 block/cell support graph -- walk counting, never series summation.
 
-Each query walks only from its own sources, on the support-twin quotient
-of the support graph (cells with identical support rows merged into one of
-k classes, which is exact): a point query runs one BFS row per distinct
-class among the cells of ``x`` and a set query one merged row, at most
-k^2 / 64 word operations a row.  Once ``diameter`` has walked the whole
-field, the graphon keeps its k x k class levels, and point, set and field
-queries read them and walk nothing (see ``connectivity``, also for what
-else the graphon keeps).  A ``DistanceField`` holds what the whole-field
-walk leaves, O(k^2 + n) bytes: the k x k BFS levels between classes and
-the class of each of the n cells; its n x n float ``matrix`` is derived
-only when read.
+Every point and set query reads the k x k BFS levels between the
+support classes of one whole-field walk (the support-twin quotient merges
+cells with identical support rows into one of k classes, which is exact),
+which the graphon keeps from its first query at a threshold on: a cold
+one-shot query pays that walk, and every later one a lookup (see
+``connectivity`` for the rule, its cost and what else the graphon keeps).
+A ``DistanceField`` holds what the whole-field walk leaves, O(k^2 + n)
+bytes: the k x k BFS levels between classes and the class of each of the
+n cells; its n x n float ``matrix`` is derived only when read.
 
 The heat-trace route (slope of log <1_V, e^{tW} 1_U> against log t as t
 shrinks) recovers the same integers and is provided as an independent
@@ -35,8 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .connectivity import (UNREACHABLE, _cell_levels, _distances,
-                           _source_rows, _walk)
+from .connectivity import UNREACHABLE, _cell_levels, _distances, _walk
 from .core import (
     GridGraphon,
     IntervalSet,
@@ -63,7 +60,7 @@ class DistanceField:
     ``levels``, the read-only k x k small-integer BFS levels between the
     k support classes (0 where no walk joins two), and ``classes``, the
     class of each of the n blocks/cells.  The levels are the graphon's
-    kept ones when ``diameter`` has walked it, else the field's own.
+    kept ones when a query has walked it, else the field's own.
 
     ``matrix``, built on first read and kept, is the n x n float64 field:
     ``matrix[i, j]`` is the distance between distinct points of blocks i
@@ -130,37 +127,30 @@ def distance_field(w, epsilon: float | None = None) -> DistanceField:
     The distance layers are the level sets of the levels; their count
     equals the diameter.  For a disconnected graphon the field is still
     returned, with level-0 (unreachable) entries and ``connected=False``.
-    A graphon that keeps the levels of ``diameter``'s walk returns them
+    A graphon that keeps the class levels of a query's walk returns them
     without walking.  Otherwise every call walks again, and the graphon
-    keeps only the diameter and connectedness the walk decided: the field
-    owns its levels (see ``connectivity``).
+    keeps only the diameter the walk decided: the field owns its levels
+    (see ``connectivity`` for why).
     """
     walk = _walk(w, epsilon)
     kind = "grid" if isinstance(w, GridGraphon) else "step"
     levels = walk.levels() if walk.kept is None else walk.kept
     return DistanceField(kind, w.partition, levels, walk.classes,
-                         walk.connected)
+                         math.isfinite(walk.diameter))
 
 
 def varadhan_distance(w, x, y, epsilon: float | None = None):
     """Pointwise Varadhan distance (scalars or arrays).
 
     0 iff x == y; otherwise the walk distance of the blocks containing the
-    two points, with the within-block rule on the diagonal.  A graphon
-    that keeps the class levels of ``diameter``'s walk answers by lookup.
-    Otherwise one BFS row runs from each distinct support class among the
-    blocks of ``x`` (twin blocks share a row), on the packed support-twin
-    quotient the graphon keeps, so only the graphon's first query builds
-    its support graph; the rows are walked on every call and not kept.
+    two points, with the within-block rule on the diagonal: a lookup in
+    the class levels the graphon keeps, walked on its first query at the
+    threshold, once the points are located.
     """
     walk = _walk(w, epsilon)
     ix = walk.classes[w.partition.locate(x)]
     iy = walk.classes[w.partition.locate(y)]
-    if walk.kept is not None:
-        return _point_distances(x, y, _distances(walk.kept[ix, iy]))
-    sources, row = np.unique(ix, return_inverse=True)
-    walks = walk.rows(_source_rows(walk.size, sources))
-    return _point_distances(x, y, walks[row.reshape(np.shape(ix)), iy])
+    return _point_distances(x, y, _distances(walk.keep()[ix, iy]))
 
 
 def set_distance(w, u: IntervalSet, v: IntervalSet, epsilon: float | None = None):
@@ -168,12 +158,10 @@ def set_distance(w, u: IntervalSet, v: IntervalSet, epsilon: float | None = None
 
     0 when the sets overlap on positive measure; otherwise the minimum walk
     distance between any block touched by U and any block touched by V:
-    the least nonzero level over U's classes x V's classes when the
-    graphon keeps the class levels of ``diameter``'s walk, else read off
-    one BFS row on the graphon's kept support-twin quotient, whose sources
-    are the classes of all the blocks U touches.  ``UNREACHABLE`` when no
-    power connects them (disconnected graphon).  The threshold is checked
-    also when the sets overlap.
+    the least nonzero level over U's classes x V's classes in the class
+    levels the graphon keeps (walked on its first query at the threshold).
+    ``UNREACHABLE`` when no power connects them (disconnected graphon).
+    The threshold is checked also when the sets overlap.
     """
     if u.is_empty or v.is_empty:
         raise ValidationError("set distance requires nonempty interval sets")
@@ -184,12 +172,9 @@ def set_distance(w, u: IntervalSet, v: IntervalSet, epsilon: float | None = None
     vm = np.zeros(walk.size, dtype=bool)  # V's classes
     um[walk.classes[u.block_masses(w.partition) > 0.0]] = True
     vm[walk.classes[v.block_masses(w.partition) > 0.0]] = True
-    if walk.kept is not None:
-        block = walk.kept[um][:, vm]
-        reached = block[block > 0]
-        return int(reached.min()) if reached.size else UNREACHABLE
-    best = float(walk.rows(um[None, :])[0, vm].min())
-    return int(best) if math.isfinite(best) else UNREACHABLE
+    block = walk.keep()[um][:, vm]
+    reached = block[block > 0]
+    return int(reached.min()) if reached.size else UNREACHABLE
 
 
 def _heat_series(w, u: IntervalSet, v: IntervalSet, ts) -> _Series:

@@ -603,6 +603,24 @@ def test_cli_negative_seed_is_code_2(tmp_path, argv):
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("argv", [
+    ["sample", "--trials", "-3", "--allow-disconnected"],
+    ["sample", "--trials", "0", "--allow-disconnected"],
+    ["sample", "--n", "0", "--allow-disconnected"],
+    ["metrics", "--embed", "-1", "--sets", "0:0.5"],
+], ids=["trials-negative", "trials-zero", "n-zero", "embed-negative"])
+def test_cli_counts_below_their_floor_are_code_2(tmp_path, capsys, argv):
+    # rejected at parse time whatever the graphon, disconnected or not,
+    # and before the input is read: a missing file is not an i/o error
+    out = tmp_path / "out"
+    for spec in (write_spec(tmp_path, DISCONNECTED), c6_file(tmp_path),
+                 tmp_path / "absent.json"):
+        assert main(argv + ["--input", str(spec), "--out", str(out)]) == 2
+        assert f"argument {argv[1]}: {argv[2]!r} is not a" in \
+            capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_negative_tolerance_is_code_2(tmp_path):
     # a negative tolerance would fail every expectation check (exit 1)
     spec = c6_file(tmp_path)

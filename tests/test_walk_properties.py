@@ -27,7 +27,7 @@ from graphondist import (  # noqa: E402
 )
 from graphondist import connectivity  # noqa: E402
 from graphondist.connectivity import default_epsilon  # noqa: E402
-from test_walks import choose_steps, walk_oracle  # noqa: E402
+from test_walks import STEP_CHOICES, choose_steps, walk_oracle  # noqa: E402
 
 PROPERTIES = settings(derandomize=True, max_examples=60, deadline=None)
 
@@ -81,7 +81,7 @@ def test_field_is_the_least_power_with_support(w):
 
 @PROPERTIES
 @given(step_graphons(),
-       st.sampled_from(("priced", "packed", "table", "mixed")),
+       st.sampled_from(STEP_CHOICES),
        st.integers(0, 2**16), st.data())
 def test_queries_match_the_bfs_oracle(w, choice, seed, data):
     want = walk_oracle(w.blocks > 1e-12)
@@ -188,12 +188,17 @@ def power_levels(adj: np.ndarray, sources: np.ndarray) -> np.ndarray:
 @given(st.integers(1, 150), st.integers(1, 6), st.integers(0, 2**16), GRAPHS)
 def test_bfs_walks_directed_graphs(k, r, seed, graph):
     # _bfs takes a plain boolean product per level, so a directed graph
-    # walks along its edges' direction
+    # walks along its edges' direction, under every step choice (source
+    # rows reach _bfs from linalg._walk_series only)
     rng = np.random.default_rng(seed)
     adj = graph_of(graph, k, rng)
     sources = rng.random((r, k)) < rng.random() / 4
-    got = connectivity._bfs(connectivity._Bits.of(adj), sources)
-    assert np.array_equal(got, power_levels(adj, sources))
+    want = power_levels(adj, sources)
+    for choice in STEP_CHOICES:
+        with pytest.MonkeyPatch.context() as m:
+            choose_steps(m, choice, seed)
+            got = connectivity._bfs(connectivity._Bits.of(adj), sources)
+        assert np.array_equal(got, want), choice
 
 
 @PROPERTIES
@@ -236,8 +241,9 @@ QUERIES = ("field", "diameter", "connected", "points", "set")
 @PROPERTIES
 @given(step_graphons(), st.permutations(QUERIES), st.data())
 def test_answers_do_not_depend_on_the_order_of_queries(w, order, data):
-    # a graphon keeps its quotient and diameter after the first query, so
-    # every order of first and repeated queries meets the oracle
+    # a graphon keeps its quotient and diameter after the first query, and
+    # its class levels after the first query but a field, so every order
+    # of first and repeated queries meets the oracle
     want = walk_oracle(w.blocks > 1e-12)
     connected = bool(np.isfinite(want).all())
     n = w.size

@@ -1,6 +1,6 @@
-"""Definition-level checks of the query-sized walks: the BFS kernel, the
-support-twin quotient and the diameter read from its levels, against the
-queue BFS oracle, and what a graphon keeps of its walks."""
+"""Definition-level checks of the walks: the BFS kernel, the support-twin
+quotient and the diameter read from its levels, against the queue BFS
+oracle, and what a graphon keeps of its walks."""
 
 import gc
 import math
@@ -148,15 +148,29 @@ def test_twin_rich_grid_field_matches_its_step_source():
 
 
 def test_point_query_allocates_less_than_a_field():
+    # the cold first query walks the whole field and keeps its k x k
+    # class levels, but never builds an n x n float field
+    varadhan_distance(circular_band_graphon(1 / 7, 64), 0.1, 0.6)  # warm numpy
     w = circular_band_graphon(1 / 7, 2048)
-    varadhan_distance(w, 0.1, 0.6)  # warm numpy before tracing
     tracemalloc.start()
     try:
         assert varadhan_distance(w, 0.1, 0.6) == 4
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert connectivity._walk(w).kept is not None
     assert peak < 2048 * 2048 * 8  # one n x n float64 field: 32 MB
+
+
+def test_points_are_located_before_the_walk():
+    # a point outside [0, 1] is rejected before the whole walk runs, so
+    # the graphon keeps no levels
+    w = circular_band_graphon(1 / 7, 64)
+    for x, y in ((1.5, 0.5), (0.5, np.array([0.2, -0.1]))):
+        with pytest.raises(ValidationError):
+            varadhan_distance(w, x, y)
+        assert connectivity._walk(w).kept is None
+    assert varadhan_distance(w, 0.1, 0.6) == 4
 
 
 def distinct_support(rng, k: int, connected: bool) -> np.ndarray:
@@ -318,15 +332,18 @@ def test_diameter_takes_the_steps_of_the_field(monkeypatch):
 
 
 def test_rows_and_diameter_switch_steps_mid_walk(monkeypatch, rng):
-    # from the far end of the path a point query walks thin levels, then
-    # meets the clique: one source row holds at most k nonzeros, so it
-    # takes the packed step at every level, one product per level; the
-    # diameter's walk on a sparse graph starts thin and fattens
+    # from the far end of the path a BFS row (as a slope series walks
+    # from its start set) walks thin levels, then meets the clique: one
+    # source row holds at most k nonzeros, so it takes the packed step at
+    # every level, one product per level; the diameter's walk on a sparse
+    # graph starts thin and fattens
     glued = glued_support(300, 250, 50)
-    w = lift(glued.astype(float))
+    source = np.zeros((1, 600), dtype=bool)
+    source[0, 0] = True
     calls = counting_steps(monkeypatch)
-    got = varadhan_distance(w, 0.5 / 600, (np.arange(600) + 0.25) / 600)
-    assert np.array_equal(got, walk_oracle(glued, [0])[0])
+    got = connectivity._bfs(connectivity._Bits.of(glued), source)
+    assert np.array_equal(connectivity._distances(got),
+                          walk_oracle(glued, [0]))
     assert calls == {"packed": 351, "table": 0}
     sparse = expanding_support(rng, 700, 3.0)
     want = table_field(monkeypatch, sparse)
@@ -354,22 +371,24 @@ def test_a_graphon_walks_once_per_threshold(monkeypatch):
     fld = distance_field(w)
     assert diameter(w) == fld.layer_count == 4 and is_connected(w)
     assert calls == {"packed": 0, "table": 6}
-    # row queries walk rows of the kept quotient: one quotient per graphon
+    # the queries after the field walk once more, on the kept quotient:
+    # one quotient per graphon
     assert varadhan_distance(w, 0.1, 0.6) == 4
     assert set_distance(w, block_set([0], 512), block_set([256], 512)) == 4
+    assert calls == {"packed": 0, "table": 9}
     assert quotients == [512, 512]
-    # a disconnected support: the row walk from block 0 decides only
-    # connectedness, so diameter walks the whole field and keeps its
-    # levels, and later point and set queries walk nothing
+    # a disconnected support: is_connected walks the whole field and
+    # keeps its levels, so diameter and later point and set queries walk
+    # nothing
     two = np.zeros((12, 12), dtype=bool)
     two[:6, :6] = two[6:, 6:] = path_support(6)
     w = lift(two.astype(float))
     calls["packed"] = calls["table"] = 0
     assert not is_connected(w)
-    rows = dict(calls)
-    assert diameter(w) == UNREACHABLE
-    assert calls != rows and connectivity._walk(w).kept is not None
+    assert calls != {"packed": 0, "table": 0}
+    assert connectivity._walk(w).kept is not None
     walked = dict(calls)
+    assert diameter(w) == UNREACHABLE
     assert varadhan_distance(w, 0.5 / 12, 5.5 / 12) == 5
     assert set_distance(w, block_set([0], 12),
                         block_set([6], 12)) == UNREACHABLE
@@ -408,23 +427,20 @@ def test_kept_walks_go_with_their_graphon(monkeypatch):
     assert varadhan_distance(w, 0.1, 0.6, 1e-3) == 4
     (kept,) = memo.values()
     assert sorted(kept) == [GRID_EPSILON, 1e-3]
+    refs = [weakref.ref(w)]
     for walk in kept.values():
-        # the packed quotient, the class map and two scalars
+        # the packed quotient, the class map, the diameter and the class
+        # levels of the one whole walk at each threshold
         k = walk.size
         assert walk.words.shape == (k, -(-k // 64))
         assert walk.words.dtype == np.uint64
         assert walk.classes.shape == (200,)
         assert not walk.words.flags.writeable
-    assert kept[GRID_EPSILON].diameter == 4
-    assert kept[1e-3].diameter is None
-    # the class levels only on the threshold that diameter walked
-    levels = kept[GRID_EPSILON].kept
-    k = kept[GRID_EPSILON].size
-    assert levels.shape == (k, k) and levels.dtype == np.uint8
-    assert not levels.flags.writeable
-    assert kept[1e-3].kept is None
-    refs = weakref.ref(w), weakref.ref(levels)
-    del w, kept, walk, levels
+        assert walk.diameter == 4
+        assert walk.kept.shape == (k, k) and walk.kept.dtype == np.uint8
+        assert not walk.kept.flags.writeable
+        refs.append(weakref.ref(walk.kept))
+    del w, kept, walk
     gc.collect()
     assert all(ref() is None for ref in refs)
     assert len(memo) == 0
@@ -455,21 +471,23 @@ def test_queries_after_diameter_read_its_levels(monkeypatch):
 
 def test_a_field_keeps_no_levels(monkeypatch):
     # the field owns the levels of its walk: the graphon keeps only the
-    # diameter and connectedness, so a later diameter walks nothing and
-    # keeps nothing, and a point query walks its row
+    # diameter, so a later diameter walks nothing and keeps nothing; the
+    # first point query then walks once and keeps the levels, and a set
+    # query and a second field read them
     w = circular_band_graphon(1 / 7, 512)
     calls = counting_steps(monkeypatch)
     fld = distance_field(w)
     assert calls == {"packed": 0, "table": 3}
-    assert diameter(w) == fld.layer_count == 4
+    assert diameter(w) == fld.layer_count == 4 and is_connected(w)
     walk = connectivity._walk(w)
     assert walk.kept is None and walk.diameter == 4
     assert calls == {"packed": 0, "table": 3}
     assert varadhan_distance(w, 0.1, 0.6) == 4
-    assert calls == {"packed": 4, "table": 3}
+    assert calls == {"packed": 0, "table": 6}
+    assert np.array_equal(walk.kept, fld.levels)
     assert set_distance(w, block_set([0], 512), block_set([256], 512)) == 4
-    assert calls == {"packed": 8, "table": 3}
-    assert walk.kept is None
+    assert distance_field(w).levels is walk.kept
+    assert calls == {"packed": 0, "table": 6}
 
 
 @pytest.mark.parametrize("eps", [math.nan, -1.0])
@@ -539,9 +557,10 @@ def choose_steps(monkeypatch, choice: str, seed: int = 7) -> None:
 
 def check_against_oracle(rng, cells: np.ndarray) -> None:
     """Field, point, set, connectivity and diameter answers of the lifted
-    support against the walk oracle.  The point and set queries run on a
-    fresh graphon first, so they walk BFS rows, then again after
-    ``diameter``, so they read its kept levels."""
+    support against the walk oracle, each query kind first on a fresh
+    graphon (so it walks the whole field and keeps its levels) and then
+    after the others (so it reads them), and the queries after a field,
+    which keeps no levels."""
     want = walk_oracle(cells)
     n = cells.shape[0]
     assert np.array_equal(block_distance_matrix(SupportGraph(cells, 0.0)),
@@ -571,16 +590,20 @@ def check_against_oracle(rng, cells: np.ndarray) -> None:
             assert set_distance(w, u, v) == best
 
     diam = int(want.max()) if connected else UNREACHABLE
-    # is_connected's row from block 0, then the diameter it may decide
     w = lift(cells.astype(float))
-    assert is_connected(w) == connected
-    assert diameter(w) == diam
-    w = lift(cells.astype(float))
-    queries_match(w)  # no whole walk yet: BFS rows
-    assert diameter(w) == diam
-    assert is_connected(w) == connected
+    assert is_connected(w) == connected  # walks and keeps the levels
     assert connectivity._walk(w).kept is not None
-    queries_match(w)  # the levels of the diameter's walk
+    assert diameter(w) == diam
+    queries_match(w)
+    w = lift(cells.astype(float))
+    queries_match(w)  # the first point query walks and keeps
+    assert diameter(w) == diam
+    assert is_connected(w) == connected
+    w = lift(cells.astype(float))
+    assert distance_field(w).connected == connected  # keeps no levels
+    assert connectivity._walk(w).kept is None and diameter(w) == diam
+    queries_match(w)
+    assert connectivity._walk(w).kept is not None
 
 
 def block_set(blocks, n: int) -> IntervalSet:
