@@ -40,11 +40,12 @@ from .connectivity import (
 )
 from .core import GridGraphon, IntervalSet, MathDomainError, ValidationError
 from .io import load_graphon
-from .linalg import EXPONENTIAL, RESOLVENT
+from .linalg import EXPONENTIAL, RESOLVENT, STOP_REASONS, _walk_series
 from .metrics import _distance, _embedding, _spectrum, cut_norm
 from .sampler import RNG_ALGORITHM, _compare_samples, sample_graph
 from .varadhan import (
-    _all_pair_slopes,
+    _not_positive,
+    _slopes,
     _transform_operator,
     _validate_t_grid,
     default_t_grid,
@@ -354,26 +355,26 @@ def _slope_transform_mode(cfg: argparse.Namespace, w) -> tuple[int, list]:
     expected = block_distance_matrix(support).copy()
     np.fill_diagonal(expected, 0.0)
     family = EXPONENTIAL if cfg.transform == "exp" else RESOLVENT
-    fits = _all_pair_slopes(lmat, family, cfg.tgrid)
+    series = _walk_series(family, lmat, cfg.tgrid)
+    slopes, residuals, first_bad = _slopes(cfg.tgrid, series)
     pairs = []
-    for i in range(n):
-        for j in range(n):
-            want = float(expected[i, j])
-            entry = {"pair": [i, j],
-                     "expected": want if math.isfinite(want) else "unreachable",
-                     "series_terms": int(fits.terms[i, j]),
-                     "series_stop": str(fits.stop[i, j])}
-            if fits.reason[i, j]:
-                entry.update(slope=None, residual=None, estimated=None,
-                             match=False, reason=fits.reason[i, j])
-            else:
-                slope = float(fits.slope[i, j])
-                entry.update(slope=slope,
-                             residual=float(fits.residual[i, j]),
-                             estimated=int(round(slope)),
-                             match=bool(math.isfinite(want) and
-                                        abs(slope - want) <= cfg.tolerance))
-            pairs.append(entry)
+    for (i, j), want in np.ndenumerate(expected):
+        entry = {"pair": [i, j],
+                 "expected": float(want) if math.isfinite(want)
+                 else "unreachable",
+                 "series_terms": int(series.terms[i, j]),
+                 "series_stop": STOP_REASONS[series.stop[i, j]]}
+        if math.isnan(first_bad[i, j]):
+            slope = float(slopes[i, j])
+            entry.update(slope=slope, residual=float(residuals[i, j]),
+                         estimated=int(round(slope)),
+                         match=bool(math.isfinite(want) and
+                                    abs(slope - want) <= cfg.tolerance))
+        else:
+            entry.update(slope=None, residual=None, estimated=None,
+                         match=False, reason=_not_positive(
+                             f"|f(Lt)|[{i},{j}]", float(first_bad[i, j])))
+        pairs.append(entry)
     all_ok = all(entry["match"] for entry in pairs)
     meta = _metadata(cfg, {"transform": cfg.transform, "weights": cfg.weights,
                            "seed": cfg.seed, "tolerance": cfg.tolerance,

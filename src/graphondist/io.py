@@ -47,8 +47,9 @@ def _parsed(convert, value, what: str, **kwargs):
 
 def _resolution(value) -> int:
     res = _parsed(float, value, "'resolution'")
-    if not res.is_integer():
-        raise ValidationError(f"'resolution' must be an integer, got {value!r}")
+    if not res.is_integer() or res < 1:
+        raise ValidationError(
+            f"'resolution' must be a positive integer, got {value!r}")
     return int(res)
 
 
@@ -67,7 +68,7 @@ def circular_band_graphon(tau: float, resolution: int) -> GridGraphon:
     tau = _parsed(float, tau, "'tau'")
     if not (0.0 < tau <= 0.5):
         raise ValidationError("circular band needs 0 < tau <= 1/2")
-    n = int(resolution)
+    n = _resolution(resolution)
     # circular gap between cell centers i and j is min(d, n - d)/n with
     # d = (j - i) mod n; dividing the integer gap once avoids rounding fuzz
     # at the band edge.  The matrix is circulant, so it is read off one row
@@ -82,7 +83,7 @@ def circular_band_graphon(tau: float, resolution: int) -> GridGraphon:
 
 def one_minus_max_graphon(resolution: int) -> GridGraphon:
     """W(x,y) = 1 - max(x,y), sampled at cell centers."""
-    n = int(resolution)
+    n = _resolution(resolution)
     centers = (np.arange(n) + 0.5) / n
     return GridGraphon(n, 1.0 - np.maximum(centers[:, None], centers[None, :]))
 

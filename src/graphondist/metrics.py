@@ -147,17 +147,12 @@ def similarity_distance(w, x: float, y: float) -> float:
     return float(np.sum(np.abs(rows[0] - rows[1]) * mu))
 
 
-_ROW_CHUNK = 16
-
-
 def _row_distances(blocks: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """Measure-weighted L1 distances between all block rows, taken
-    ``_ROW_CHUNK`` rows at a time so no n x n x n temporary is formed."""
-    n = blocks.shape[0]
-    out = np.empty((n, n))
-    for lo in range(0, n, _ROW_CHUNK):
-        diff = np.abs(blocks[lo:lo + _ROW_CHUNK, None, :] - blocks[None, :, :])
-        out[lo:lo + _ROW_CHUNK] = np.sum(diff * mu[None, None, :], axis=2)
+    """Measure-weighted L1 distances between all block rows, one row at a
+    time so no temporary beyond one rows x columns array is formed."""
+    out = np.empty((blocks.shape[0], blocks.shape[0]))
+    for i, row in enumerate(blocks):
+        out[i] = np.sum(np.abs(row - blocks) * mu, axis=1)
     return out
 
 

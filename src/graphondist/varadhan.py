@@ -28,6 +28,7 @@ whole t-grid in the log domain, with each entry's leading term kept exact
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -293,23 +294,42 @@ def _not_positive(what: str, t: float) -> str:
 
 def _fit_lines(tg: np.ndarray, logs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares slopes and RMS residuals of the columns of ``logs``
-    (finite, one row per t) against log t, all columns at once."""
+    (finite, one row per t) against log t, all columns at once; a mean is
+    taken as sum / count, the value ``mean`` gives at less call cost."""
     lt = np.log(tg)
-    dt = lt - lt.mean()
-    dy = logs - logs.mean(axis=0)
+    dt = lt - lt.sum() / len(tg)
+    dy = logs - logs.sum(axis=0) / len(tg)
     slope = (dt @ dy) / (dt @ dt)
-    return slope, np.sqrt(((dy - dt[:, None] * slope) ** 2).mean(axis=0))
+    return slope, np.sqrt(((dy - dt[:, None] * slope) ** 2).sum(axis=0) / len(tg))
 
 
-def _fit_slope(tg: np.ndarray, series: _Series, what: str) -> SlopeEstimate:
-    """The slope of the single entry of ``series``."""
-    logs = series.log_abs[:, 0, 0]
-    bad = ~np.isfinite(logs)
-    if bad.any():
-        raise MathDomainError(_not_positive(what, float(tg[bad][0])))
-    slope, residual = _fit_lines(tg, logs[:, None])
-    return SlopeEstimate(tg, logs, float(slope[0]), float(residual[0]),
-                         int(series.terms[0, 0]),
+def _slopes(tg: np.ndarray, series: _Series):
+    """Slope and RMS residual of log |f| against log t, and the first t of
+    the grid where |f| is 0, for every entry of ``series`` (arrays of its
+    entry shape; slope and residual NaN where |f| is 0 at some t, the first
+    t NaN where at none), from one least-squares solve."""
+    shape = series.log_abs.shape[1:]
+    logs = series.log_abs.reshape(tg.shape[0], -1)
+    finite = np.isfinite(logs)
+    if finite.all():  # every defined public slope: no NaN or index arrays
+        slope, residual = _fit_lines(tg, logs)
+        first_bad = np.full(slope.shape, np.nan)
+    else:
+        defined = finite.all(axis=0)
+        slope, residual = np.full((2, defined.size), np.nan)
+        slope[defined], residual[defined] = _fit_lines(tg, logs[:, defined])
+        first_bad = np.where(defined, np.nan, tg[np.argmin(finite, axis=0)])
+    return (slope.reshape(shape), residual.reshape(shape),
+            first_bad.reshape(shape))
+
+
+def _slope_estimate(tg: np.ndarray, series: _Series, what: str) -> SlopeEstimate:
+    """The ``SlopeEstimate`` of entry (0, 0) of ``series``."""
+    slope, residual, first_bad = _slopes(tg, series)
+    if not math.isnan(first_bad[0, 0]):
+        raise MathDomainError(_not_positive(what, float(first_bad[0, 0])))
+    return SlopeEstimate(tg, series.log_abs[:, 0, 0], float(slope[0, 0]),
+                         float(residual[0, 0]), int(series.terms[0, 0]),
                          STOP_REASONS[series.stop[0, 0]])
 
 
@@ -323,7 +343,7 @@ def varadhan_slope(w, u: IntervalSet, v: IntervalSet,
     the smallest double) still has a logarithm to fit.
     """
     tg = default_t_grid() if t_grid is None else _validate_t_grid(t_grid)
-    return _fit_slope(tg, _heat_series(w, u, v, tg), "heat content")
+    return _slope_estimate(tg, _heat_series(w, u, v, tg), "heat content")
 
 
 def _transform_operator(adjacency, weights, diag) -> np.ndarray:
@@ -365,45 +385,13 @@ def general_varadhan_slope(adjacency, weights, diag, family: TaylorFamily,
     """
     lmat = _transform_operator(adjacency, weights, diag)
     n = lmat.shape[0]
+    try:
+        i, j = operator.index(i), operator.index(j)
+    except TypeError as exc:
+        raise ValidationError(f"indices ({i!r}, {j!r}) must be integers") from exc
     if not (0 <= i < n and 0 <= j < n):
         raise ValidationError(f"indices ({i}, {j}) out of range for n = {n}")
     tg = default_t_grid() if t_grid is None else _validate_t_grid(t_grid)
     unit = np.eye(n)
     series = _walk_series(family, lmat, tg, start=unit[[i]], end=unit[:, [j]])
-    return _fit_slope(tg, series, f"|f(Lt)|[{i},{j}]")
-
-
-@dataclass(frozen=True, eq=False)
-class _PairSlopes:
-    """Slopes of log |f(Lt)_{ij}| for every pair of one operator: n x n
-    ``slope`` and ``residual`` (NaN where undefined), series ``terms`` and
-    ``stop`` reasons, and ``reason`` ("" where the slope is defined)."""
-
-    slope: np.ndarray
-    residual: np.ndarray
-    terms: np.ndarray
-    stop: np.ndarray
-    reason: np.ndarray
-
-
-def _all_pair_slopes(lmat: np.ndarray, family: TaylorFamily,
-                     tg: np.ndarray) -> _PairSlopes:
-    """``general_varadhan_slope`` for all n^2 pairs of a checked operator
-    from one sequence of powers: |t| n^2 accumulators, one least-squares
-    solve for every pair with a defined slope."""
-    n = lmat.shape[0]
-    series = _walk_series(family, lmat, tg)
-    logs = series.log_abs.reshape(tg.shape[0], n * n)
-    finite = np.isfinite(logs)
-    defined = finite.all(axis=0)
-    slope = np.full(n * n, np.nan)
-    residual = np.full(n * n, np.nan)
-    if defined.any():
-        slope[defined], residual[defined] = _fit_lines(tg, logs[:, defined])
-    first_bad = tg[np.argmin(finite, axis=0)]
-    reason = np.array(["" if ok else _not_positive(
-        f"|f(Lt)|[{p // n},{p % n}]", float(t))
-        for p, (ok, t) in enumerate(zip(defined, first_bad))], dtype=object)
-    return _PairSlopes(slope.reshape(n, n), residual.reshape(n, n),
-                      series.terms, np.asarray(STOP_REASONS)[series.stop],
-                      reason.reshape(n, n))
+    return _slope_estimate(tg, series, f"|f(Lt)|[{i},{j}]")

@@ -6,10 +6,12 @@ import pytest
 from graphondist import (
     GridGraphon,
     ValidationError,
+    circular_band_graphon,
     dump_graphon,
     graphon_from_dict,
     graphon_to_dict,
     load_graphon,
+    one_minus_max_graphon,
 )
 from conftest import random_step_graphon
 
@@ -121,6 +123,11 @@ MALFORMED = {
     "fractional builtin resolution": {
         "kind": "builtin", "name": "one_minus_max",
         "params": {"resolution": 1.7}},
+    "negative builtin resolution": {
+        "kind": "builtin", "name": "circular_band",
+        "params": {"tau": 0.1, "resolution": -3}},
+    "zero grid resolution": {"kind": "grid", "resolution": 0,
+                             "values": [[0.5]]},
 }
 
 
@@ -140,6 +147,17 @@ def test_cli_exits_2_on_malformed_fields(tmp_path, capsys, case):
                  "--out", str(tmp_path / "out")]) == 2
     assert "input error" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: circular_band_graphon(0.1, -3),
+    lambda: circular_band_graphon(0.1, 2.5),
+    lambda: one_minus_max_graphon(0),
+    lambda: one_minus_max_graphon(2.5),
+], ids=["band-negative", "band-fractional", "max-zero", "max-fractional"])
+def test_grid_builtins_check_their_resolution(build):
+    with pytest.raises(ValidationError, match="positive integer"):
+        build()
 
 
 def test_integral_resolutions_still_load():

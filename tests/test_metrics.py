@@ -297,6 +297,20 @@ def test_merge_twins_memory_stays_quadratic(rng):
     assert peak < 64e6  # a 256^3 float64 temporary alone is 134 MB
 
 
+def test_merge_twins_of_distinct_rows_takes_one_row_at_a_time(rng):
+    import tracemalloc
+
+    w = random_step_graphon(rng, 512, homogeneous=True)  # 2.1 MB of blocks
+    tracemalloc.start()
+    try:
+        merged = merge_twins(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert merged.size == 512
+    assert peak < 16e6  # 16 x 512 x 512 float64 temporaries would be 34 MB each
+
+
 def _loop_merge(w, tol):
     """merge_twins as a definition: close-row components by queue BFS and
     each merged value summed group pair by group pair."""

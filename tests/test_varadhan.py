@@ -503,6 +503,13 @@ def test_general_slope_rejects_nonfinite_operators(where, bad):
         general_varadhan_slope(a, weights, diag, EXPONENTIAL, 0, 1)
 
 
+@pytest.mark.parametrize("i, j", [(1.0, 2), (0, "1"), (0, 4), (-1, 0)])
+def test_general_slope_rejects_bad_indices(i, j):
+    a = cycle_adjacency(4)
+    with pytest.raises(ValidationError, match="indices"):
+        general_varadhan_slope(a, a, np.zeros(4), EXPONENTIAL, i, j)
+
+
 def test_general_slope_rejects_guard_violation():
     a = cycle_adjacency(4)
     with pytest.raises(MathDomainError, match="convergence guard"):
