@@ -42,6 +42,17 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _checked_resolution(value) -> int:
+    """A resolution (uniform block count) as an int.  Whole numbers of at
+    least 1 pass, ``2.0`` and ``np.int64(2)`` included; anything else is a
+    ValidationError, so 2.5 is never truncated to 2 cells."""
+    res = float(value)
+    if not (res.is_integer() and res >= 1):
+        raise ValidationError(
+            f"'resolution' must be a positive integer, got {value!r}")
+    return int(res)
+
+
 #: rows and columns of the tiles in which a matrix meets its transpose
 _SYM_TILE = 256
 
@@ -128,8 +139,7 @@ class Partition:
 
     @classmethod
     def uniform(cls, n: int) -> "Partition":
-        if n < 1:
-            raise ValidationError("uniform partition needs n >= 1")
+        n = _checked_resolution(n)
         return cls(np.full(n, 1.0 / n))
 
     def locate(self, x):
@@ -257,7 +267,7 @@ class GridGraphon(StepGraphon):
     graphon on the uniform partition whose type marks it as approximate."""
 
     def __init__(self, resolution: int, values):
-        super().__init__(Partition.uniform(int(resolution)), values)
+        super().__init__(Partition.uniform(resolution), values)
 
     @property
     def resolution(self) -> int:
@@ -403,7 +413,7 @@ def permute_blocks(w: StepGraphon, sigma) -> StepGraphon:
 
 def to_grid(w: StepGraphon, resolution: int) -> GridGraphon:
     """Render a graphon onto a uniform grid by cell-center sampling."""
-    n = int(resolution)
+    n = _checked_resolution(resolution)
     centers = (np.arange(n) + 0.5) / n
     idx = w.partition.locate(centers)
     return GridGraphon(n, w.blocks[np.ix_(idx, idx)])

@@ -25,6 +25,7 @@ from .core import (
     StepGraphon,
     ValidationError,
     _check_symmetric,
+    _checked_resolution,
     lift,
 )
 
@@ -38,19 +39,18 @@ def bipartite_graphon() -> StepGraphon:
 
 
 def _parsed(convert, value, what: str, **kwargs):
-    """``convert(value, **kwargs)``, what it rejects as a ValidationError."""
+    """``convert(value, **kwargs)``, what it rejects as a ValidationError
+    (a ValidationError of ``convert``'s own passes unchanged)."""
     try:
         return convert(value, **kwargs)
+    except ValidationError:
+        raise
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"malformed {what} {value!r}: {exc}") from exc
 
 
 def _resolution(value) -> int:
-    res = _parsed(float, value, "'resolution'")
-    if not res.is_integer() or res < 1:
-        raise ValidationError(
-            f"'resolution' must be a positive integer, got {value!r}")
-    return int(res)
+    return _parsed(_checked_resolution, value, "'resolution'")
 
 
 def er_graphon(p: float) -> StepGraphon:

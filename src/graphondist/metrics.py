@@ -10,6 +10,18 @@ an orthogonal remainder, which the operator annihilates so the exponential
 fixes it.  The distance and the embedding read one eigendecomposition of B,
 and the remainder's norm is carried as the "kernel" component of
 embeddings, so the embedding distance identity holds by construction.
+
+The cut norm enumerates the row subsets S of C_ij = mu_i A_ij mu_j from
+subset-sum tables built by doubling (one addition per sum): a low table
+over the first h rows, h as large as keeps it within ``_CUT_ENTRIES`` =
+2^16 entries, and a high table over the rest.  Each high subset costs one
+add, one max and one sum over the low table, which give pos(S), the sum of
+the positive column sums of S; neg(S) is pos(S) minus the total of S.  That
+is about 2^n n additions in three passes, with no mask matrix.  On a 2-vCPU
+host, one BLAS thread, best of 5 (3 from 22 blocks): 16 blocks 39 -> 2.8
+ms, 18 blocks 146 -> 9.4 ms, 22 blocks 2.32 -> 0.15 s, 24 blocks 8.5 ->
+0.63 s against the 0/1 mask product it replaces.  The cut distance reads
+stacks of permuted differences through the same kernel.
 """
 
 from __future__ import annotations
@@ -33,6 +45,10 @@ from .linalg import SpectralData, sym_eig
 
 _CUT_NORM_MAX_BLOCKS = 24
 _CUT_DISTANCE_MAX_BLOCKS = 8
+#: entries of the subset-sum table that each pass of the cut norm sweeps
+#: (512 KB of doubles); 2^14 ran 1.3x slower at 22 blocks, paying 4x the
+#: passes, and 2^17 or 2^19 gained nothing (2-vCPU host, one BLAS thread)
+_CUT_ENTRIES = 1 << 16
 
 
 def _symmetrized_operator(w: StepGraphon) -> np.ndarray:
@@ -189,27 +205,52 @@ def merge_twins(w: StepGraphon, tol: float = 1e-9) -> StepGraphon:
     return current
 
 
-def _masked_cut_norm(weighted: np.ndarray) -> float:
-    """Exact sup_{S,T} |sum_{i in S, j in T} C_ij| over block subsets.
+def _subset_sums(rows: np.ndarray) -> np.ndarray:
+    """Every subset sum of the m rows of a (..., m, n) stack, as a
+    (..., n, 2^m) table whose column s sums the rows whose bit is set in s.
+
+    The table is filled by doubling, as ``connectivity._table_step`` fills
+    its OR table: columns s..2s - 1 are columns 0..s - 1 plus row i, so
+    each sum costs one addition.  It is kept column-wise so that the sums
+    the cut norm takes over each column run along contiguous memory.
+    """
+    m = rows.shape[-2]
+    table = np.zeros(rows.shape[:-2] + rows.shape[-1:] + (1 << m,))
+    s = 1
+    for i in range(m):
+        np.add(table[..., :s], rows[..., i, :, None], out=table[..., s:2 * s])
+        s *= 2
+    return table
+
+
+def _cut_norms(c: np.ndarray) -> np.ndarray:
+    """Exact sup_{S,T} |sum_{i in S, j in T} C_ij| over block subsets, for
+    each matrix C of a (..., n, n) stack.
 
     The objective is bilinear in the per-block masses, so the optimum sits
-    at a vertex (each block fully in or out).  One side is enumerated; the
-    other side is then separable and picked per sign.
+    at a vertex (each block fully in or out).  The row side S is
+    enumerated; with g = sum_{i in S} C_i the column side is separable, and
+    the best T gives pos(S) = sum_j max(g_j, 0) or neg(S) = pos(S) - sum_j
+    g_j.  S is a low subset (of the first h rows, h as large as keeps the
+    stack's low table within ``_CUT_ENTRIES``) plus a high one (of the
+    other rows); no temporary exceeds the budget but the high table.
     """
-    n = weighted.shape[0]
-    best = 0.0
-    chunk = 1 << 14
-    total = 1 << n
-    shifts = np.arange(n, dtype=np.uint64)
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.uint64)
-        masks = ((idx[:, None] >> shifts[None, :]) & 1).astype(float)
-        g = masks @ weighted
-        pos = np.sum(np.where(g > 0.0, g, 0.0), axis=1)
-        neg = np.sum(np.where(g < 0.0, -g, 0.0), axis=1)
-        best = max(best, float(pos.max(initial=0.0)),
-                   float(neg.max(initial=0.0)))
-    return best
+    n = c.shape[-1]
+    flat = c.reshape(-1, n, n)
+    h = min(n, max(0, (_CUT_ENTRIES // (flat.shape[0] * n)).bit_length() - 1))
+    low = _subset_sums(flat[:, :h])
+    high = _subset_sums(flat[:, h:])
+    low_total = low.sum(axis=1)
+    high_total = high.sum(axis=1)
+    g = np.empty_like(low)
+    best = np.zeros(flat.shape[0])
+    for s in range(high.shape[-1]):
+        np.add(low, high[..., s, None], out=g)
+        np.maximum(g, 0.0, out=g)
+        pos = g.sum(axis=1)
+        neg = pos - (low_total + high_total[:, s, None])
+        np.maximum(best, np.maximum(pos, neg).max(axis=1), out=best)
+    return best.reshape(c.shape[:-2])
 
 
 def cut_norm(w: StepGraphon) -> float:
@@ -222,7 +263,7 @@ def cut_norm(w: StepGraphon) -> float:
             "graphon to fewer blocks first"
         )
     mu = w.partition.measures
-    return _masked_cut_norm(mu[:, None] * w.blocks * mu[None, :])
+    return float(_cut_norms(mu[:, None] * w.blocks * mu[None, :]))
 
 
 def cut_distance_homogeneous(w1: StepGraphon, w2: StepGraphon) -> float:
@@ -247,10 +288,14 @@ def cut_distance_homogeneous(w1: StepGraphon, w2: StepGraphon) -> float:
         )
     mu = w1.partition.measures
     outer = mu[:, None] * mu[None, :]
-    best = math.inf
     a1, a2 = w1.blocks, w2.blocks
-    for perm in itertools.permutations(range(n)):
-        p = np.asarray(perm)
-        diff = a1 - a2[np.ix_(p, p)]
-        best = min(best, _masked_cut_norm(outer * diff))
+    # as many permuted differences per stack as keep its whole subset-sum
+    # table within the entry budget
+    batch = max(1, _CUT_ENTRIES // (n << n))
+    perms = itertools.permutations(range(n))
+    best = math.inf
+    for chunk in iter(lambda: list(itertools.islice(perms, batch)), []):
+        p = np.array(chunk)
+        diffs = a1 - a2[p[:, :, None], p[:, None, :]]
+        best = min(best, float(_cut_norms(outer * diffs).min()))
     return best

@@ -33,10 +33,12 @@ from graphondist import (
     varadhan_distance,
     varadhan_slope,
 )
+from graphondist.metrics import _cut_norms
 from conftest import (
     cycle_adjacency,
     finitely_connected,
     laplacian_zero_simple,
+    random_partition,
     random_step_graphon,
 )
 from test_metrics import brute_force_cut_norm, random_interval_set
@@ -317,6 +319,15 @@ def test_criterion_11_cut_norm_matches_brute_force():
         got = cut_norm(w)
         want = brute_force_cut_norm(w.blocks, w.partition.measures)
         worst = max(worst, abs(got - want))
+    # a nonnegative kernel peaks on the full square; signed kernels (the
+    # differences a cut distance measures) need both sign sums right
+    for _ in range(50):
+        n = int(rng.integers(1, 11))
+        mu = random_partition(rng, n).measures
+        raw = rng.uniform(-1.0, 1.0, (n, n)) * (rng.random((n, n)) < 0.8)
+        blocks = (raw + raw.T) / 2.0
+        got = float(_cut_norms(mu[:, None] * blocks * mu[None, :]))
+        worst = max(worst, abs(got - brute_force_cut_norm(blocks, mu)))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-12 and elapsed < 30.0
     report(11, "enumerated cut norm equals the exhaustive maximum", ok,

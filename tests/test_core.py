@@ -352,6 +352,27 @@ def test_comp_power_grid_agrees_with_step_on_aligned_grid(rng):
         assert np.max(np.abs(gs.values - rendered.values)) <= 1e-10
 
 
+@pytest.mark.parametrize("build", [
+    lambda: to_grid(lift(cycle_adjacency(6)), 2.5),
+    lambda: GridGraphon(2.5, np.ones((2, 2))),
+    lambda: Partition.uniform(2.5),
+    lambda: to_grid(lift(cycle_adjacency(6)), 0),
+], ids=["to-grid-fractional", "grid-fractional", "uniform-fractional",
+        "to-grid-zero"])
+def test_fractional_resolutions_are_rejected(build):
+    # they were truncated to 2 cells before
+    with pytest.raises(ValidationError, match="positive integer"):
+        build()
+
+
+def test_integral_resolutions_of_any_type_render():
+    w = lift(cycle_adjacency(6))
+    for res in (2, 2.0, np.int64(2), np.float64(2.0)):
+        assert to_grid(w, res).resolution == 2
+        assert GridGraphon(res, np.ones((2, 2))).resolution == 2
+        assert Partition.uniform(res).size == 2
+
+
 def test_comp_power_permutation_equivariance(rng):
     # zero patterns commute with permutation exactly; values agree to the
     # last bits modulo summation-order rounding in the matrix products

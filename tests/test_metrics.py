@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import sys
@@ -25,6 +26,7 @@ from graphondist import (
     similarity_distance,
     step,
 )
+from graphondist import metrics
 from graphondist.cli import main
 from conftest import bfs_oracle, cycle_adjacency, random_step_graphon
 
@@ -399,6 +401,30 @@ def brute_force_cut_norm(blocks, mu):
     return float(np.max(np.abs(objective)))
 
 
+def masked_cut_norm(weighted):
+    """Exact sup_{S,T} |sum_{i in S, j in T} C_ij| over block subsets.
+
+    The objective is bilinear in the per-block masses, so the optimum sits
+    at a vertex (each block fully in or out).  One side is enumerated as
+    0/1 masks times C; the other side is then separable and picked per
+    sign, both sign sums taken in full.
+    """
+    n = weighted.shape[0]
+    best = 0.0
+    chunk = 1 << 14
+    total = 1 << n
+    shifts = np.arange(n, dtype=np.uint64)
+    for start in range(0, total, chunk):
+        idx = np.arange(start, min(start + chunk, total), dtype=np.uint64)
+        masks = ((idx[:, None] >> shifts[None, :]) & 1).astype(float)
+        g = masks @ weighted
+        pos = np.sum(np.where(g > 0.0, g, 0.0), axis=1)
+        neg = np.sum(np.where(g < 0.0, -g, 0.0), axis=1)
+        best = max(best, float(pos.max(initial=0.0)),
+                   float(neg.max(initial=0.0)))
+    return best
+
+
 def test_cut_norm_er_is_density():
     assert cut_norm(er_graphon(0.37)) == pytest.approx(0.37, abs=1e-15)
 
@@ -427,9 +453,27 @@ def test_cut_norm_bounded_and_permutation_invariant(rng):
         value = cut_norm(w)
         assert 0.0 <= value <= 1.0 + 1e-15
         sigma = rng.permutation(n)
-        # identical up to summation-order rounding in the mask products
+        # identical up to summation-order rounding in the subset sums
         assert cut_norm(permute_blocks(w, sigma)) == \
             pytest.approx(value, rel=1e-14, abs=1e-15)
+
+
+def test_cut_norm_at_the_block_limit_is_exact_in_small_tables(rng):
+    import tracemalloc
+
+    w = random_step_graphon(rng, 24, density=1.0)
+    mu = w.partition.measures
+    tracemalloc.start()
+    try:
+        value = cut_norm(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a nonnegative kernel attains its cut norm on the full square
+    assert value == pytest.approx(float(mu @ w.blocks @ mu), rel=1e-13)
+    # the high table (2^13 x 24 doubles) is 1.6 MB, and every other
+    # temporary stays within the 2^16-entry budget (0.5 MB)
+    assert peak < 4e6
 
 
 def test_cut_distance_isomorphic_graphons_is_zero(rng):
@@ -448,6 +492,22 @@ def test_cut_distance_bipartite_vs_zero():
     zero = step(Partition(np.array([0.5, 0.5])), np.zeros((2, 2)))
     assert cut_distance_homogeneous(bipartite_graphon(), zero) == \
         pytest.approx(0.5, abs=1e-15)
+
+
+def test_cut_distance_is_the_least_oracle_cut_norm_over_permutations(rng):
+    # n = 6 stacks 720 permuted differences in batches that are not a
+    # divisor of 720, so the last batch is a short one
+    assert 720 % (metrics._CUT_ENTRIES // (6 << 6)) != 0
+    for n in (1, 2, 3, 4, 5, 6, 6):
+        w1 = random_step_graphon(rng, n, homogeneous=True)
+        w2 = random_step_graphon(rng, n, homogeneous=True)
+        mu = w1.partition.measures
+        outer = mu[:, None] * mu[None, :]
+        want = min(
+            masked_cut_norm(outer * (w1.blocks - w2.blocks[np.ix_(p, p)]))
+            for p in map(list, itertools.permutations(range(n))))
+        got = cut_distance_homogeneous(w1, w2)
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 def test_cut_distance_rejects_mismatched_partitions():
