@@ -42,14 +42,16 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _checked_resolution(value) -> int:
-    """A resolution (uniform block count) as an int.  Whole numbers of at
-    least 1 pass, ``2.0`` and ``np.int64(2)`` included; anything else is a
-    ValidationError, so 2.5 is never truncated to 2 cells."""
+def _checked_count(value, name: str = "resolution", floor: int = 1) -> int:
+    """A count (a resolution, a power, a truncation) as an int.  Whole
+    numbers of at least ``floor`` (0 or 1) pass, ``2.0`` and ``np.int64(2)``
+    included; anything else is a ValidationError, so 2.5 is never
+    truncated to 2."""
     res = float(value)
-    if not (res.is_integer() and res >= 1):
+    if not (res.is_integer() and res >= floor):
+        kind = "a positive" if floor else "a nonnegative"
         raise ValidationError(
-            f"'resolution' must be a positive integer, got {value!r}")
+            f"'{name}' must be {kind} integer, got {value!r}")
     return int(res)
 
 
@@ -139,7 +141,7 @@ class Partition:
 
     @classmethod
     def uniform(cls, n: int) -> "Partition":
-        n = _checked_resolution(n)
+        n = _checked_count(n)
         return cls(np.full(n, 1.0 / n))
 
     def locate(self, x):
@@ -352,12 +354,10 @@ def comp_power(w: StepGraphon, m: int) -> StepGraphon:
     With block matrix A and measures mu the result has blocks
     ``M^(m-1) @ A`` where ``M = A @ diag(mu)`` (for a grid, the
     midpoint-rule analogue ``(V/n)^(m-1) @ V``).  The result has the
-    carrier type of ``w``, so a grid stays a grid.
+    carrier type of ``w``, so a grid stays a grid.  ``m`` is a whole
+    number of at least 1: the identity operator has no integral kernel.
     """
-    m = int(m)
-    if m < 1:
-        raise ValidationError("composition power requires m >= 1 "
-                              "(the identity operator has no integral kernel)")
+    m = _checked_count(m, "m")
     a = w.blocks
     mm = a * w.partition.measures[None, :]
     out = a
@@ -413,7 +413,7 @@ def permute_blocks(w: StepGraphon, sigma) -> StepGraphon:
 
 def to_grid(w: StepGraphon, resolution: int) -> GridGraphon:
     """Render a graphon onto a uniform grid by cell-center sampling."""
-    n = _checked_resolution(resolution)
+    n = _checked_count(resolution)
     centers = (np.arange(n) + 0.5) / n
     idx = w.partition.locate(centers)
     return GridGraphon(n, w.blocks[np.ix_(idx, idx)])

@@ -25,7 +25,7 @@ from .core import (
     StepGraphon,
     ValidationError,
     _check_symmetric,
-    _checked_resolution,
+    _checked_count,
     lift,
 )
 
@@ -50,7 +50,7 @@ def _parsed(convert, value, what: str, **kwargs):
 
 
 def _resolution(value) -> int:
-    return _parsed(_checked_resolution, value, "'resolution'")
+    return _parsed(_checked_count, value, "'resolution'")
 
 
 def er_graphon(p: float) -> StepGraphon:

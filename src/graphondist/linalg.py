@@ -165,15 +165,40 @@ def _log_coefficients(family: TaylorFamily, lo: int,
     return logs[lo:hi], signs[lo:hi]
 
 
+def _magnitudes(L: np.ndarray,
+                col_scale: np.ndarray | None) -> tuple[float, float, float]:
+    """max |L_ij| c_j, the largest row sum of |L| diag(c) and its smallest
+    nonzero entry (inf for a zero L), c = 1 when ``col_scale`` is None.
+    |L| is formed only for a signed L, and L diag(c) never; with a column
+    scale the smallest entry is a masked column reduction, so a scaled
+    nonnegative L leaves no n x n float temporary."""
+    if not L.size:
+        return 0.0, 0.0, math.inf
+    a = L if float(L.min()) >= 0.0 else np.abs(L)
+    if col_scale is None:
+        top = float(a.max())
+        return (top, float(a.sum(axis=1).max()),
+                float(a[a > 0.0].min()) if top > 0.0 else math.inf)
+    return (float((a.max(axis=0) * col_scale).max()),
+            float((a @ col_scale).max()),
+            float((np.min(a, axis=0, where=a > 0.0, initial=np.inf)
+                   * col_scale).min()))
+
+
 def _walk_series(family: TaylorFamily, L: np.ndarray, ts: np.ndarray,
                  start: np.ndarray | None = None,
                  end: np.ndarray | None = None,
-                 zeroth=None) -> _Series:
+                 zeroth=None,
+                 col_scale: np.ndarray | None = None) -> _Series:
     """Sum ``a_k t^k S L^k C`` for every positive t of ``ts`` at once.
 
     S (start rows, default I) and C (end columns, default I) select the
-    wanted entries; ``zeroth`` replaces the k = 0 term S C.  One sequence of
-    rows S L^k is computed, up to ``_BLOCK`` powers at a time; between
+    wanted entries; ``zeroth`` replaces the k = 0 term S C.  A positive
+    ``col_scale`` c makes the operator L diag(c), formed only while it has
+    at most ``_BLOCK_ENTRIES`` entries; past that each row step is
+    (x @ L) * c.  A nonnegative L is read in place (``_magnitudes``), so a
+    large heat series holds no n x n float beyond its blocks.  One sequence
+    of rows S L^k is computed, up to ``_BLOCK`` powers at a time; between
     blocks each row is rescaled by a power of two (exact) and its log scale
     tracked, so no row as a whole under- or overflows (an entry below about
     2^-1074 of its row's largest entry is still lost).  Each entry's first
@@ -200,14 +225,16 @@ def _walk_series(family: TaylorFamily, L: np.ndarray, ts: np.ndarray,
     n = L.shape[0]
     ts = np.asarray(ts, dtype=float).reshape(-1)
     t_top = float(ts.max())
-    abs_l = np.abs(L)
-    guard = t_top * (float(abs_l.max()) if L.size else 0.0) * n
+    if col_scale is not None and L.size <= _BLOCK_ENTRIES:
+        # a small L diag(c) is formed once: cheaper than scaling each power
+        L, col_scale = L * col_scale, None
+    top, norm, tiny = _magnitudes(L, col_scale)
+    guard = t_top * top * n
     if guard >= family.radius:
         raise MathDomainError(
             f"t outside the convergence guard for '{family.name}': "
             f"|t|*max|L|*n = {guard:.6g} >= radius {family.radius:g}"
         )
-    norm = float(abs_l.sum(axis=1).max()) if L.size else 0.0
     start = np.eye(n) if start is None else start
     rows = start.shape[0]
     cols = n if end is None else end.shape[1]
@@ -216,7 +243,6 @@ def _walk_series(family: TaylorFamily, L: np.ndarray, ts: np.ndarray,
     # at most ||L||_inf-fold a step and, for nonnegative L, shrinks at most
     # to the smallest nonzero |L_ij| times itself, so keep a block's drift
     # within 2^+-960
-    tiny = float(abs_l[abs_l > 0.0].min()) if norm > 0.0 else 1.0
     drift = max(1.0, math.log2(max(norm, 1.0)), -math.log2(min(tiny, 1.0)))
     block = max(1, min(_BLOCK,
                        _BLOCK_ENTRIES // max(1, rows * max(n, cols * ts.size)),
@@ -252,6 +278,8 @@ def _walk_series(family: TaylorFamily, L: np.ndarray, ts: np.ndarray,
             powers = buffer[:k1 - k0]            # S L^k / 2^scale, k0 <= k < k1
             for b in range(1, k1 - k0):
                 np.dot(powers[b - 1], L, out=powers[b])
+                if col_scale is not None:
+                    powers[b] *= col_scale
             v = powers if end is None else powers @ end
             if k0 == 0 and zeroth is not None:
                 v = v.copy()
@@ -286,8 +314,10 @@ def _walk_series(family: TaylorFamily, L: np.ndarray, ts: np.ndarray,
             mass = np.log(np.abs(powers).sum(axis=2)) + scale * _LOG2
             if pending:
                 if level is None:
-                    level = _bfs(_Bits.of((L != 0.0) | np.eye(n, dtype=bool)),
-                                 start != 0.0)
+                    reach = L != 0.0                # (L != 0) | I
+                    reach.flat[::n + 1] = True
+                    level = _bfs(_Bits.of(reach), start != 0.0)
+                    del reach
                 # the columns reached in <= k1 - 1 steps are levels
                 # 1..k1 - 1; they grew at the last step where level k1 - 1
                 # is new (at step 1: where level 1 is off the start row)
@@ -320,6 +350,8 @@ def _walk_series(family: TaylorFamily, L: np.ndarray, ts: np.ndarray,
             if (done_at >= 0).all():
                 break
             y = powers[-1].dot(L)
+            if col_scale is not None:
+                y *= col_scale
             _, e = np.frexp(np.abs(y).max(axis=1))
             np.ldexp(y, -e[:, None], out=buffer[0])
             scale += e

@@ -39,6 +39,7 @@ from .core import (
     Partition,
     StepGraphon,
     ValidationError,
+    _checked_count,
     _readonly,
 )
 from .linalg import SpectralData, sym_eig
@@ -119,8 +120,8 @@ class Embedding:
 def _embedding(w: StepGraphon, spec: SpectralData, x: IntervalSet,
                truncation: int) -> Embedding:
     """The embedding of ``x`` on the eigenpairs ``spec`` of B."""
-    k = int(truncation)
-    if not (0 <= k <= w.size):
+    k = _checked_count(truncation, "truncation", 0)
+    if k > w.size:
         raise ValidationError(
             f"truncation must lie in [0, {w.size}], got {truncation}"
         )

@@ -329,6 +329,20 @@ def test_comp_power_rejects_zeroth_power():
         comp_power(bipartite_graphon(), 0)
 
 
+@pytest.mark.parametrize("m", [2.5, 1.5, float("nan"), float("inf")])
+def test_comp_power_rejects_a_fractional_power(m):
+    # 2.5 was truncated to the square before
+    with pytest.raises(ValidationError, match="'m' must be a positive integer"):
+        comp_power(lift(cycle_adjacency(6)), m)
+
+
+def test_comp_power_takes_whole_powers_of_any_type():
+    w = lift(cycle_adjacency(6))
+    square = comp_power(w, 2).blocks
+    for m in (2.0, np.int64(2), np.float64(2.0)):
+        assert np.array_equal(comp_power(w, m).blocks, square)
+
+
 def test_comp_power_semigroup(rng):
     w = random_step_graphon(rng, 5)
     mu = w.partition.measures

@@ -138,6 +138,25 @@ def test_embedding_rejects_out_of_range_truncation():
         communicability_embedding(bipartite_graphon(), I(0.0, 0.5), 3)
 
 
+@pytest.mark.parametrize("k", [1.5, 0.5, -1, float("nan")])
+def test_embedding_rejects_a_fractional_or_negative_truncation(k):
+    # 1.5 was truncated to 1 before
+    with pytest.raises(ValidationError,
+                       match="'truncation' must be a nonnegative integer"):
+        communicability_embedding(bipartite_graphon(), I(0.0, 0.5), k)
+
+
+def test_embedding_takes_whole_truncations_of_any_type():
+    w = bipartite_graphon()
+    one = communicability_embedding(w, I(0.0, 0.5), 1)
+    for k in (1.0, np.int64(1), np.float64(1.0)):
+        est = communicability_embedding(w, I(0.0, 0.5), k)
+        assert est.truncation == 1 and isinstance(est.truncation, int)
+        assert np.array_equal(est.coordinates, one.coordinates)
+    assert communicability_embedding(w, I(0.0, 0.5), 0.0).coordinates.shape \
+        == (0,)
+
+
 def test_embedding_truncation_keeps_leading_coordinates():
     w = bipartite_graphon()
     full = communicability_embedding(w, I(0.0, 0.5), 2)

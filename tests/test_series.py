@@ -94,6 +94,58 @@ def test_band_heat_slope_at_set_distance_63():
     assert heat_content(w, u, v, 1e-3) == 0.0
 
 
+def test_band_heat_slope_holds_no_cell_by_cell_float():
+    # the series reads the 512 x 512 blocks in place, with the measures as
+    # its column scale; forming blocks * mu peaked at 4.9 MB
+    import tracemalloc
+
+    w = circular_band_graphon(1 / 128, 512)
+    u, v = I(0.5 / 512, 3.5 / 512), I(255.5 / 512, 258.5 / 512)
+    varadhan_slope(w, u, v)
+    tracemalloc.start()
+    try:
+        est = varadhan_slope(w, u, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.estimated_distance == 63
+    assert peak < 1.5e6, peak
+
+
+@pytest.mark.parametrize("budget", [None, 0], ids=["formed", "scaled"])
+def test_heat_series_with_a_column_scale_matches_the_formed_operator(
+        rng, monkeypatch, budget):
+    # a budget of 0 entries scales every power instead of forming
+    # A diag(mu) (and sums one power a block on both sides)
+    from graphondist import linalg
+    from graphondist.linalg import _walk_series
+    from graphondist.varadhan import _heat_series
+
+    if budget is not None:
+        monkeypatch.setattr(linalg, "_BLOCK_ENTRIES", budget)
+    ts = np.array([1e-3, 1e-4, 1e-5, 0.3])
+    for _ in range(40):
+        w = random_step_graphon(rng, int(rng.integers(1, 12)), density=0.4)
+        a, b = sorted(rng.uniform(0, 1, 2))
+        c, d = sorted(rng.uniform(0, 1, 2))
+        if b - a < 1e-3 or d - c < 1e-3:
+            continue
+        u, v = I(a, b), I(c, d)
+        mu = w.partition.measures
+        got = _heat_series(w, u, v, ts)
+        want = _walk_series(EXPONENTIAL, w.blocks * mu, ts,
+                            start=u.block_masses(w.partition)[None, :],
+                            end=(v.block_masses(w.partition) / mu)[:, None],
+                            zeroth=u.intersection_measure(v))
+        assert np.array_equal(got.terms, want.terms)
+        assert np.array_equal(got.stop, want.stop)
+        assert np.array_equal(np.isneginf(got.log_abs),
+                              np.isneginf(want.log_abs))
+        finite = np.isfinite(want.log_abs)
+        assert np.allclose(got.log_abs[finite], want.log_abs[finite],
+                           rtol=1e-12, atol=1e-12)
+
+
 def test_slope_estimate_reports_its_series():
     c6 = lift(cycle_adjacency(6))
     est = varadhan_slope(c6, I(0.0, 1 / 6), I(3 / 6, 4 / 6))

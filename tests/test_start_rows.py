@@ -1,0 +1,223 @@
+"""The kept start rows of ``general_varadhan_slope`` against the pair summed
+alone.
+
+A single-pair transform slope reads its pair off the series of its whole
+start row, kept for the last operator.  The oracle here sums the pair by
+itself (start row e_i, end column e_j) and reads it with ``_slope_estimate``;
+every pair, in every query order, must give the oracle's outcome: the same
+slope, residual and log values within 1e-12, the same term count and stop
+reason, or the same exception text.
+"""
+
+import numpy as np
+import pytest
+
+from graphondist import (
+    EXPONENTIAL,
+    RESOLVENT,
+    MathDomainError,
+    ValidationError,
+    general_varadhan_slope,
+)
+from graphondist import varadhan
+from graphondist.linalg import _walk_series
+from graphondist.varadhan import (
+    _slope_estimate,
+    _transform_operator,
+    _validate_t_grid,
+    default_t_grid,
+)
+from conftest import cycle_adjacency
+
+FAMILIES = {"exp": EXPONENTIAL, "resolvent": RESOLVENT}
+# the resolvent guard |t| max|L| n < 1 holds at n = 30 with max|L| <= 1.5
+CUSTOM_GRID = np.array([2e-2, 1e-2, 5e-3, 2e-3])
+
+
+def pair_alone(adjacency, weights, diag, family, i, j, t_grid=None):
+    """The single-pair slope as the series of (i, j) alone."""
+    lmat = _transform_operator(adjacency, weights, diag)
+    tg = default_t_grid() if t_grid is None else _validate_t_grid(t_grid)
+    unit = np.eye(lmat.shape[0])
+    series = _walk_series(family, lmat, tg, start=unit[[i]], end=unit[:, [j]])
+    return _slope_estimate(tg, series, f"|f(Lt)|[{i},{j}]")
+
+
+def outcome(slope_of, *args):
+    try:
+        return slope_of(*args)
+    except MathDomainError as exc:
+        return str(exc)
+
+
+def assert_same(got, want):
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert not isinstance(got, str), got
+    assert abs(got.slope - want.slope) <= 1e-12 * max(1.0, abs(want.slope))
+    assert abs(got.residual - want.residual) <= 1e-12
+    assert np.allclose(got.log_values, want.log_values, rtol=1e-12, atol=1e-12)
+    assert np.array_equal(got.t_grid, want.t_grid)
+    assert got.series_terms == want.series_terms
+    assert got.series_stop == want.series_stop
+
+
+def random_pattern(rng, n):
+    """A random symmetric 0/1 pattern without loops; sparse ones are often
+    disconnected."""
+    upper = np.triu(rng.random((n, n)) < rng.uniform(0.05, 0.5), 1)
+    return (upper | upper.T).astype(float)
+
+
+def random_operator(rng, a):
+    raw = rng.uniform(0.5, 1.5, a.shape)
+    return a * (raw + raw.T) / 2.0, rng.uniform(-1.0, 1.0, a.shape[0])
+
+
+def pair_orders(rng, n):
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    shuffled = [pairs[k] for k in rng.permutation(len(pairs))]
+    return {"row-major": pairs,
+            "column-major": [(i, j) for j in range(n) for i in range(n)],
+            "shuffled": shuffled}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("grid", ["default", "custom"])
+def test_every_pair_in_every_order_matches_the_pair_alone(family, grid):
+    rng = np.random.default_rng(2024)
+    fam = FAMILIES[family]
+    tg = None if grid == "default" else CUSTOM_GRID
+    raised = 0
+    for n in (1, 2, 3, 5, 8, 13, 21, 30):
+        a = random_pattern(rng, n)
+        weights, diag = random_operator(rng, a)
+        want = {(i, j): outcome(pair_alone, a, weights, diag, fam, i, j, tg)
+                for i in range(n) for j in range(n)}
+        raised += sum(isinstance(w, str) for w in want.values())
+        for order, pairs in pair_orders(rng, n).items():
+            for i, j in pairs:
+                got = outcome(general_varadhan_slope, a, weights, diag, fam,
+                              i, j, tg)
+                assert_same(got, want[i, j])
+    # the sparse patterns are disconnected, so some pairs have no slope
+    assert raised > 0
+
+
+def test_edits_in_place_between_calls_give_the_new_operator():
+    rng = np.random.default_rng(7)
+    a = cycle_adjacency(9)
+    weights, diag = random_operator(rng, a)
+    general_varadhan_slope(a, weights, diag, EXPONENTIAL, 0, 4)
+    weights *= 3.0
+    assert_same(general_varadhan_slope(a, weights, diag, EXPONENTIAL, 0, 4),
+                pair_alone(a, weights, diag, EXPONENTIAL, 0, 4))
+    diag[:] = 0.0
+    assert_same(general_varadhan_slope(a, weights, diag, EXPONENTIAL, 0, 2),
+                pair_alone(a, weights, diag, EXPONENTIAL, 0, 2))
+    # a pattern edit reaches the validation, not a kept row
+    weights[0, 4] = weights[4, 0] = 1.0
+    with pytest.raises(ValidationError, match="zero pattern"):
+        general_varadhan_slope(a, weights, diag, EXPONENTIAL, 0, 4)
+    a[0, 4] = a[4, 0] = 1.0
+    est = general_varadhan_slope(a, weights, diag, EXPONENTIAL, 0, 4)
+    assert est.estimated_distance == 1
+    assert_same(est, pair_alone(a, weights, diag, EXPONENTIAL, 0, 4))
+
+
+def test_alternating_operators_never_mix():
+    rng = np.random.default_rng(11)
+    a, b = cycle_adjacency(10), cycle_adjacency(10)
+    b[0, 5] = b[5, 0] = 1.0  # a chord: other distances from row 0
+    ops = [(a, *random_operator(rng, a)), (b, *random_operator(rng, b)),
+           (a, a, np.zeros(10))]
+    for i in range(10):
+        for j in range(10):
+            for adj, weights, diag in ops:
+                # the family and the grid each change the key alone
+                for fam, tg in ((EXPONENTIAL, None), (RESOLVENT, None),
+                                (RESOLVENT, CUSTOM_GRID),
+                                (EXPONENTIAL, CUSTOM_GRID)):
+                    assert_same(general_varadhan_slope(adj, weights, diag,
+                                                       fam, i, j, tg),
+                                pair_alone(adj, weights, diag, fam, i, j, tg))
+
+
+def test_a_row_that_raises_sums_its_pairs_alone():
+    # the resolvent at |t| max|L| n = 0.9: entry (0, 1) converges in 81
+    # terms, but entry (0, 2), behind an edge of weight 1e-100, needs far
+    # more than the cap of 200, so the series of the whole row 0 raises
+    a = np.zeros((3, 3))
+    a[0, 1] = a[1, 0] = a[1, 2] = a[2, 1] = 1.0
+    weights = a.copy()
+    weights[1, 2] = weights[2, 1] = 1e-100
+    diag = np.ones(3)
+    tg = np.array([0.3, 0.2])
+    with pytest.raises(MathDomainError, match="did not converge"):
+        _walk_series(RESOLVENT, weights + np.diag(diag), tg,
+                     start=np.eye(3)[[0]])
+    for _ in range(2):  # a cold row, then the row known to raise
+        for j in range(3):
+            want = outcome(pair_alone, a, weights, diag, RESOLVENT, 0, j, tg)
+            assert_same(outcome(general_varadhan_slope, a, weights, diag,
+                                RESOLVENT, 0, j, tg), want)
+            assert isinstance(want, str) == (j == 2)
+
+
+def test_kept_rows_stay_within_the_block_budget(monkeypatch):
+    # a budget of three rows of 12 columns x (8 log values + 5)
+    monkeypatch.setattr(varadhan, "_BLOCK_ENTRIES", 3 * 12 * 13)
+    a = cycle_adjacency(12)
+    zeros = np.zeros(12)
+    for i in range(12):
+        for j in (0, 6, 11):
+            assert_same(general_varadhan_slope(a, a, zeros, EXPONENTIAL, i, j),
+                        pair_alone(a, a, zeros, EXPONENTIAL, i, j))
+        assert list(varadhan._start_rows[1]) == list(range(max(0, i - 2),
+                                                           i + 1))
+    # one row is always kept, however small the budget
+    monkeypatch.setattr(varadhan, "_BLOCK_ENTRIES", 1)
+    general_varadhan_slope(a, a, zeros, EXPONENTIAL, 3, 4)
+    assert list(varadhan._start_rows[1]) == [3]
+
+
+def test_threads_sharing_the_kept_rows_get_their_own_operators():
+    # more threads than cores, each alternating between two operators on
+    # a short switch interval: a row read under another operator's key,
+    # or an eviction racing an insert, breaks an answer or raises
+    import sys
+    import threading
+
+    rng = np.random.default_rng(5)
+    ops = []
+    for chord in (3, 4):
+        a = cycle_adjacency(8)
+        a[0, chord] = a[chord, 0] = 1.0
+        ops.append((a, *random_operator(rng, a)))
+    want = {(k, i, j): pair_alone(*ops[k], EXPONENTIAL, i, j)
+            for k in range(2) for i in range(8) for j in range(8)}
+    errors = []
+
+    def work(seed):
+        order = np.random.default_rng(seed).permutation(2 * 64)
+        try:
+            for n in order:
+                k, i, j = n % 2, n // 2 // 8, n // 2 % 8
+                assert_same(general_varadhan_slope(*ops[k], EXPONENTIAL,
+                                                   i, j), want[k, i, j])
+        except Exception as exc:  # reported on the main thread below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(s,)) for s in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors[0]
