@@ -71,6 +71,7 @@ from .metrics import (
 from .sampler import (
     RNG_ALGORITHM,
     SampledGraph,
+    compare_sample,
     compare_with_varadhan,
     empirical_distance_profile,
     sample_graph,
@@ -78,11 +79,13 @@ from .sampler import (
 from .varadhan import (
     DistanceField,
     SlopeEstimate,
+    TransformSlopes,
     default_t_grid,
     distance_field,
     general_varadhan_slope,
     heat_content,
     set_distance,
+    transform_slopes,
     varadhan_distance,
     varadhan_slope,
 )
@@ -104,14 +107,15 @@ __all__ = [
     # varadhan
     "DistanceField", "SlopeEstimate", "distance_field", "varadhan_distance",
     "set_distance", "heat_content", "varadhan_slope",
-    "general_varadhan_slope", "default_t_grid",
+    "general_varadhan_slope", "TransformSlopes", "transform_slopes",
+    "default_t_grid",
     # metrics
     "Embedding", "communicability_distance", "communicability_embedding",
     "neighbourhood_distance", "similarity_distance", "merge_twins",
     "cut_norm", "cut_distance_homogeneous",
     # sampling
     "SampledGraph", "sample_graph", "empirical_distance_profile",
-    "compare_with_varadhan", "RNG_ALGORITHM",
+    "compare_with_varadhan", "compare_sample", "RNG_ALGORITHM",
     # io
     "load_graphon", "dump_graphon", "graphon_from_dict", "graphon_to_dict",
     "builtin_graphon", "bipartite_graphon", "er_graphon",

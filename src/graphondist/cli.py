@@ -32,24 +32,25 @@ import numpy as np
 
 from . import __version__
 from .connectivity import (
-    _cell_levels,
     block_distance_matrix,
     default_epsilon,
     diameter,
+    is_connected,
     support_graph,
 )
 from .core import GridGraphon, IntervalSet, MathDomainError, ValidationError
 from .io import load_graphon
-from .linalg import EXPONENTIAL, RESOLVENT, STOP_REASONS, _walk_series
-from .metrics import _distance, _embedding, _spectrum, cut_norm
-from .sampler import RNG_ALGORITHM, _compare_samples, sample_graph
+from .linalg import EXPONENTIAL, RESOLVENT
+from .metrics import (
+    communicability_distance,
+    communicability_embedding,
+    cut_norm,
+)
+from .sampler import RNG_ALGORITHM, compare_sample, sample_graph
 from .varadhan import (
-    _not_positive,
-    _slopes,
-    _transform_operator,
-    _validate_t_grid,
     default_t_grid,
     distance_field,
+    transform_slopes,
     varadhan_slope,
 )
 
@@ -73,16 +74,13 @@ def parse_interval_set(text: str) -> IntervalSet:
 
 def parse_t_grid(text: str) -> np.ndarray:
     """Parse 'a:b:k' into the ``default_t_grid`` of k log-spaced t values
-    between a and b (either order), checked as every slope grid is."""
+    between a and b (either order), which checks them."""
     try:
         lo_s, hi_s, k_s = text.split(":")
         lo, hi, k = float(lo_s), float(hi_s), int(k_s)
     except ValueError as exc:
         raise ValidationError(f"bad t grid {text!r}; expected 'a:b:k'") from exc
-    if not (0 < lo < math.inf and 0 < hi < math.inf and k >= 2):
-        raise ValidationError("t grid needs finite positive endpoints and "
-                              "k >= 2")
-    return _validate_t_grid(default_t_grid(min(lo, hi), max(lo, hi), k))
+    return default_t_grid(lo, hi, k)
 
 
 def _flag_type(convert, ok, rule: str):
@@ -305,7 +303,7 @@ def _layer_sizes(w, fld) -> dict:
     """Each layer's product measure, summed in the float field's row-major
     order (bit-stable); its n x n temporaries are freed on return."""
     mass = np.outer(w.partition.measures, w.partition.measures)
-    cells = _cell_levels(fld.levels, fld.classes)
+    cells = fld.levels[np.ix_(fld.classes, fld.classes)]
     return {str(m): float(np.sum(mass[cells == m]))
             for m in range(1, fld.layer_count + 1)}
 
@@ -351,29 +349,31 @@ def _slope_transform_mode(cfg: argparse.Namespace, w) -> tuple[int, list]:
     else:
         weights = pattern
         diag = np.zeros(n)
-    lmat = _transform_operator(pattern, weights, diag)
     expected = block_distance_matrix(support).copy()
     np.fill_diagonal(expected, 0.0)
     family = EXPONENTIAL if cfg.transform == "exp" else RESOLVENT
-    series = _walk_series(family, lmat, cfg.tgrid)
-    slopes, residuals, first_bad = _slopes(cfg.tgrid, series)
+    table = transform_slopes(pattern, weights, diag, family, cfg.tgrid)
+    slopes, residuals = table.slope.tolist(), table.residual.tolist()
+    terms, stops = table.series_terms.tolist(), table.series_stop.tolist()
+    first_zero = table.first_zero.tolist()
     pairs = []
     for (i, j), want in np.ndenumerate(expected):
         entry = {"pair": [i, j],
                  "expected": float(want) if math.isfinite(want)
                  else "unreachable",
-                 "series_terms": int(series.terms[i, j]),
-                 "series_stop": STOP_REASONS[series.stop[i, j]]}
-        if math.isnan(first_bad[i, j]):
-            slope = float(slopes[i, j])
-            entry.update(slope=slope, residual=float(residuals[i, j]),
+                 "series_terms": terms[i][j], "series_stop": stops[i][j]}
+        if math.isnan(first_zero[i][j]):
+            slope = slopes[i][j]
+            entry.update(slope=slope, residual=residuals[i][j],
                          estimated=int(round(slope)),
                          match=bool(math.isfinite(want) and
                                     abs(slope - want) <= cfg.tolerance))
         else:
-            entry.update(slope=None, residual=None, estimated=None,
-                         match=False, reason=_not_positive(
-                             f"|f(Lt)|[{i},{j}]", float(first_bad[i, j])))
+            try:  # the library's reason for a pair without a slope
+                table.estimate(i, j)
+            except MathDomainError as exc:
+                entry.update(slope=None, residual=None, estimated=None,
+                             match=False, reason=str(exc))
         pairs.append(entry)
     all_ok = all(entry["match"] for entry in pairs)
     meta = _metadata(cfg, {"transform": cfg.transform, "weights": cfg.weights,
@@ -419,19 +419,19 @@ def cmd_metrics(cfg: argparse.Namespace, w) -> tuple[int, list]:
     writes = []
     if cfg.sets:
         sets = cfg.sets
-        spec = _spectrum(w)
         meta = _metadata(cfg, {"sets": [[list(p) for p in s.intervals]
                                         for s in sets]})
         m = np.zeros((len(sets), len(sets)))
         for i, si in enumerate(sets):
             for j in range(i, len(sets)):
-                m[i, j] = m[j, i] = _distance(w, spec, si, sets[j])
+                m[i, j] = m[j, i] = communicability_distance(w, si, sets[j])
         labels = [f"set_{i}" for i in range(len(sets))]
         rows = [[repr(v) for v in row] for row in m.tolist()]
         writes.append((_write_csv, "metrics_communicability.csv", rows,
                        labels, meta))
         if cfg.embed is not None:
-            embs = [_embedding(w, spec, s, cfg.embed) for s in sets]
+            embs = [communicability_embedding(w, s, cfg.embed)
+                    for s in sets]
             payload = {"meta": meta, "embeddings": [
                 {"set": [list(p) for p in s.intervals],
                  "coordinates": e.coordinates.tolist(),
@@ -467,9 +467,10 @@ def cmd_connectivity(cfg: argparse.Namespace, w) -> tuple[int, list]:
 
 
 def cmd_sample(cfg: argparse.Namespace, w) -> tuple[int, list]:
-    # connectedness and the comparison read one field at --epsilon
-    fld = distance_field(w, cfg.epsilon)
-    _require_connected(fld.connected, cfg)
+    # connectedness keeps the class levels at --epsilon, which the
+    # comparison's field reads
+    connected = is_connected(w, cfg.epsilon)
+    _require_connected(connected, cfg)
     graph = sample_graph(w, cfg.n, cfg.seed)
     options = {"n": cfg.n, "trials": cfg.trials, "seed": cfg.seed,
                "rng": RNG_ALGORITHM}
@@ -478,8 +479,9 @@ def cmd_sample(cfg: argparse.Namespace, w) -> tuple[int, list]:
     meta = _metadata(cfg, options)
     payload = {"meta": meta, "edges": graph.edge_count,
                "vertices": graph.n}
-    if fld.connected:
-        payload["comparison"] = _compare_samples(w, cfg.trials, graph, fld)
+    if connected:
+        payload["comparison"] = compare_sample(w, graph, cfg.trials,
+                                               cfg.epsilon)
     return 0, [(_write_edges, "sample_edges.txt", graph, meta),
                (_write_json, "sample_report.json", payload)]
 

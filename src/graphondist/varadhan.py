@@ -27,24 +27,26 @@ the blocks in place with the measures as its column scale, never forming
 the n x n operator A diag(mu); a smaller one is formed, which is faster
 than scaling every power.
 
-A single transform pair (i, j) is read off the series of its whole start
-row i, whose slopes are kept for the last operator (``_start_row``): the
-key is the content of L (a blake2b digest of its bytes, with its shape),
-the family and the t-grid, so an in-place edit of the caller's arrays is a
-new operator, and a call with another key drops every kept row.  The rows
-kept hold at most ``_BLOCK_ENTRIES`` numbers plus the newest row, the
-oldest dropped first.  A row whose series raises (another entry hit the
-term cap) is kept as raised, and its pairs are summed alone as before, so
-every pair's outcome is the one its own series gives.  A kept pair costs
-its validation and the digest; a miss pays the whole row, which against
-one pair alone costs (one BLAS thread, a sparse random pattern) 0.35 vs
-0.32 ms at 24 blocks, 1.5 vs 0.72 ms at 100, 6.2 vs 3.4 ms at 300 and
-49 vs 34 ms at 1,000.
+All-pair transform slopes (``transform_slopes``) come from one series
+over every start row, returned as a read-only ``TransformSlopes`` table.
+A single transform pair (i, j) is read off the same table restricted to
+its start row i, kept for the last operator (``_start_row``): the key is
+the read-only L itself (compared with ``np.array_equal``), the family and
+the t-grid, so an in-place edit of the caller's arrays is a new operator,
+and a call with another key drops every kept row.  The key holds n^2
+floats of L (8 MB at 1,000 blocks) until another operator arrives.  The
+rows kept hold at most ``_BLOCK_ENTRIES`` numbers plus the newest row,
+the oldest dropped first.  A row whose series raises (another entry hit
+the term cap) is kept as raised, and its pairs are summed alone as before,
+so every pair's outcome is the one its own series gives.  A kept pair
+costs its validation and the key comparison, a miss the whole row (one
+BLAS thread, a sparse random pattern; kept pair, miss and pair alone):
+0.026, 0.31 and 0.23 ms at 24 blocks, 0.049, 0.83 and 0.31 ms at 100,
+0.34, 2.8 and 2.3 ms at 300, 11, 28 and 30 ms at 1,000.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 import operator
 import threading
@@ -290,21 +292,24 @@ class SlopeEstimate:
 
 
 def default_t_grid(lo: float = 1e-5, hi: float = 1e-3, k: int = 8) -> np.ndarray:
-    """Decreasing log-spaced slope-fit grid; the default window balances the
-    O(t) subleading bias at the top against log underflow at the bottom."""
-    return np.logspace(math.log10(hi), math.log10(lo), int(k))
-
-
-#: the grid of every slope query given none, built once
-_DEFAULT_T_GRID = _readonly(default_t_grid())
+    """Decreasing grid of k log-spaced t values between the bounds, given
+    in either order; the default window balances the O(t) subleading bias
+    at the top against log underflow at the bottom.  Bounds must be finite
+    and positive, k a whole number >= 2, and the grid strictly decreasing
+    (so not equal bounds), as every slope fit requires."""
+    lo, hi = sorted((float(lo), float(hi)))
+    if not (0.0 < lo and hi < math.inf and float(k).is_integer() and k >= 2):
+        raise ValidationError("t grid needs finite positive bounds and a "
+                              f"whole k >= 2, got ({lo!r}, {hi!r}, {k!r})")
+    return _validate_t_grid(np.logspace(math.log10(hi), math.log10(lo), int(k)))
 
 
 def _validate_t_grid(t_grid) -> np.ndarray:
-    """A slope-fit grid as a float vector: at least two t values, each
-    finite and > 0, strictly decreasing.  There is no floor above 0: the
-    series are summed in the log domain, so a grid as low as 1e-25 still
-    has logarithms to fit."""
-    tg = np.asarray(t_grid, dtype=float).reshape(-1)
+    """A slope-fit grid as a float vector of its own: at least two t
+    values, each finite and > 0, strictly decreasing.  There is no floor
+    above 0: the series are summed in the log domain, so a grid as low as
+    1e-25 still has logarithms to fit."""
+    tg = np.array(t_grid, dtype=float).reshape(-1)
     if tg.size < 2:
         raise ValidationError("slope fit needs at least two t values")
     if not np.all(np.isfinite(tg) & (tg > 0.0)):
@@ -312,6 +317,10 @@ def _validate_t_grid(t_grid) -> np.ndarray:
     if not np.all(np.diff(tg) < 0.0):
         raise ValidationError("t grid must be strictly decreasing")
     return tg
+
+
+#: the grid of every slope query given none, built once
+_DEFAULT_T_GRID = _readonly(default_t_grid())
 
 
 def _not_positive(what: str, t: float) -> str:
@@ -373,8 +382,8 @@ def varadhan_slope(w, u: IntervalSet, v: IntervalSet,
 
 
 def _transform_operator(adjacency, weights, diag) -> np.ndarray:
-    """L = M + D after checking that M is nonnegative with exactly the
-    symmetric adjacency's zero pattern, and that L is finite."""
+    """L = M + D, read-only, after checking that M is nonnegative with
+    exactly the symmetric adjacency's zero pattern, and that L is finite."""
     a = np.asarray(adjacency, dtype=float)
     m = np.asarray(weights, dtype=float)
     if a.shape != m.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -394,7 +403,78 @@ def _transform_operator(adjacency, weights, diag) -> np.ndarray:
     lmat = m + np.diag(d)
     if not np.isfinite(lmat).all():
         raise ValidationError("weights and diagonal must be finite")
-    return lmat
+    return _readonly(lmat)
+
+
+@dataclass(frozen=True, eq=False)
+class TransformSlopes:
+    """Slopes of log |f(Lt)_ij| against log t for every pair (i, j) with i
+    one of the start ``rows`` (consecutive, ascending) and j any column,
+    from one series: read-only arrays indexed ``[r, j]`` for start row
+    ``rows[r]``.
+
+    ``slope`` and ``residual`` are NaN where |f| is 0 at some t of
+    ``t_grid``, and ``first_zero`` is the first such t (NaN where there is
+    none); ``log_values[r, j]`` is log |f| on the grid, and
+    ``series_terms`` and ``series_stop`` are as in ``SlopeEstimate``.
+    """
+
+    t_grid: np.ndarray
+    rows: np.ndarray
+    slope: np.ndarray
+    residual: np.ndarray
+    first_zero: np.ndarray
+    log_values: np.ndarray
+    series_terms: np.ndarray
+    series_stop: np.ndarray
+
+    def __post_init__(self):
+        for name in self.__dataclass_fields__:
+            object.__setattr__(self, name,
+                               _readonly(np.asarray(getattr(self, name))))
+
+    def estimate(self, i: int, j: int) -> SlopeEstimate:
+        """Pair (i, j)'s ``SlopeEstimate``, i a start row; a pair whose
+        |f| is 0 at some t of the grid raises ``MathDomainError``."""
+        r = i - int(self.rows[0]) if self.rows.size else -1
+        if not (0 <= r < self.rows.size and 0 <= j < self.slope.shape[1]):
+            raise ValidationError(f"pair ({i}, {j}) is not in the table")
+        if not math.isnan(self.first_zero[r, j]):
+            raise MathDomainError(_not_positive(
+                f"|f(Lt)|[{i},{j}]", float(self.first_zero[r, j])))
+        return SlopeEstimate(self.t_grid, self.log_values[r, j].copy(),
+                             float(self.slope[r, j]),
+                             float(self.residual[r, j]),
+                             int(self.series_terms[r, j]),
+                             str(self.series_stop[r, j]))
+
+
+def _transform_table(family: TaylorFamily, lmat: np.ndarray, tg: np.ndarray,
+                     row: int | None = None) -> TransformSlopes:
+    """The slopes of f(tL) from start row ``row`` (every row for None) to
+    every column, from one series."""
+    n = lmat.shape[0]
+    if row is None:
+        start, rows = None, np.arange(n)
+    else:
+        start, rows = np.zeros((1, n)), np.array([row])
+        start[0, row] = 1.0
+    series = _walk_series(family, lmat, tg, start=start)
+    slope, residual, first_zero = _slopes(tg, series)
+    return TransformSlopes(tg, rows, slope, residual, first_zero,
+                           np.moveaxis(series.log_abs, 0, -1), series.terms,
+                           np.array(STOP_REASONS)[series.stop])
+
+
+def transform_slopes(adjacency, weights, diag, family: TaylorFamily,
+                     t_grid=None) -> TransformSlopes:
+    """Slopes of log |f(Lt)_{ij}| for every pair (i, j) of L = M + D, from
+    one series over every start row; the inputs are those of
+    ``general_varadhan_slope``, checked once.  Raises ``MathDomainError``
+    when some entry's series hits the term cap."""
+    tg = _DEFAULT_T_GRID if t_grid is None else _validate_t_grid(t_grid)
+    return _transform_table(family, _transform_operator(adjacency, weights,
+                                                        diag), tg)
 
 
 def general_varadhan_slope(adjacency, weights, diag, family: TaylorFamily,
@@ -407,9 +487,9 @@ def general_varadhan_slope(adjacency, weights, diag, family: TaylorFamily,
     coefficients the slope recovers the shortest-path distance d(i,j).  One
     sequence of rows e_i^T L^k serves the whole t-grid; the leading term
     a_d t^d (L^d)_{ij} is a sum of positive walk weights, factored out
-    before the later (signed) terms are added.  The slopes of the whole
-    start row are kept (see the module docstring), so the other pairs of
-    row i are lookups.
+    before the later (signed) terms are added.  The ``TransformSlopes`` of
+    the whole start row are kept (see the module docstring), so the other
+    pairs of row i are lookups.
     """
     lmat = _transform_operator(adjacency, weights, diag)
     n = lmat.shape[0]
@@ -420,69 +500,44 @@ def general_varadhan_slope(adjacency, weights, diag, family: TaylorFamily,
     if not (0 <= i < n and 0 <= j < n):
         raise ValidationError(f"indices ({i}, {j}) out of range for n = {n}")
     tg = _DEFAULT_T_GRID if t_grid is None else _validate_t_grid(t_grid)
-    what = f"|f(Lt)|[{i},{j}]"
     row = _start_row(family, lmat, tg, i)
     if row is None:  # some entry of row i hit the term cap: sum (i, j) alone
         unit = np.eye(n)
         return _slope_estimate(tg, _walk_series(family, lmat, tg,
                                                 start=unit[[i]],
-                                                end=unit[:, [j]]), what)
-    if not math.isnan(row.first_bad[j]):
-        raise MathDomainError(_not_positive(what, float(row.first_bad[j])))
-    return SlopeEstimate(tg, row.log_values[j].copy(), float(row.slope[j]),
-                         float(row.residual[j]), int(row.terms[j]),
-                         STOP_REASONS[row.stop[j]])
+                                                end=unit[:, [j]]),
+                               f"|f(Lt)|[{i},{j}]")
+    return row.estimate(i, j)
 
 
-@dataclass(frozen=True, eq=False)
-class _StartRow:
-    """Slope, residual, first t where |f| is 0 (``_slopes``), log |f| on
-    the t-grid (one row per column), terms and stop code of every column
-    of one start row's series."""
-
-    slope: np.ndarray
-    residual: np.ndarray
-    first_bad: np.ndarray
-    log_values: np.ndarray
-    terms: np.ndarray
-    stop: np.ndarray
-
-
-#: the operator key and kept start rows (row index -> ``_StartRow``, or
-#: None for a row whose series raised) of ``general_varadhan_slope``;
-#: replaced as a whole under the lock, so a call never reads another
-#: operator's rows
-_start_rows: tuple = (None, {})
+#: the operator key (L, family, t-grid) and kept start rows (row index ->
+#: one-row ``TransformSlopes``, or None for a row whose series raised) of
+#: ``general_varadhan_slope``; replaced as a whole under the lock, so a
+#: call never reads another operator's rows
+_start_rows: tuple = ((None, None, None), {})
 _start_rows_lock = threading.Lock()
 
 
 def _start_row(family: TaylorFamily, lmat: np.ndarray, tg: np.ndarray,
-               i: int) -> _StartRow | None:
+               i: int) -> TransformSlopes | None:
     """The slopes of start row i of f(tL) over all columns, or None when
     its series raises; kept for the last operator only (see the module
     docstring for the key and the bound)."""
     global _start_rows
-    key = (hashlib.blake2b(lmat, digest_size=16).digest(), lmat.shape,
-           family, tg.tobytes())
     with _start_rows_lock:
-        if _start_rows[0] != key:
-            _start_rows = (key, {})
-        rows = _start_rows[1]
+        (kept_l, kept_family, kept_tg), rows = _start_rows
+        if not (kept_family == family
+                and (kept_tg is tg or np.array_equal(kept_tg, tg))
+                and np.array_equal(kept_l, lmat)):
+            _start_rows = ((lmat, family, tg), {})
+            rows = _start_rows[1]
         if i in rows:
             return rows[i]
-    n = lmat.shape[0]
-    start = np.zeros((1, n))
-    start[0, i] = 1.0
     try:
-        series = _walk_series(family, lmat, tg, start=start)
+        row = _transform_table(family, lmat, tg, i)
     except MathDomainError:
         row = None
-    else:
-        slope, residual, first_bad = _slopes(tg, series)
-        row = _StartRow(slope[0], residual[0], first_bad[0],
-                        np.ascontiguousarray(series.log_abs[:, 0].T),
-                        series.terms[0], series.stop[0])
-    keep = max(1, _BLOCK_ENTRIES // (n * (tg.size + 5)))
+    keep = max(1, _BLOCK_ENTRIES // (lmat.shape[0] * (tg.size + 5)))
     with _start_rows_lock:  # into this key's rows, even if since replaced
         while len(rows) >= keep:
             del rows[next(iter(rows))]

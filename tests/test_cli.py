@@ -17,7 +17,7 @@ from graphondist import (
 )
 from graphondist import linalg
 from graphondist.cli import main, parse_interval_set, parse_t_grid, read_csv_matrix
-from graphondist.sampler import _compare_samples
+from graphondist.sampler import compare_sample
 from conftest import cycle_adjacency, random_step_graphon
 
 BIPARTITE = {"kind": "builtin", "name": "bipartite"}
@@ -439,13 +439,28 @@ def test_cmd_sample_compares_at_its_epsilon(tmp_path):
     at = json.loads((tmp_path / "e" / "sample_report.json").read_text())
     w = load_graphon(spec)
     assert distance_field(w, 0.1).connected
-    want = _compare_samples(w, 2, sample_graph(w, 300, 4),
-                            distance_field(w, 0.1))
+    want = compare_sample(w, sample_graph(w, 300, 4), 2, 0.1)
     assert at["comparison"] == want
     assert at["comparison"] != default["comparison"]
     # the threshold is recorded only when it is given
     assert at["meta"]["options"]["epsilon"] == 0.1
     assert "epsilon" not in default["meta"]["options"]
+
+
+def test_cmd_sample_decides_connectedness_at_its_epsilon(tmp_path):
+    # the 0.05 pair joins two components at the default threshold only
+    spec = write_spec(tmp_path, {"kind": "step", "measures": [0.25] * 4,
+                                 "blocks": [[0.0, 0.9, 0.0, 0.05],
+                                            [0.9, 0.0, 0.0, 0.0],
+                                            [0.0, 0.0, 0.0, 0.9],
+                                            [0.05, 0.0, 0.9, 0.0]]})
+    argv = ["sample", "--input", str(spec), "--n", "50",
+            "--out", str(tmp_path / "s")]
+    assert main(argv) == 0
+    assert main(argv + ["--epsilon", "0.1"]) == 3
+    assert main(argv + ["--epsilon", "0.1", "--allow-disconnected"]) == 0
+    report = json.loads((tmp_path / "s" / "sample_report.json").read_text())
+    assert "comparison" not in report
 
 
 # each (subcommand, shared flag) pair that the subcommand never reads
@@ -665,3 +680,36 @@ def test_cli_metadata_headers_present(tmp_path):
     assert summary["meta"]["tool"] == "graphondist"
     assert "input_sha256" in summary["meta"]
     assert "generated_at" in summary["meta"]
+
+
+def test_cli_reads_only_the_public_api():
+    # every library name the CLI imports, or reads off an imported library
+    # module, is public (dunders such as __version__ aside)
+    import ast
+    from pathlib import Path
+
+    from graphondist import cli
+
+    def private(name):
+        return name.startswith("_") and not name.endswith("__")
+
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    bound, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or node.module.split(".")[0] == "graphondist"):
+            found += [a.name for a in node.names if private(a.name)]
+            found += [part for part in (node.module or "").split(".")
+                      if private(part)]
+            bound |= {a.asname or a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            found += [a.name for a in node.names
+                      if a.name.split(".")[0] == "graphondist"
+                      and any(map(private, a.name.split(".")))]
+            bound |= {a.asname or a.name.split(".")[0] for a in node.names
+                      if a.name.split(".")[0] == "graphondist"}
+    found += [node.attr for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Name)
+              and node.value.id in bound and private(node.attr)]
+    assert bound and not found, found

@@ -536,3 +536,33 @@ def test_cut_distance_rejects_mismatched_partitions():
         cut_distance_homogeneous(w1, w2)
     with pytest.raises(ValidationError):
         cut_distance_homogeneous(w1, er_graphon(0.5))
+
+
+def test_the_spectrum_is_kept_with_the_graphon(monkeypatch, rng):
+    import gc
+    import weakref
+
+    calls = []
+    sym_eig = metrics.sym_eig
+    monkeypatch.setattr(metrics, "sym_eig",
+                        lambda b: calls.append(1) or sym_eig(b))
+    w = random_step_graphon(rng, 9)
+    x, y = I(0.0, 0.3), I(0.5, 0.9)
+    d = communicability_distance(w, x, y)
+    e = communicability_embedding(w, x, 5)
+    assert len(calls) == 1
+    # later calls read the kept eigenpairs and give the same bits
+    assert communicability_distance(w, x, y) == d
+    assert np.array_equal(communicability_embedding(w, x, 5).coordinates,
+                          e.coordinates)
+    assert len(calls) == 1
+    # a permuted copy is another graphon: it decomposes once of its own
+    copy = permute_blocks(w, rng.permutation(9))
+    communicability_distance(copy, x, y)
+    communicability_embedding(copy, y, 3)
+    assert len(calls) == 2
+    # the kept spectrum goes with its graphon
+    kept = weakref.ref(metrics._SPECTRA[w])
+    del w
+    gc.collect()
+    assert kept() is None

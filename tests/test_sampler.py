@@ -10,15 +10,14 @@ from graphondist import (
     ValidationError,
     bipartite_graphon,
     circular_band_graphon,
+    compare_sample,
     compare_with_varadhan,
-    distance_field,
     empirical_distance_profile,
     er_graphon,
     evaluate,
     lift,
     sample_graph,
 )
-from graphondist.sampler import _compare_samples
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +133,39 @@ def test_sample_rejects_negative_seed():
         compare_with_varadhan(er_graphon(0.5), 10, trials=2, seed=-3)
 
 
+@pytest.mark.parametrize("call", [
+    lambda w: sample_graph(w, 2.7, 0),
+    lambda w: sample_graph(w, 10, 1.5),
+    lambda w: sample_graph(w, 10, math.nan),
+    lambda w: compare_with_varadhan(w, 5, 2.5, 0),
+    lambda w: compare_with_varadhan(w, 5.5, 1, 0),
+    lambda w: compare_with_varadhan(w, 5, 1, 0.5),
+    lambda w: compare_sample(w, sample_graph(w, 5, 0), 2.5),
+    lambda w: compare_sample(w, sample_graph(w, 5, 0), 0),
+], ids=["n", "seed", "nan-seed", "trials", "compare-n", "compare-seed",
+        "sample-trials", "no-trials"])
+def test_counts_and_seeds_are_whole_numbers(call):
+    # a fraction is rejected, never truncated
+    with pytest.raises(ValidationError):
+        call(er_graphon(0.5))
+
+
+def test_whole_numbers_of_any_type_sample_alike():
+    w = er_graphon(0.5)
+    want = sample_graph(w, 12, 3)
+    for n, seed in ((12.0, 3.0), (np.int64(12), np.float64(3.0)),
+                    (np.float64(12.0), np.uint8(3))):
+        g = sample_graph(w, n, seed)
+        assert np.array_equal(g.adjacency, want.adjacency)
+        assert g.seed == 3 and type(g.seed) is int
+    # a seed past 2^53 is kept exactly, not rounded through a float
+    assert sample_graph(w, 3, 2**64 + 1).seed == 2**64 + 1
+    report = compare_with_varadhan(w, 6, 2, 1)
+    assert compare_with_varadhan(w, 6.0, np.float64(2.0), np.int64(1)) \
+        == report
+    assert compare_sample(w, sample_graph(w, 6, 1), 2.0) == report
+
+
 def test_one_vertex_samples_but_does_not_compare():
     w = er_graphon(0.5)
     g = sample_graph(w, 1, seed=1)
@@ -142,6 +174,8 @@ def test_one_vertex_samples_but_does_not_compare():
     # one vertex leaves no pair, so the agreement rates are undefined
     with pytest.raises(ValidationError, match="at least two vertices"):
         compare_with_varadhan(w, 1, trials=1, seed=1)
+    with pytest.raises(ValidationError, match="at least two vertices"):
+        compare_sample(w, g, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +241,7 @@ def test_compare_counts_coincident_coordinates_at_distance_zero():
     adj[0, 1] = adj[1, 0] = adj[1, 2] = adj[2, 1] = True
     g = SampledGraph(np.array([0.2, 0.2, 0.7]), adj, seed=0)
     w = er_graphon(1.0)
-    trial = _compare_samples(w, 1, g, distance_field(w))["per_trial"][0]
+    trial = compare_sample(w, g)["per_trial"][0]
     assert trial["pairs"] == 3 and trial["unreachable_pairs"] == 0
     assert trial["agreement"] == 1 / 3
     assert trial["agreement_within_one"] == 1.0
@@ -232,7 +266,7 @@ def test_sample_walks_on_its_blow_up(monkeypatch):
         return original(adj, sources)
 
     monkeypatch.setattr(connectivity, "_bfs", recording)
-    _compare_samples(w, 1, g, distance_field(w))
+    compare_sample(w, g)
     empirical_distance_profile(g)
     # the field of 512 cells, the sample twice: each on at most 512 classes
     assert len(walked) == 3 and max(walked) <= 512
@@ -240,11 +274,10 @@ def test_sample_walks_on_its_blow_up(monkeypatch):
 
 def test_comparison_memory_is_class_pairs():
     w, g = band_sample()
-    _compare_samples(w, 1, sample_graph(w, 50, seed=1),
-                     distance_field(w))  # warm numpy
+    compare_sample(w, sample_graph(w, 50, seed=1))  # warm numpy
     tracemalloc.start()
     try:
-        _compare_samples(w, 1, g, distance_field(w))
+        compare_sample(w, g)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -20,7 +20,7 @@ from graphondist import (  # noqa: E402
     sample_graph,
     step,
 )
-from graphondist.sampler import _compare_samples, _sample_classes  # noqa: E402
+from graphondist.sampler import _sample_classes, compare_sample  # noqa: E402
 from conftest import bfs_oracle  # noqa: E402
 
 PROPERTIES = settings(derandomize=True, max_examples=80, deadline=None)
@@ -134,7 +134,7 @@ def assert_walk_and_counts_match(w, g):
     off = ~np.eye(g.n, dtype=bool)
     assert np.array_equal(full[off], bfs_oracle(g.adjacency)[off])
     assert empirical_distance_profile(g) == pair_profile(g)
-    assert (_compare_samples(w, 1, g, distance_field(w))
+    assert (compare_sample(w, g)
             == pair_comparison(w, 1, g))
     return cls
 
@@ -161,7 +161,7 @@ def test_twin_free_graphs_walk_on_every_vertex(case):
 @given(zero_one_graphons(), st.integers(2, 40), st.integers(0, 2**31 - 1))
 def test_sampled_reports_match_the_pair_comparison(w, n, seed):
     first = sample_graph(w, n, seed)
-    assert (_compare_samples(w, 2, first, distance_field(w))
+    assert (compare_sample(w, first, 2)
             == pair_comparison(w, 2, first))
     _, cls = _sample_classes(first)
     assert cls.max() + 1 <= w.size

@@ -14,6 +14,7 @@ from graphondist import (
     ValidationError,
     bipartite_graphon,
     circular_band_graphon,
+    default_t_grid,
     degree,
     distance_field,
     er_graphon,
@@ -426,6 +427,35 @@ def test_slope_rejects_bad_grids():
     for bad in ([1e-6, 0.0], [1e-6, -1e-9], [np.nan, 1e-6], [np.inf, 1e-6]):
         with pytest.raises(ValidationError, match="finite positive"):
             varadhan_slope(C6, u, v, np.array(bad))
+
+
+def test_default_t_grid_takes_its_bounds_in_either_order():
+    grid = default_t_grid(1e-3, 1e-5)
+    assert np.array_equal(grid, default_t_grid(1e-5, 1e-3))
+    assert np.array_equal(grid, default_t_grid())
+    assert np.all(np.diff(grid) < 0) and grid[0] == 1e-3
+    assert np.array_equal(default_t_grid(k=np.float64(8.0)), grid)
+    # every grid it returns is one a slope fit accepts
+    est = varadhan_slope(C6, I(0.0, 0.1), I(0.5, 0.6),
+                         default_t_grid(1e-4, 1e-6, 2))
+    assert est.estimated_distance == 3
+
+
+@pytest.mark.parametrize("args, match", [
+    ((1e-5, 1e-3, 1), "whole k >= 2"),
+    ((1e-5, 1e-3, 2.5), "whole k >= 2"),
+    ((1e-5, 1e-3, 0), "whole k >= 2"),
+    ((0.0, 1e-3), "finite positive"),
+    ((1e-3, -1e-5), "finite positive"),
+    ((math.nan, 1e-3), "finite positive"),
+    ((1e-5, math.inf), "finite positive"),
+    ((1e-4, 1e-4, 3), "strictly decreasing"),
+    # distinct bounds whose log-spaced values round together
+    ((1e-4, 1e-4 * (1 + 2e-16), 3), "strictly decreasing"),
+])
+def test_default_t_grid_rejects_what_no_slope_accepts(args, match):
+    with pytest.raises(ValidationError, match=match):
+        default_t_grid(*args)
 
 
 def test_slope_error_names_t_when_mass_vanishes():

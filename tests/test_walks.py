@@ -626,3 +626,21 @@ def test_walks_whose_frontier_crosses_the_switch(rng, step_choice):
     check_against_oracle(rng, glued_support(150, 100, 20))
     check_against_oracle(rng, expanding_support(rng, 400, 3.0))
     check_against_oracle(rng, with_twins(rng, glued_support(90, 60), 30))
+
+
+def test_levels_widen_only_when_a_walk_reaches_level_256():
+    # a 300-block path walks to level 299, past uint8: its levels widen
+    # and stay exact (off the diagonal, the queue BFS distances)
+    n = 300
+    path = np.zeros((n, n))
+    path[np.arange(n - 1), np.arange(1, n)] = 1.0
+    fld = distance_field(lift(path + path.T))
+    assert fld.levels.dtype == np.uint16 and fld.layer_count == n - 1
+    off = ~np.eye(n, dtype=bool)
+    assert np.array_equal(fld.matrix[off], bfs_oracle(path + path.T)[off])
+    assert np.all(np.diag(fld.levels) == 2)
+    # 300 distinct support rows whose deepest level is 4 keep one byte each
+    band = circular_band_graphon(1 / 7, n)
+    assert distance_field(band).classes.max() + 1 == n
+    assert distance_field(band).levels.dtype == np.uint8
+    assert diameter(band) == 4
