@@ -355,15 +355,14 @@ def _slope_transform_mode(cfg: argparse.Namespace, w) -> tuple[int, list]:
     table = transform_slopes(pattern, weights, diag, family, cfg.tgrid)
     slopes, residuals = table.slope.tolist(), table.residual.tolist()
     terms, stops = table.series_terms.tolist(), table.series_stop.tolist()
-    first_zero = table.first_zero.tolist()
     pairs = []
     for (i, j), want in np.ndenumerate(expected):
         entry = {"pair": [i, j],
                  "expected": float(want) if math.isfinite(want)
                  else "unreachable",
                  "series_terms": terms[i][j], "series_stop": stops[i][j]}
-        if math.isnan(first_zero[i][j]):
-            slope = slopes[i][j]
+        slope = slopes[i][j]
+        if not math.isnan(slope):
             entry.update(slope=slope, residual=residuals[i][j],
                          estimated=int(round(slope)),
                          match=bool(math.isfinite(want) and

@@ -94,14 +94,17 @@ GATHER_WORDS = 1 << 16
 class SupportGraph:
     """Boolean block/cell support of a graphon at a declared threshold.
 
-    The matrix is symmetric, as a graphon's support is; the walks on it
-    and its support-twin quotient rely on that."""
+    The matrix must be square and symmetric, as a graphon's support is;
+    the walks on it and its support-twin quotient rely on that."""
 
     matrix: np.ndarray
     epsilon: float
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=bool)
+        if m.ndim != 2 or not np.array_equal(m, m.T):
+            raise ValidationError("support matrix must be square and "
+                                  f"symmetric, got shape {m.shape}")
         object.__setattr__(self, "matrix", _readonly(m))
 
     @property

@@ -117,17 +117,17 @@ _BLOCK = 32
 _BLOCK_ENTRIES = 1 << 16
 
 #: why an entry's series stopped, indexed by ``_Series.stop`` codes
-STOP_REASONS = ("tail_bound", "unreachable", "vanished")
+STOP_REASONS = ("tail_bound", "unreachable", "vanished", "term_cap")
 
 
 @dataclass(frozen=True, eq=False)
 class _Series:
     """f(tL) between start rows and end columns, for every t of a grid.
 
-    ``log_abs[t, r, c]`` is log |f| (-inf where f is 0) and ``sign`` its
-    sign; ``terms[r, c]`` is the number of terms entry (r, c) needed and
-    ``stop[r, c]`` indexes ``STOP_REASONS``; ``order`` is the index of the
-    last term summed.
+    ``log_abs[t, r, c]`` is log |f| (-inf where f is 0, NaN where the
+    entry's series hit the term cap) and ``sign`` its sign; ``terms[r, c]``
+    is the number of terms entry (r, c) needed and ``stop[r, c]`` indexes
+    ``STOP_REASONS``; ``order`` is the index of the last term summed.
     """
 
     log_abs: np.ndarray
@@ -219,8 +219,10 @@ def _walk_series(family: TaylorFamily, L: np.ndarray, ts: np.ndarray,
     (``connectivity._bfs``) of (L != 0) | I from the start rows' support,
     run once some entry is still zero after the first block; the first
     nonzero terms are found in the powers, never in the BFS.  The sum
-    stops when every entry has stopped.  Memory is |t| accumulators per
-    entry plus one block of powers, never a stack of all powers.
+    stops when every entry has stopped; an entry still open at the term
+    cap stops there ("term_cap", log value NaN).  Memory is |t|
+    accumulators per entry plus one block of powers, never a stack of all
+    powers.  max(t) ||L||_inf > 700 (``expm``'s overflow limit) raises.
     """
     n = L.shape[0]
     ts = np.asarray(ts, dtype=float).reshape(-1)
@@ -235,6 +237,9 @@ def _walk_series(family: TaylorFamily, L: np.ndarray, ts: np.ndarray,
             f"t outside the convergence guard for '{family.name}': "
             f"|t|*max|L|*n = {guard:.6g} >= radius {family.radius:g}"
         )
+    if t_top * norm > 700.0:
+        raise MathDomainError(f"series for '{family.name}' would overflow: "
+                              f"max t * ||L||_inf = {t_top * norm:.6g} > 700")
     start = np.eye(n) if start is None else start
     rows = start.shape[0]
     cols = n if end is None else end.shape[1]
@@ -268,13 +273,8 @@ def _walk_series(family: TaylorFamily, L: np.ndarray, ts: np.ndarray,
     with np.errstate(divide="ignore"):
         log_colmax = (np.zeros(cols) if end is None
                       else np.log(np.abs(end).max(axis=0)))
-        while True:
+        while k0 <= cap:  # past the cap, the entries still open stop
             k1 = min(k0 + block, cap + 1)
-            if k1 <= k0:
-                raise MathDomainError(
-                    f"series for '{family.name}' did not converge within "
-                    f"{cap} terms (|t|*max|L|*n = {guard:.6g})"
-                )
             powers = buffer[:k1 - k0]            # S L^k / 2^scale, k0 <= k < k1
             for b in range(1, k1 - k0):
                 np.dot(powers[b - 1], L, out=powers[b])
@@ -356,11 +356,13 @@ def _walk_series(family: TaylorFamily, L: np.ndarray, ts: np.ndarray,
             np.ldexp(y, -e[:, None], out=buffer[0])
             scale += e
 
+        capped = done_at < 0
         total = 1.0 + lead_sign * acc
-        log_abs = np.where(has, lead + order * log_t + np.log(np.abs(total)),
-                           -np.inf)
+        log_abs = np.where(capped, np.nan, np.where(
+            has, lead + order * log_t + np.log(np.abs(total)), -np.inf))
     return _Series(log_abs, np.where(has, lead_sign * np.sign(total), 0.0),
-                   done_at + 1, np.where(has, 0, kind), k0 - 1)
+                   np.where(capped, k0, done_at + 1),
+                   np.where(capped, 3, np.where(has, 0, kind)), k0 - 1)
 
 
 def analytic_transform(family: TaylorFamily, L, t: float) -> tuple[np.ndarray, int]:
@@ -369,9 +371,9 @@ def analytic_transform(family: TaylorFamily, L, t: float) -> tuple[np.ndarray, i
     Entries of L^k are bounded by (max|L| * n)^k / n, so the series
     converges entrywise whenever ``|t| * max|L| * n`` is below the family's
     convergence radius; requests outside that guard are rejected.
-    Truncation is entrywise (see ``_walk_series``): no entry is cut before
-    its first nonzero term, so an entry first reached at order d keeps its
-    leading term a_d t^d (L^d)_ij.
+    Truncation is entrywise (see ``_walk_series``, also for the limits on
+    t that raise): no entry is cut before its first nonzero term, so an
+    entry first reached at order d keeps its leading term a_d t^d (L^d)_ij.
     """
     L = np.asarray(L, dtype=float)
     if L.ndim != 2 or L.shape[0] != L.shape[1]:
@@ -387,4 +389,13 @@ def analytic_transform(family: TaylorFamily, L, t: float) -> tuple[np.ndarray, i
     if t < 0.0:
         L, t = -L, -t
     series = _walk_series(family, L, np.array([t]))
-    return series.sign[0] * np.exp(series.log_abs[0]), series.order
+    return _values(family, series), series.order
+
+
+def _values(family: TaylorFamily, series: _Series) -> np.ndarray:
+    """The values f of ``series`` at its first t; an entry that hit the
+    term cap raises ``MathDomainError``."""
+    if (series.stop == 3).any():  # "term_cap"
+        raise MathDomainError(f"series for '{family.name}' did not converge "
+                              f"within {series.order + 1} terms")
+    return series.sign[0] * np.exp(series.log_abs[0])

@@ -23,9 +23,8 @@ over the first h rows, h as large as keeps it within ``_CUT_ENTRIES`` =
 add, one max and one sum over the low table, which give pos(S), the sum of
 the positive column sums of S; neg(S) is pos(S) minus the total of S.  That
 is about 2^n n additions in three passes, with no mask matrix.  On a 2-vCPU
-host, one BLAS thread, best of 5 (3 from 22 blocks): 16 blocks 39 -> 2.8
-ms, 18 blocks 146 -> 9.4 ms, 22 blocks 2.32 -> 0.15 s, 24 blocks 8.5 ->
-0.63 s against the 0/1 mask product it replaces.  The cut distance reads
+host, one BLAS thread, best of 5 (3 from 22 blocks): 2.8 ms at 16 blocks,
+9.4 ms at 18, 0.15 s at 22 and 0.63 s at 24.  The cut distance reads
 stacks of permuted differences through the same kernel.
 """
 

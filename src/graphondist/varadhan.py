@@ -28,21 +28,16 @@ the n x n operator A diag(mu); a smaller one is formed, which is faster
 than scaling every power.
 
 All-pair transform slopes (``transform_slopes``) come from one series
-over every start row, returned as a read-only ``TransformSlopes`` table.
-A single transform pair (i, j) is read off the same table restricted to
-its start row i, kept for the last operator (``_start_row``): the key is
-the read-only L itself (compared with ``np.array_equal``), the family and
-the t-grid, so an in-place edit of the caller's arrays is a new operator,
-and a call with another key drops every kept row.  The key holds n^2
-floats of L (8 MB at 1,000 blocks) until another operator arrives.  The
-rows kept hold at most ``_BLOCK_ENTRIES`` numbers plus the newest row,
-the oldest dropped first.  A row whose series raises (another entry hit
-the term cap) is kept as raised, and its pairs are summed alone as before,
-so every pair's outcome is the one its own series gives.  A kept pair
-costs its validation and the key comparison, a miss the whole row (one
-BLAS thread, a sparse random pattern; kept pair, miss and pair alone):
-0.026, 0.31 and 0.23 ms at 24 blocks, 0.049, 0.83 and 0.31 ms at 100,
-0.34, 2.8 and 2.3 ms at 300, 11, 28 and 30 ms at 1,000.
+over every start row, as a read-only ``TransformSlopes`` table in which a
+pair with no slope (its series hit the term cap, or |f| is 0 at some t)
+has a NaN slope and its own error.  A single pair (i, j) is read off the
+table of start row i.  The last row summed is kept (``_start_row``), keyed
+by the read-only L itself (compared with ``np.array_equal``; 8 MB at
+1,000 blocks), the family, the t-grid and i, so an in-place edit of the
+caller's arrays is a new operator.  A kept pair costs its validation and
+the key comparison, a miss the whole row (one BLAS thread, a sparse random
+pattern): 0.025 and 0.34 ms at 24 blocks, 0.050 and 0.87 ms at 100, 0.33
+and 2.8 ms at 300, 8.2 and 27 ms at 1,000.
 """
 
 from __future__ import annotations
@@ -68,9 +63,9 @@ from .core import (
 from .linalg import (
     EXPONENTIAL,
     STOP_REASONS,
-    _BLOCK_ENTRIES,
     TaylorFamily,
     _Series,
+    _values,
     _walk_series,
     sym_eig,
 )
@@ -232,9 +227,10 @@ def heat_content(w, u: IntervalSet, v: IntervalSet, t: float,
     annihilates the remainder, while the Laplacian acts as multiplication
     by the degree values there.  The adjacency series has nonnegative terms
     only, so tiny leading orders (t^d at walk distance d) are summed without
-    cancellation; it is exactly 0 between sets no walk joins.  The
-    Laplacian's block part reads the eigenpairs of diag(k) - D^{1/2} A
-    D^{1/2}, so it is defined for every finite t >= 0.
+    cancellation; it is exactly 0 between sets no walk joins, and raises
+    where ``_walk_series`` does.  The Laplacian's block part reads the
+    eigenpairs of diag(k) - D^{1/2} A D^{1/2}, so it is defined for every
+    finite t >= 0.
     """
     t = float(t)
     if not 0.0 <= t < math.inf:
@@ -245,7 +241,7 @@ def heat_content(w, u: IntervalSet, v: IntervalSet, t: float,
     if generator == "adjacency":
         if t == 0.0:
             return u.intersection_measure(v)
-        return float(np.exp(_heat_series(w, u, v, [t]).log_abs[0, 0, 0]))
+        return float(_values(EXPONENTIAL, _heat_series(w, u, v, [t]))[0, 0])
 
     if generator == "laplacian":
         mu = w.partition.measures
@@ -323,10 +319,6 @@ def _validate_t_grid(t_grid) -> np.ndarray:
 _DEFAULT_T_GRID = _readonly(default_t_grid())
 
 
-def _not_positive(what: str, t: float) -> str:
-    return f"{what} is not positive at t = {t:g}; no slope is defined"
-
-
 def _fit_lines(tg: np.ndarray, logs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares slopes and RMS residuals of the columns of ``logs``
     (finite, one row per t) against log t, all columns at once; a mean is
@@ -339,33 +331,42 @@ def _fit_lines(tg: np.ndarray, logs: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def _slopes(tg: np.ndarray, series: _Series):
-    """Slope and RMS residual of log |f| against log t, and the first t of
-    the grid where |f| is 0, for every entry of ``series`` (arrays of its
-    entry shape; slope and residual NaN where |f| is 0 at some t, the first
-    t NaN where at none), from one least-squares solve."""
+    """Slope and RMS residual of log |f| against log t for every entry of
+    ``series`` (arrays of its entry shape; NaN where log |f| is not finite
+    at some t: |f| is 0 there, or the series hit the term cap), from one
+    least-squares solve."""
     shape = series.log_abs.shape[1:]
     logs = series.log_abs.reshape(tg.shape[0], -1)
     finite = np.isfinite(logs)
     if finite.all():  # every defined public slope: no NaN or index arrays
         slope, residual = _fit_lines(tg, logs)
-        first_bad = np.full(slope.shape, np.nan)
     else:
         defined = finite.all(axis=0)
         slope, residual = np.full((2, defined.size), np.nan)
         slope[defined], residual[defined] = _fit_lines(tg, logs[:, defined])
-        first_bad = np.where(defined, np.nan, tg[np.argmin(finite, axis=0)])
-    return (slope.reshape(shape), residual.reshape(shape),
-            first_bad.reshape(shape))
+    return slope.reshape(shape), residual.reshape(shape)
+
+
+def _estimate(what: str, tg: np.ndarray, log_values: np.ndarray,
+              slope: float, residual: float, terms: int,
+              stop: str) -> SlopeEstimate:
+    """One entry's ``SlopeEstimate``; an entry with no slope (NaN) raises
+    ``MathDomainError``, naming the term cap its series hit or the first t
+    of the grid where |f| is 0."""
+    if math.isnan(slope):
+        why = (f"did not converge within {terms} terms" if stop == "term_cap"
+               else "is not positive at t = "
+               f"{tg[np.argmin(np.isfinite(log_values))]:g}")
+        raise MathDomainError(f"{what} {why}; no slope is defined")
+    return SlopeEstimate(tg, log_values, slope, residual, terms, stop)
 
 
 def _slope_estimate(tg: np.ndarray, series: _Series, what: str) -> SlopeEstimate:
     """The ``SlopeEstimate`` of entry (0, 0) of ``series``."""
-    slope, residual, first_bad = _slopes(tg, series)
-    if not math.isnan(first_bad[0, 0]):
-        raise MathDomainError(_not_positive(what, float(first_bad[0, 0])))
-    return SlopeEstimate(tg, series.log_abs[:, 0, 0], float(slope[0, 0]),
-                         float(residual[0, 0]), int(series.terms[0, 0]),
-                         STOP_REASONS[series.stop[0, 0]])
+    slope, residual = _slopes(tg, series)
+    return _estimate(what, tg, series.log_abs[:, 0, 0], float(slope[0, 0]),
+                     float(residual[0, 0]), int(series.terms[0, 0]),
+                     STOP_REASONS[series.stop[0, 0]])
 
 
 def varadhan_slope(w, u: IntervalSet, v: IntervalSet,
@@ -414,16 +415,15 @@ class TransformSlopes:
     ``rows[r]``.
 
     ``slope`` and ``residual`` are NaN where |f| is 0 at some t of
-    ``t_grid``, and ``first_zero`` is the first such t (NaN where there is
-    none); ``log_values[r, j]`` is log |f| on the grid, and
-    ``series_terms`` and ``series_stop`` are as in ``SlopeEstimate``.
+    ``t_grid`` or the series hit the term cap (log values NaN);
+    ``log_values[r, j]`` is log |f| on the grid, and ``series_terms`` and
+    ``series_stop`` are as in ``SlopeEstimate``.
     """
 
     t_grid: np.ndarray
     rows: np.ndarray
     slope: np.ndarray
     residual: np.ndarray
-    first_zero: np.ndarray
     log_values: np.ndarray
     series_terms: np.ndarray
     series_stop: np.ndarray
@@ -434,19 +434,25 @@ class TransformSlopes:
                                _readonly(np.asarray(getattr(self, name))))
 
     def estimate(self, i: int, j: int) -> SlopeEstimate:
-        """Pair (i, j)'s ``SlopeEstimate``, i a start row; a pair whose
-        |f| is 0 at some t of the grid raises ``MathDomainError``."""
+        """Pair (i, j)'s ``SlopeEstimate``, i a start row; a pair with no
+        slope raises ``MathDomainError`` (see ``_estimate``)."""
+        i, j = _indices(i, j)
         r = i - int(self.rows[0]) if self.rows.size else -1
         if not (0 <= r < self.rows.size and 0 <= j < self.slope.shape[1]):
             raise ValidationError(f"pair ({i}, {j}) is not in the table")
-        if not math.isnan(self.first_zero[r, j]):
-            raise MathDomainError(_not_positive(
-                f"|f(Lt)|[{i},{j}]", float(self.first_zero[r, j])))
-        return SlopeEstimate(self.t_grid, self.log_values[r, j].copy(),
-                             float(self.slope[r, j]),
-                             float(self.residual[r, j]),
-                             int(self.series_terms[r, j]),
-                             str(self.series_stop[r, j]))
+        return _estimate(f"|f(Lt)|[{i},{j}]", self.t_grid,
+                         self.log_values[r, j].copy(), float(self.slope[r, j]),
+                         float(self.residual[r, j]),
+                         int(self.series_terms[r, j]),
+                         str(self.series_stop[r, j]))
+
+
+def _indices(i, j) -> tuple[int, int]:
+    """Two indices read with ``operator.index``, else ``ValidationError``."""
+    try:
+        return operator.index(i), operator.index(j)
+    except TypeError as exc:
+        raise ValidationError(f"indices ({i!r}, {j!r}) must be integers") from exc
 
 
 def _transform_table(family: TaylorFamily, lmat: np.ndarray, tg: np.ndarray,
@@ -460,8 +466,8 @@ def _transform_table(family: TaylorFamily, lmat: np.ndarray, tg: np.ndarray,
         start, rows = np.zeros((1, n)), np.array([row])
         start[0, row] = 1.0
     series = _walk_series(family, lmat, tg, start=start)
-    slope, residual, first_zero = _slopes(tg, series)
-    return TransformSlopes(tg, rows, slope, residual, first_zero,
+    slope, residual = _slopes(tg, series)
+    return TransformSlopes(tg, rows, slope, residual,
                            np.moveaxis(series.log_abs, 0, -1), series.terms,
                            np.array(STOP_REASONS)[series.stop])
 
@@ -470,8 +476,8 @@ def transform_slopes(adjacency, weights, diag, family: TaylorFamily,
                      t_grid=None) -> TransformSlopes:
     """Slopes of log |f(Lt)_{ij}| for every pair (i, j) of L = M + D, from
     one series over every start row; the inputs are those of
-    ``general_varadhan_slope``, checked once.  Raises ``MathDomainError``
-    when some entry's series hits the term cap."""
+    ``general_varadhan_slope``, checked once.  A pair whose series hits the
+    term cap has a NaN slope, like a pair whose |f| is 0 at some t."""
     tg = _DEFAULT_T_GRID if t_grid is None else _validate_t_grid(t_grid)
     return _transform_table(family, _transform_operator(adjacency, weights,
                                                         diag), tg)
@@ -493,53 +499,32 @@ def general_varadhan_slope(adjacency, weights, diag, family: TaylorFamily,
     """
     lmat = _transform_operator(adjacency, weights, diag)
     n = lmat.shape[0]
-    try:
-        i, j = operator.index(i), operator.index(j)
-    except TypeError as exc:
-        raise ValidationError(f"indices ({i!r}, {j!r}) must be integers") from exc
+    i, j = _indices(i, j)
     if not (0 <= i < n and 0 <= j < n):
         raise ValidationError(f"indices ({i}, {j}) out of range for n = {n}")
     tg = _DEFAULT_T_GRID if t_grid is None else _validate_t_grid(t_grid)
-    row = _start_row(family, lmat, tg, i)
-    if row is None:  # some entry of row i hit the term cap: sum (i, j) alone
-        unit = np.eye(n)
-        return _slope_estimate(tg, _walk_series(family, lmat, tg,
-                                                start=unit[[i]],
-                                                end=unit[:, [j]]),
-                               f"|f(Lt)|[{i},{j}]")
-    return row.estimate(i, j)
+    return _start_row(family, lmat, tg, i).estimate(i, j)
 
 
-#: the operator key (L, family, t-grid) and kept start rows (row index ->
-#: one-row ``TransformSlopes``, or None for a row whose series raised) of
-#: ``general_varadhan_slope``; replaced as a whole under the lock, so a
-#: call never reads another operator's rows
-_start_rows: tuple = ((None, None, None), {})
-_start_rows_lock = threading.Lock()
+#: the kept start row of ``general_varadhan_slope``: (L, family, t-grid,
+#: row index, that row's one-row ``TransformSlopes``), replaced whole under
+#: the lock, so a call never reads another operator's row
+_kept_row: tuple = (None, None, None, -1, None)
+_kept_row_lock = threading.Lock()
 
 
 def _start_row(family: TaylorFamily, lmat: np.ndarray, tg: np.ndarray,
-               i: int) -> TransformSlopes | None:
-    """The slopes of start row i of f(tL) over all columns, or None when
-    its series raises; kept for the last operator only (see the module
-    docstring for the key and the bound)."""
-    global _start_rows
-    with _start_rows_lock:
-        (kept_l, kept_family, kept_tg), rows = _start_rows
-        if not (kept_family == family
-                and (kept_tg is tg or np.array_equal(kept_tg, tg))
-                and np.array_equal(kept_l, lmat)):
-            _start_rows = ((lmat, family, tg), {})
-            rows = _start_rows[1]
-        if i in rows:
-            return rows[i]
-    try:
-        row = _transform_table(family, lmat, tg, i)
-    except MathDomainError:
-        row = None
-    keep = max(1, _BLOCK_ENTRIES // (lmat.shape[0] * (tg.size + 5)))
-    with _start_rows_lock:  # into this key's rows, even if since replaced
-        while len(rows) >= keep:
-            del rows[next(iter(rows))]
-        rows[i] = row
+               i: int) -> TransformSlopes:
+    """The slopes of start row i of f(tL) over all columns, from the kept
+    row when its key matches, else summed and kept in its place (see the
+    module docstring for the key)."""
+    global _kept_row
+    kept_l, kept_family, kept_tg, kept_i, row = _kept_row  # one whole tuple
+    if (kept_i == i and kept_family == family
+            and (kept_tg is tg or np.array_equal(kept_tg, tg))
+            and np.array_equal(kept_l, lmat)):
+        return row
+    row = _transform_table(family, lmat, tg, i)
+    with _kept_row_lock:
+        _kept_row = (lmat, family, tg, i, row)
     return row

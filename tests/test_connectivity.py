@@ -4,6 +4,7 @@ import pytest
 from graphondist import (
     UNREACHABLE,
     Partition,
+    SupportGraph,
     ValidationError,
     block_distance_matrix,
     bipartite_graphon,
@@ -26,6 +27,23 @@ from conftest import bfs_oracle, cycle_adjacency, random_partition, random_step_
 def test_support_graph_bipartite():
     s = support_graph(bipartite_graphon())
     assert np.array_equal(s.matrix, np.array([[False, True], [True, False]]))
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3,), (1, 2, 2)])
+def test_support_graph_rejects_a_matrix_that_is_not_square(shape):
+    with pytest.raises(ValidationError, match="must be square"):
+        SupportGraph(np.ones(shape, bool), 0.0)
+
+
+def test_support_graph_rejects_an_asymmetric_matrix():
+    # edges 0->1, 2->1 and 1->0 only: read as a graph it would put vertex 2
+    # at distance 2 from vertex 0
+    m = np.zeros((3, 3), bool)
+    m[0, 1] = m[2, 1] = m[1, 0] = True
+    with pytest.raises(ValidationError, match="square and symmetric"):
+        block_distance_matrix(SupportGraph(m, 0.0))
+    m[1, 2] = True
+    assert block_distance_matrix(SupportGraph(m, 0.0))[0, 2] == 2
 
 
 def test_support_graph_er_all_true():

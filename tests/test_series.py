@@ -324,3 +324,66 @@ def test_heat_mode_json_reports_the_series(tmp_path):
     assert code == 0
     assert payload["series_stop"] == "tail_bound"
     assert payload["series_terms"] > 3
+
+
+def test_series_past_the_exponential_limit_are_rejected():
+    # t ||L||_inf > 700: the term cap used to outgrow int64 at t = 1e300
+    # (object arrays, a TypeError), the sum to run for minutes at t = 1e5,
+    # and the heat content to overflow to inf
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    for t in (1e5, 1e300, -1e5):
+        with pytest.raises(MathDomainError, match="would overflow"):
+            analytic_transform(EXPONENTIAL, swap, t)
+    with pytest.raises(MathDomainError, match=r"= 700\.5 > 700"):
+        analytic_transform(EXPONENTIAL, swap, 700.5)
+    got, _ = analytic_transform(EXPONENTIAL, swap, 700.0)  # at the limit
+    want = np.array([[np.cosh(700.0), np.sinh(700.0)],
+                     [np.sinh(700.0), np.cosh(700.0)]])
+    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+    c6 = lift(cycle_adjacency(6))  # ||A diag(mu)||_inf = 1/3
+    u, v = I(0.0, 1 / 6), I(0.5, 4 / 6)
+    with pytest.raises(MathDomainError, match="would overflow"):
+        heat_content(c6, u, v, 1e4)
+    with pytest.raises(MathDomainError, match="would overflow"):
+        varadhan_slope(c6, u, v, [1e4, 1e3])
+    assert math.isfinite(heat_content(c6, u, v, 2000.0))
+
+
+@pytest.mark.parametrize("graphon, sets, grid", [
+    ({"kind": "builtin", "name": "bipartite"}, ("0:0.5", "0.5:1"),
+     "1e300:1e299:2"),
+    ({"kind": "step", "measures": [1 / 6] * 6,
+      "blocks": cycle_adjacency(6).tolist()},
+     ("0:0.1667", "0.5:0.6667"), "1e4:1e3:2"),
+], ids=["bipartite", "c6"])
+def test_cli_slope_past_the_exponential_limit_is_code_3(tmp_path, capsys,
+                                                        graphon, sets, grid):
+    spec = tmp_path / "w.json"
+    spec.write_text(json.dumps(graphon))
+    out = tmp_path / "out"
+    code = main(["slope", "--input", str(spec), "--out", str(out),
+                 "--u", sets[0], "--v", sets[1], "--tgrid", grid])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "math domain error" in err and "would overflow" in err
+    assert not out.exists()
+
+
+def test_cli_transform_pair_at_the_term_cap_is_reported(tmp_path):
+    # the resolvent of the one-block graphon at t = 0.99 is the geometric
+    # series of 0.99, which needs far more than the cap of 200 terms
+    spec = tmp_path / "er.json"
+    spec.write_text(json.dumps({"kind": "builtin", "name": "er",
+                                "params": {"p": 1.0}}))
+    out = tmp_path / "out"
+    code = main(["slope", "--input", str(spec), "--out", str(out),
+                 "--transform", "resolvent", "--weights", "unit",
+                 "--tgrid", "0.99:0.98:2", "--reproducible"])
+    assert code == 1
+    payload = json.loads((out / "slope.json").read_text())
+    (entry,) = payload["pairs"]
+    assert payload["all_match"] is False and entry["match"] is False
+    assert entry["series_stop"] == "term_cap" and entry["series_terms"] == 201
+    assert entry["slope"] is None and entry["estimated"] is None
+    assert entry["reason"] == ("|f(Lt)|[0,0] did not converge within 201 "
+                               "terms; no slope is defined")

@@ -1,8 +1,8 @@
-"""The kept start rows of ``general_varadhan_slope`` against the pair summed
+"""The kept start row of ``general_varadhan_slope`` against the pair summed
 alone.
 
 A single-pair transform slope reads its pair off the series of its whole
-start row, kept for the last operator.  The oracle here sums the pair by
+start row; the last row summed is kept.  The oracle here sums the pair by
 itself (start row e_i, end column e_j) and reads it with ``_slope_estimate``;
 every pair, in every query order, must give the oracle's outcome: the same
 slope, residual and log values within 1e-12, the same term count and stop
@@ -20,7 +20,7 @@ from graphondist import (
     general_varadhan_slope,
 )
 from graphondist import varadhan
-from graphondist.linalg import _walk_series
+from graphondist.linalg import STOP_REASONS, _walk_series
 from graphondist.varadhan import (
     _slope_estimate,
     _transform_operator,
@@ -144,48 +144,70 @@ def test_alternating_operators_never_mix():
                                 pair_alone(adj, weights, diag, fam, i, j, tg))
 
 
-def test_a_row_that_raises_sums_its_pairs_alone():
-    # the resolvent at |t| max|L| n = 0.9: entry (0, 1) converges in 81
-    # terms, but entry (0, 2), behind an edge of weight 1e-100, needs far
-    # more than the cap of 200, so the series of the whole row 0 raises
+def weak_edge_operator():
+    """A 3-path with an edge of weight 1e-100 between vertices 1 and 2 and a
+    unit diagonal.  At the resolvent's |t| max|L| n = 0.9 entry (0, 1)
+    converges in 81 terms, but every entry whose leading term crosses the
+    weak edge, such as (0, 2), needs far more than the cap of 200."""
     a = np.zeros((3, 3))
     a[0, 1] = a[1, 0] = a[1, 2] = a[2, 1] = 1.0
     weights = a.copy()
     weights[1, 2] = weights[2, 1] = 1e-100
-    diag = np.ones(3)
-    tg = np.array([0.3, 0.2])
-    with pytest.raises(MathDomainError, match="did not converge"):
-        _walk_series(RESOLVENT, weights + np.diag(diag), tg,
-                     start=np.eye(3)[[0]])
-    for _ in range(2):  # a cold row, then the row known to raise
-        for j in range(3):
-            want = outcome(pair_alone, a, weights, diag, RESOLVENT, 0, j, tg)
-            assert_same(outcome(general_varadhan_slope, a, weights, diag,
-                                RESOLVENT, 0, j, tg), want)
-            assert isinstance(want, str) == (j == 2)
+    return a, weights, np.ones(3), np.array([0.3, 0.2])
 
 
-def test_kept_rows_stay_within_the_block_budget(monkeypatch):
-    # a budget of three rows of 12 columns x (8 log values + 5)
-    monkeypatch.setattr(varadhan, "_BLOCK_ENTRIES", 3 * 12 * 13)
+def test_a_capped_entry_fails_alone():
+    a, weights, diag, tg = weak_edge_operator()
+    want = {(i, j): outcome(pair_alone, a, weights, diag, RESOLVENT, i, j, tg)
+            for i in range(3) for j in range(3)}
+    # the oracle's own series stops the capped entry, without raising
+    capped = _walk_series(RESOLVENT, weights + np.diag(diag), tg,
+                          start=np.eye(3)[[0]], end=np.eye(3)[:, [2]])
+    assert STOP_REASONS[capped.stop[0, 0]] == "term_cap"
+    assert capped.terms[0, 0] == 201 and np.isnan(capped.log_abs).all()
+    assert want[0, 2] == ("|f(Lt)|[0,2] did not converge within 201 terms; "
+                          "no slope is defined")
+    assert not isinstance(want[0, 1], str) and want[0, 1].series_terms == 81
+    assert {pair for pair, w in want.items() if isinstance(w, str)} == {
+        (0, 2), (1, 2), (2, 0), (2, 1)}
+    rng = np.random.default_rng(3)
+    for order, pairs in pair_orders(rng, 3).items():
+        for _ in range(2):  # a cold row, then the kept one
+            for i, j in pairs:
+                assert_same(outcome(general_varadhan_slope, a, weights, diag,
+                                    RESOLVENT, i, j, tg), want[i, j])
+
+
+def test_one_start_row_is_kept(monkeypatch):
+    summed = []
+
+    def counted(family, lmat, tg, row=None):
+        summed.append(row)
+        return transform_table(family, lmat, tg, row)
+
+    transform_table = varadhan._transform_table
+    monkeypatch.setattr(varadhan, "_transform_table", counted)
     a = cycle_adjacency(12)
     zeros = np.zeros(12)
     for i in range(12):
-        for j in (0, 6, 11):
+        for j in (0, 6, 11, 6):
             assert_same(general_varadhan_slope(a, a, zeros, EXPONENTIAL, i, j),
                         pair_alone(a, a, zeros, EXPONENTIAL, i, j))
-        assert list(varadhan._start_rows[1]) == list(range(max(0, i - 2),
-                                                           i + 1))
-    # one row is always kept, however small the budget
-    monkeypatch.setattr(varadhan, "_BLOCK_ENTRIES", 1)
-    general_varadhan_slope(a, a, zeros, EXPONENTIAL, 3, 4)
-    assert list(varadhan._start_rows[1]) == [3]
+        kept_l, family, tg, row_index, row = varadhan._kept_row
+        assert (row_index, family) == (i, EXPONENTIAL)
+        assert np.array_equal(kept_l, a) and not kept_l.flags.writeable
+        assert np.array_equal(row.rows, [i]) and row.slope.shape == (1, 12)
+    # a row by row sweep sums each row once; a row that was replaced is
+    # summed again
+    assert summed == list(range(12))
+    general_varadhan_slope(a, a, zeros, EXPONENTIAL, 0, 3)
+    assert summed == [*range(12), 0]
 
 
 def test_threads_sharing_the_kept_rows_get_their_own_operators():
     # more threads than cores, each alternating between two operators on
-    # a short switch interval: a row read under another operator's key,
-    # or an eviction racing an insert, breaks an answer or raises
+    # a short switch interval: a row read under another operator's or
+    # another row's key breaks an answer or raises
     import sys
     import threading
 

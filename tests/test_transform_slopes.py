@@ -26,6 +26,7 @@ from test_start_rows import (
     pair_alone,
     random_operator,
     random_pattern,
+    weak_edge_operator,
 )
 
 
@@ -42,7 +43,7 @@ def test_every_pair_of_the_table_matches_the_pair_alone(family, grid):
         table = transform_slopes(a, weights, diag, fam, tg)
         assert isinstance(table, TransformSlopes)
         assert np.array_equal(table.rows, np.arange(n))
-        assert table.slope.shape == table.first_zero.shape == (n, n)
+        assert table.slope.shape == table.residual.shape == (n, n)
         assert table.log_values.shape == (n, n, table.t_grid.size)
         assert not table.slope.flags.writeable
         for i in range(n):
@@ -53,9 +54,13 @@ def test_every_pair_of_the_table_matches_the_pair_alone(family, grid):
                 if isinstance(want, str):
                     raised += 1
                     assert math.isnan(table.slope[i, j])
-                    assert f"t = {table.first_zero[i, j]:g};" in want
+                    assert math.isnan(table.residual[i, j])
+                    assert table.series_stop[i, j] != "tail_bound"
+                    logs = table.log_values[i, j]
+                    zero = table.t_grid[np.isneginf(logs)][0]
+                    assert f"is not positive at t = {zero:g};" in want
                 else:
-                    assert math.isnan(table.first_zero[i, j])
+                    assert np.isfinite(table.log_values[i, j]).all()
                     assert table.series_terms[i, j] == want.series_terms
                     assert table.series_stop[i, j] == want.series_stop
     # the sparse patterns are disconnected, so some pairs have no slope
@@ -68,18 +73,30 @@ def test_the_table_rejects_pairs_it_does_not_hold():
     for i, j in ((-1, 0), (3, 0), (0, -1), (0, 3)):
         with pytest.raises(ValidationError, match="not in the table"):
             table.estimate(i, j)
+    for i, j in ((0.5, 1), (0, 2.0), ("0", 1), (None, 0)):
+        with pytest.raises(ValidationError, match="must be integers"):
+            table.estimate(i, j)
+    assert table.estimate(np.int64(0), True).estimated_distance == 1
 
 
-def test_a_table_whose_series_hits_the_cap_raises():
-    # the path of test_start_rows' fallback: entry (0, 2) sits behind an
-    # edge of weight 1e-100, so the all-row series passes its term cap
-    a = np.zeros((3, 3))
-    a[0, 1] = a[1, 0] = a[1, 2] = a[2, 1] = 1.0
-    weights = a.copy()
-    weights[1, 2] = weights[2, 1] = 1e-100
-    with pytest.raises(MathDomainError, match="did not converge"):
-        transform_slopes(a, weights, np.ones(3), RESOLVENT,
-                         np.array([0.3, 0.2]))
+def test_a_capped_pair_fails_alone_in_the_table():
+    # entries whose leading term crosses an edge of weight 1e-100 pass the
+    # term cap; the table still holds every pair, and only those fail
+    a, weights, diag, tg = weak_edge_operator()
+    table = transform_slopes(a, weights, diag, RESOLVENT, tg)
+    capped = table.series_stop == "term_cap"
+    assert capped.sum() == 4 and capped[0, 2]
+    assert np.isnan(table.slope[capped]).all()
+    assert np.isnan(table.log_values[capped]).all()
+    assert (table.series_terms[capped] == 201).all()
+    assert np.isfinite(table.slope[~capped]).all()
+    for i in range(3):
+        for j in range(3):
+            want = outcome(pair_alone, a, weights, diag, RESOLVENT, i, j, tg)
+            assert_same(outcome(table.estimate, i, j), want)
+            assert isinstance(want, str) == capped[i, j]
+    with pytest.raises(MathDomainError, match=r"\[0,2\] did not converge"):
+        table.estimate(0, 2)
 
 
 def test_an_in_place_edit_of_the_grid_is_a_new_key():
