@@ -33,12 +33,12 @@ ms), and a query on a long-lived graphon costs a lookup.  The one
 exception is ``distance_field`` (``varadhan``): it returns the kept
 levels when there are any, and otherwise keeps only the diameter of its
 walk, since the ``DistanceField`` owns the levels.  Keeping them on the
-graphon too would share that array, yet it raised the ``field``
-benchmark's peak RSS from 262 to 300 MB, three times the levels' own 12
-MB (uint16 then): the C allocator holds freed heap pages below the
-long-lived levels (``malloc_trim(0)`` after a pass gives them back).
+graphon too would share that array, yet it raises the ``field``
+benchmark's peak RSS by their size, 6 MB of uint8 levels (290 to 297
+MB); see the README for the measurement.
 The entries go with the graphon, which must be immutable:
-``StepGraphon`` is a frozen dataclass whose ``blocks`` are read-only.
+``StepGraphon`` is a frozen dataclass whose blocks and measures are
+read-only arrays of its own (``core._own``).
 ``block_distance_matrix`` takes a bare ``SupportGraph`` and keeps nothing.
 
 Every product goes through one kernel, ``_compose``, and every BFS level
@@ -75,7 +75,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GridGraphon, ValidationError, _readonly
+from .core import GridGraphon, ValidationError, _own, _readonly, _square_matrix
 
 #: explicit marker for unreachable pairs (never a large integer)
 UNREACHABLE = math.inf
@@ -94,18 +94,20 @@ GATHER_WORDS = 1 << 16
 class SupportGraph:
     """Boolean block/cell support of a graphon at a declared threshold.
 
-    The matrix must be square and symmetric, as a graphon's support is;
-    the walks on it and its support-twin quotient rely on that."""
+    The matrix must be nonempty, square and symmetric, as a graphon's
+    support is (the walks on it and its support-twin quotient rely on
+    that); the threshold is checked as a query's (``None`` is the step
+    default)."""
 
     matrix: np.ndarray
     epsilon: float
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=bool)
-        if m.ndim != 2 or not np.array_equal(m, m.T):
-            raise ValidationError("support matrix must be square and "
-                                  f"symmetric, got shape {m.shape}")
-        object.__setattr__(self, "matrix", _readonly(m))
+        _own(self, matrix=bool)
+        m = _square_matrix(self.matrix, "support matrix", bool)
+        if not np.array_equal(m, m.T):
+            raise ValidationError("support matrix must be square and symmetric")
+        object.__setattr__(self, "epsilon", _threshold(None, self.epsilon))
 
     @property
     def size(self) -> int:
@@ -117,8 +119,9 @@ def default_epsilon(w) -> float:
 
 
 def _threshold(w, epsilon: float | None) -> float:
-    """The support threshold of a query: ``default_epsilon(w)`` for
-    ``None``, rejected unless finite and nonnegative."""
+    """The support threshold of a query or a ``SupportGraph``:
+    ``default_epsilon(w)`` for ``None``, rejected unless finite and
+    nonnegative."""
     eps = default_epsilon(w) if epsilon is None else float(epsilon)
     if not (math.isfinite(eps) and eps >= 0.0):
         raise ValidationError(
@@ -130,7 +133,7 @@ def support_graph(w, epsilon: float | None = None) -> SupportGraph:
     """Support graph of a graphon: an edge wherever the block/cell value
     exceeds epsilon."""
     eps = _threshold(w, epsilon)
-    return SupportGraph(w.blocks > eps, eps)
+    return SupportGraph(_readonly(w.blocks > eps), eps)
 
 
 def _row_classes(rows: np.ndarray):

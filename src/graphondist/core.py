@@ -42,6 +42,36 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _own(obj, **dtypes) -> None:
+    """Set each named array field of the frozen value type ``obj`` to a
+    read-only array of the given dtype (``None`` keeps the field's) that
+    no caller can write.  An array that is read-only and owns its data is
+    kept, a list (or an array of another dtype) is converted, and anything
+    else -- a writable array, any view -- is copied.  So a caller's array
+    is never frozen or aliased, and a fresh array passed read-only is
+    never copied."""
+    for name, dtype in dtypes.items():
+        value = getattr(obj, name)
+        a = np.asarray(value, dtype=dtype)
+        if a.base is not None or a.flags.writeable:
+            if a.base is not None or a is value or not isinstance(
+                    value, (list, tuple, np.ndarray)):
+                a = a.copy()
+            _readonly(a)
+        object.__setattr__(obj, name, a)
+
+
+def _square_matrix(value, what: str, dtype=float) -> np.ndarray:
+    """A caller's matrix as an array of ``dtype``, rejected unless it is
+    a nonempty square 2-D array.  Nothing is copied but what the
+    conversion needs, and finiteness is left to the caller."""
+    a = np.asarray(value, dtype=dtype)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
+        raise ValidationError(
+            f"{what} must be square and nonempty, got shape {a.shape}")
+    return a
+
+
 def _checked_count(value, name: str = "resolution", floor: int = 1) -> int:
     """A count (a resolution, a power, a truncation) as an int.  Whole
     numbers of at least ``floor`` (0 or 1) pass, ``2.0`` and ``np.int64(2)``
@@ -75,32 +105,15 @@ def _symmetry_gap(a: np.ndarray) -> float:
 
 def _check_symmetric(a: np.ndarray, tol: float, what: str,
                      scale: float | None = None) -> float:
-    """Reject a non-square matrix or one asymmetric beyond ``tol`` times
-    ``scale`` (default max(1, max|a|)) or by NaN (a NaN entry makes it
-    so); return max |a - a.T|."""
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValidationError(f"{what} must be a square matrix, got shape {a.shape}")
-    if not a.size:
-        return 0.0
+    """Reject a matrix (square and nonempty, see ``_square_matrix``)
+    asymmetric beyond ``tol`` times ``scale`` (default max(1, max|a|)) or
+    by NaN (a NaN entry makes it so); return max |a - a.T|."""
     if scale is None:
         scale = max(1.0, float(np.abs(a).max()))
     gap = _symmetry_gap(a)
     if not gap <= tol * scale:
         raise ValidationError(f"{what} is not symmetric within {tol:g}")
     return gap
-
-
-def _check_unit_range(a: np.ndarray, lo: float, hi: float,
-                      what: str) -> np.ndarray:
-    """Reject entries (whose range is [lo, hi]) outside [0,1] beyond the
-    tolerance; clip the rest into [0,1] in place."""
-    if lo < -_RANGE_TOL or hi > 1.0 + _RANGE_TOL:
-        raise ValidationError(
-            f"{what} entries must lie in [0,1]; found range [{lo:g}, {hi:g}]"
-        )
-    if lo < 0.0 or hi > 1.0:
-        np.clip(a, 0.0, 1.0, out=a)
-    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,9 +130,11 @@ class Partition:
     breakpoints: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        mu = np.asarray(self.measures, dtype=float).reshape(-1)
-        if mu.size == 0:
-            raise ValidationError("partition needs at least one block")
+        _own(self, measures=float)
+        mu = self.measures
+        if mu.ndim != 1 or mu.size == 0:
+            raise ValidationError("partition measures must be a nonempty "
+                                  f"vector, got shape {mu.shape}")
         if not np.all(mu > 0.0):
             raise ValidationError("partition measures must all be positive")
         total = float(mu.sum())
@@ -132,7 +147,6 @@ class Partition:
         else:
             bp = np.concatenate(([0.0], np.cumsum(mu)))
             bp[-1] = 1.0
-        object.__setattr__(self, "measures", _readonly(mu))
         object.__setattr__(self, "breakpoints", _readonly(bp))
 
     @property
@@ -142,7 +156,7 @@ class Partition:
     @classmethod
     def uniform(cls, n: int) -> "Partition":
         n = _checked_count(n)
-        return cls(np.full(n, 1.0 / n))
+        return cls(_readonly(np.full(n, 1.0 / n)))
 
     def locate(self, x):
         """Block index containing x (scalar or array); endpoints per the
@@ -239,8 +253,8 @@ class StepGraphon:
     blocks: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.blocks, dtype=float)
-        lo, hi = (float(a.min()), float(a.max())) if a.size else (0.0, 0.0)
+        a = _square_matrix(self.blocks, "block matrix")
+        lo, hi = float(a.min()), float(a.max())
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValidationError("block matrix entries must be finite")
         gap = _check_symmetric(a, _SYM_TOL, "block matrix", max(1.0, hi, -lo))
@@ -252,11 +266,15 @@ class StepGraphon:
         if gap:
             a = (a + a.T) / 2.0
             lo, hi = float(a.min()), float(a.max())
-        elif isinstance(self.blocks, np.ndarray) and np.may_share_memory(
-                a, self.blocks):
-            a = a.copy()
-        a = _check_unit_range(a, lo, hi, "block matrix")
-        object.__setattr__(self, "blocks", _readonly(a))
+        if lo < -_RANGE_TOL or hi > 1.0 + _RANGE_TOL:
+            raise ValidationError("block matrix entries must lie in [0,1]; "
+                                  f"found range [{lo:g}, {hi:g}]")
+        clip = lo < 0.0 or hi > 1.0
+        if clip:  # in place only on the symmetrized copy
+            a = np.clip(a, 0.0, 1.0, out=a if gap else None)
+        if gap or clip:  # a private array, so it is kept
+            object.__setattr__(self, "blocks", _readonly(a))
+        _own(self, blocks=float)
 
     @property
     def size(self) -> int:
@@ -288,13 +306,12 @@ class BlockFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float).reshape(-1)
-        if v.shape[0] != self.partition.size:
+        _own(self, values=float)
+        if self.values.shape != (self.partition.size,):
             raise ValidationError(
-                f"value vector length {v.shape[0]} does not match partition "
-                f"size {self.partition.size}"
+                f"value vector of shape {self.values.shape} does not match "
+                f"partition size {self.partition.size}"
             )
-        object.__setattr__(self, "values", _readonly(v))
 
     def __array__(self, dtype=None, copy=None):
         """The block values, so numpy functions accept a BlockFunction."""
@@ -307,14 +324,13 @@ class BlockFunction:
 
 def lift(a) -> StepGraphon:
     """Embed a symmetric matrix as a step graphon on the uniform partition."""
-    a = np.asarray(a, dtype=float)
-    _check_symmetric(a, _SYM_TOL, "matrix")
+    a = _square_matrix(a, "block matrix")
     return StepGraphon(Partition.uniform(a.shape[0]), a)
 
 
 def step(partition: Partition, a) -> StepGraphon:
     """Step graphon with the given partition and symmetric block matrix."""
-    return StepGraphon(partition, np.asarray(a, dtype=float))
+    return StepGraphon(partition, a)
 
 
 def _overlap_matrix(bp_rows: np.ndarray, bp_cols: np.ndarray) -> np.ndarray:
@@ -371,7 +387,8 @@ def comp_power(w: StepGraphon, m: int) -> StepGraphon:
 
 def degree(w: StepGraphon) -> BlockFunction:
     """Degree function k(x) = integral of W(x, .), one value per block."""
-    return BlockFunction(w.partition, w.blocks @ w.partition.measures)
+    return BlockFunction(w.partition,
+                         _readonly(w.blocks @ w.partition.measures))
 
 
 def apply_adjacency(w: StepGraphon, f: BlockFunction) -> BlockFunction:
@@ -387,7 +404,7 @@ def apply_adjacency(w: StepGraphon, f: BlockFunction) -> BlockFunction:
     ) > _SUM_TOL:
         raise ValidationError("function partition does not match graphon")
     vals = w.blocks @ (w.partition.measures * f.values)
-    return BlockFunction(w.partition, vals)
+    return BlockFunction(w.partition, _readonly(vals))
 
 
 def evaluate(w: StepGraphon, x, y):
@@ -403,12 +420,14 @@ def permute_blocks(w: StepGraphon, sigma) -> StepGraphon:
     result onto block sigma[i] of the input; adjacency operators of the two
     graphons are unitarily equivalent.
     """
-    perm = np.asarray(sigma, dtype=int).reshape(-1)
+    perm = np.asarray(sigma).reshape(-1)
+    if not np.issubdtype(perm.dtype, np.integer):
+        raise ValidationError(f"a permutation needs integer entries, got {sigma!r}")
     if sorted(perm.tolist()) != list(range(w.size)):
         raise ValidationError(f"not a permutation of 0..{w.size - 1}: {sigma!r}")
     mu = w.partition.measures[perm]
     blocks = w.blocks[np.ix_(perm, perm)]
-    return StepGraphon(Partition(mu), blocks)
+    return StepGraphon(Partition(_readonly(mu)), blocks)
 
 
 def to_grid(w: StepGraphon, resolution: int) -> GridGraphon:

@@ -26,6 +26,7 @@ from .core import (
     ValidationError,
     _check_symmetric,
     _checked_count,
+    _square_matrix,
     lift,
 )
 
@@ -116,18 +117,22 @@ def builtin_graphon(name: str, params: dict | None = None,
 
 
 def _load_matrix(rows, what: str) -> np.ndarray:
-    a = _parsed(np.asarray, rows, what, dtype=float)
+    a = _square_matrix(_parsed(np.asarray, rows, what, dtype=float), what)
     _check_symmetric(a, LOAD_SYM_TOL, what, scale=1.0)
     return (a + a.T) / 2.0
 
 
 def graphon_from_dict(data: dict, grid_resolution: int = 512):
+    """A graphon from its parsed description (see the module docstring)."""
+    if not isinstance(data, dict):
+        raise ValidationError(
+            "a graphon description must be a JSON object, got "
+            f"{type(data).__name__}")
     kind = data.get("kind")
     if kind == "step":
         if "measures" not in data or "blocks" not in data:
             raise ValidationError("step graphon needs 'measures' and 'blocks'")
-        return StepGraphon(Partition(_parsed(np.asarray, data["measures"],
-                                               "'measures'", dtype=float)),
+        return StepGraphon(_parsed(Partition, data["measures"], "'measures'"),
                            _load_matrix(data["blocks"], "'blocks'"))
     if kind == "grid":
         if "resolution" not in data or "values" not in data:
@@ -157,8 +162,6 @@ def load_graphon(source, grid_resolution: int = 512):
         data = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"invalid graphon JSON in {source}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ValidationError(f"graphon JSON in {source} must be an object")
     return graphon_from_dict(data, grid_resolution)
 
 

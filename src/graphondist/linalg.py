@@ -13,7 +13,8 @@ from typing import Callable
 import numpy as np
 
 from .connectivity import _bfs, _Bits
-from .core import MathDomainError, ValidationError, _check_symmetric, _readonly
+from .core import (MathDomainError, ValidationError, _check_symmetric, _own,
+                   _readonly, _square_matrix)
 
 
 @dataclass(frozen=True, eq=False)
@@ -25,10 +26,7 @@ class SpectralData:
     eigenvectors: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "eigenvalues",
-                           _readonly(np.asarray(self.eigenvalues, float)))
-        object.__setattr__(self, "eigenvectors",
-                           _readonly(np.asarray(self.eigenvectors, float)))
+        _own(self, eigenvalues=float, eigenvectors=float)
 
 
 def sym_eig(b) -> SpectralData:
@@ -38,28 +36,24 @@ def sym_eig(b) -> SpectralData:
     that its largest-magnitude entry is positive (the first such entry on
     ties), which makes the output independent of the solver's sign choice.
     """
-    b = np.asarray(b, dtype=float)
+    b = _square_matrix(b, "matrix")
     if not np.isfinite(b).all():
         raise ValidationError("eigendecomposition requires finite entries")
     _check_symmetric(b, 1e-9, "matrix")
     lam, v = np.linalg.eigh((b + b.T) / 2.0)
     lam, v = lam[::-1], v[:, ::-1]
-    if v.size:
-        lead = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
-        v = v * np.where(lead < 0.0, -1.0, 1.0)
-    return SpectralData(lam, v)
+    lead = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+    return SpectralData(lam, _readonly(v * np.where(lead < 0.0, -1.0, 1.0)))
 
 
 def expm(x) -> np.ndarray:
     """Matrix exponential via scaling and squaring around a short Taylor
     core; the input is halved until its 1-norm is at most 0.5."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[0] != x.shape[1]:
-        raise ValidationError(f"expected a square matrix, got shape {x.shape}")
+    x = _square_matrix(x, "matrix")
     if not np.all(np.isfinite(x)):
         raise ValidationError("matrix exponential requires finite entries")
     n = x.shape[0]
-    norm1 = float(np.max(np.sum(np.abs(x), axis=0))) if x.size else 0.0
+    norm1 = float(np.max(np.sum(np.abs(x), axis=0)))
     if norm1 > 700.0:
         raise MathDomainError(
             f"matrix exponential would overflow: 1-norm {norm1:.6g} > 700"
@@ -172,8 +166,6 @@ def _magnitudes(L: np.ndarray,
     |L| is formed only for a signed L, and L diag(c) never; with a column
     scale the smallest entry is a masked column reduction, so a scaled
     nonnegative L leaves no n x n float temporary."""
-    if not L.size:
-        return 0.0, 0.0, math.inf
     a = L if float(L.min()) >= 0.0 else np.abs(L)
     if col_scale is None:
         top = float(a.max())
@@ -375,9 +367,7 @@ def analytic_transform(family: TaylorFamily, L, t: float) -> tuple[np.ndarray, i
     t that raise): no entry is cut before its first nonzero term, so an
     entry first reached at order d keeps its leading term a_d t^d (L^d)_ij.
     """
-    L = np.asarray(L, dtype=float)
-    if L.ndim != 2 or L.shape[0] != L.shape[1]:
-        raise ValidationError(f"expected a square matrix, got shape {L.shape}")
+    L = _square_matrix(L, "L")
     if not np.isfinite(L).all():
         raise ValidationError("analytic transform requires finite entries")
     t = float(t)

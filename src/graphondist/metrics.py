@@ -45,7 +45,7 @@ from .core import (
     StepGraphon,
     ValidationError,
     _checked_count,
-    _readonly,
+    _own,
 )
 from .linalg import SpectralData, sym_eig
 
@@ -120,8 +120,7 @@ class Embedding:
     kernel_norm: float
 
     def __post_init__(self):
-        object.__setattr__(self, "coordinates",
-                           _readonly(np.asarray(self.coordinates, float)))
+        _own(self, coordinates=float)
 
 
 def communicability_embedding(w: StepGraphon, x: IntervalSet,

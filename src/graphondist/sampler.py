@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .connectivity import _Walk, _distances, _row_classes
-from .core import ValidationError, _checked_count, _readonly
+from .core import ValidationError, _checked_count, _own, _readonly
 from .varadhan import distance_field
 
 RNG_ALGORITHM = "numpy-pcg64"
@@ -46,10 +46,7 @@ class SampledGraph:
     seed: int
 
     def __post_init__(self):
-        object.__setattr__(self, "coordinates",
-                           _readonly(np.asarray(self.coordinates, float)))
-        object.__setattr__(self, "adjacency",
-                           _readonly(np.asarray(self.adjacency, bool)))
+        _own(self, coordinates=float, adjacency=bool)
 
     @property
     def n(self) -> int:
@@ -85,7 +82,7 @@ def sample_graph(w, n: int, seed: int) -> SampledGraph:
         hits = coins < w.blocks[cells[lo:hi, None], cells[None, :]]
         adjacency[lo:hi] = np.triu(hits, k=lo + 1)
     adjacency |= adjacency.T
-    return SampledGraph(coords, adjacency, seed)
+    return SampledGraph(_readonly(coords), _readonly(adjacency), seed)
 
 
 def _true_twin_loops(adj: np.ndarray) -> np.ndarray:

@@ -57,7 +57,9 @@ from .core import (
     MathDomainError,
     Partition,
     ValidationError,
+    _own,
     _readonly,
+    _square_matrix,
     degree,
 )
 from .linalg import (
@@ -94,9 +96,7 @@ class DistanceField:
     connected: bool
 
     def __post_init__(self):
-        object.__setattr__(self, "levels", _readonly(np.asarray(self.levels)))
-        object.__setattr__(self, "classes",
-                           _readonly(np.asarray(self.classes)))
+        _own(self, levels=None, classes=None)
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -152,7 +152,7 @@ def distance_field(w, epsilon: float | None = None) -> DistanceField:
     """
     walk = _walk(w, epsilon)
     kind = "grid" if isinstance(w, GridGraphon) else "step"
-    levels = walk.levels() if walk.kept is None else walk.kept
+    levels = _readonly(walk.levels()) if walk.kept is None else walk.kept
     return DistanceField(kind, w.partition, levels, walk.classes,
                          math.isfinite(walk.diameter))
 
@@ -277,10 +277,7 @@ class SlopeEstimate:
     series_stop: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "t_grid",
-                           _readonly(np.asarray(self.t_grid, float)))
-        object.__setattr__(self, "log_values",
-                           _readonly(np.asarray(self.log_values, float)))
+        _own(self, t_grid=float, log_values=float)
 
     @property
     def estimated_distance(self) -> int:
@@ -301,50 +298,39 @@ def default_t_grid(lo: float = 1e-5, hi: float = 1e-3, k: int = 8) -> np.ndarray
 
 
 def _validate_t_grid(t_grid) -> np.ndarray:
-    """A slope-fit grid as a float vector of its own: at least two t
-    values, each finite and > 0, strictly decreasing.  There is no floor
-    above 0: the series are summed in the log domain, so a grid as low as
-    1e-25 still has logarithms to fit."""
-    tg = np.array(t_grid, dtype=float).reshape(-1)
+    """A slope-fit grid as a read-only float vector of its own: at least
+    two t values, each finite and > 0, strictly decreasing.  There is no
+    floor above 0: the series are summed in the log domain, so a grid as
+    low as 1e-25 still has logarithms to fit."""
+    tg = np.array(np.ravel(t_grid), dtype=float)
     if tg.size < 2:
         raise ValidationError("slope fit needs at least two t values")
     if not np.all(np.isfinite(tg) & (tg > 0.0)):
         raise ValidationError("t grid needs finite positive t values")
     if not np.all(np.diff(tg) < 0.0):
         raise ValidationError("t grid must be strictly decreasing")
-    return tg
+    return _readonly(tg)
 
 
 #: the grid of every slope query given none, built once
-_DEFAULT_T_GRID = _readonly(default_t_grid())
-
-
-def _fit_lines(tg: np.ndarray, logs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Least-squares slopes and RMS residuals of the columns of ``logs``
-    (finite, one row per t) against log t, all columns at once; a mean is
-    taken as sum / count, the value ``mean`` gives at less call cost."""
-    lt = np.log(tg)
-    dt = lt - lt.sum() / len(tg)
-    dy = logs - logs.sum(axis=0) / len(tg)
-    slope = (dt @ dy) / (dt @ dt)
-    return slope, np.sqrt(((dy - dt[:, None] * slope) ** 2).sum(axis=0) / len(tg))
+_DEFAULT_T_GRID = default_t_grid()
 
 
 def _slopes(tg: np.ndarray, series: _Series):
-    """Slope and RMS residual of log |f| against log t for every entry of
-    ``series`` (arrays of its entry shape; NaN where log |f| is not finite
-    at some t: |f| is 0 there, or the series hit the term cap), from one
-    least-squares solve."""
+    """Least-squares slope and RMS residual of log |f| against log t for
+    every entry of ``series`` at once, as fresh arrays of its entry shape;
+    NaN by arithmetic where log |f| is not finite at some t (|f| is 0
+    there, or the series hit the term cap).  A mean is taken as sum /
+    count, the value ``mean`` gives at less call cost."""
     shape = series.log_abs.shape[1:]
     logs = series.log_abs.reshape(tg.shape[0], -1)
-    finite = np.isfinite(logs)
-    if finite.all():  # every defined public slope: no NaN or index arrays
-        slope, residual = _fit_lines(tg, logs)
-    else:
-        defined = finite.all(axis=0)
-        slope, residual = np.full((2, defined.size), np.nan)
-        slope[defined], residual[defined] = _fit_lines(tg, logs[:, defined])
-    return slope.reshape(shape), residual.reshape(shape)
+    lt = np.log(tg)
+    dt = lt - lt.sum() / len(tg)
+    with np.errstate(invalid="ignore"):  # -inf - -inf and 0 * inf are NaN
+        dy = logs - logs.sum(axis=0) / len(tg)
+        slope = (dt @ dy).reshape(shape) / (dt @ dt)
+        sq = ((dy - dt[:, None] * slope.reshape(-1)) ** 2).sum(axis=0)
+    return slope, np.sqrt(sq.reshape(shape) / len(tg))
 
 
 def _estimate(what: str, tg: np.ndarray, log_values: np.ndarray,
@@ -385,11 +371,11 @@ def varadhan_slope(w, u: IntervalSet, v: IntervalSet,
 def _transform_operator(adjacency, weights, diag) -> np.ndarray:
     """L = M + D, read-only, after checking that M is nonnegative with
     exactly the symmetric adjacency's zero pattern, and that L is finite."""
-    a = np.asarray(adjacency, dtype=float)
-    m = np.asarray(weights, dtype=float)
-    if a.shape != m.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValidationError("adjacency and weight matrices must be square "
-                              "and of equal shape")
+    a = _square_matrix(adjacency, "adjacency matrix")
+    m = _square_matrix(weights, "weight matrix")
+    if a.shape != m.shape:
+        raise ValidationError("adjacency and weight matrices must be of "
+                              f"equal shape, got {a.shape} and {m.shape}")
     if not np.array_equal(a, a.T):
         raise ValidationError("adjacency pattern must be symmetric")
     if not np.array_equal(a != 0.0, m != 0.0):
@@ -429,9 +415,7 @@ class TransformSlopes:
     series_stop: np.ndarray
 
     def __post_init__(self):
-        for name in self.__dataclass_fields__:
-            object.__setattr__(self, name,
-                               _readonly(np.asarray(getattr(self, name))))
+        _own(self, **dict.fromkeys(self.__dataclass_fields__))
 
     def estimate(self, i: int, j: int) -> SlopeEstimate:
         """Pair (i, j)'s ``SlopeEstimate``, i a start row; a pair with no
@@ -441,7 +425,7 @@ class TransformSlopes:
         if not (0 <= r < self.rows.size and 0 <= j < self.slope.shape[1]):
             raise ValidationError(f"pair ({i}, {j}) is not in the table")
         return _estimate(f"|f(Lt)|[{i},{j}]", self.t_grid,
-                         self.log_values[r, j].copy(), float(self.slope[r, j]),
+                         self.log_values[r, j], float(self.slope[r, j]),
                          float(self.residual[r, j]),
                          int(self.series_terms[r, j]),
                          str(self.series_stop[r, j]))
@@ -467,9 +451,11 @@ def _transform_table(family: TaylorFamily, lmat: np.ndarray, tg: np.ndarray,
         start[0, row] = 1.0
     series = _walk_series(family, lmat, tg, start=start)
     slope, residual = _slopes(tg, series)
-    return TransformSlopes(tg, rows, slope, residual,
-                           np.moveaxis(series.log_abs, 0, -1), series.terms,
-                           np.array(STOP_REASONS)[series.stop])
+    # the log values, a (row, column, t) view of the series, are copied
+    return TransformSlopes(tg, _readonly(rows), _readonly(slope),
+                           _readonly(residual), np.moveaxis(series.log_abs, 0, -1),
+                           _readonly(series.terms),
+                           _readonly(np.array(STOP_REASONS)[series.stop]))
 
 
 def transform_slopes(adjacency, weights, diag, family: TaylorFamily,

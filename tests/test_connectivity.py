@@ -46,6 +46,16 @@ def test_support_graph_rejects_an_asymmetric_matrix():
     assert block_distance_matrix(SupportGraph(m, 0.0))[0, 2] == 2
 
 
+@pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), -5, -1e-300])
+def test_support_graph_checks_its_threshold_as_a_query_does(epsilon):
+    # NaN and negative thresholds used to be constructed
+    with pytest.raises(ValidationError, match="threshold"):
+        SupportGraph(np.eye(2, dtype=bool), epsilon)
+    with pytest.raises(ValidationError, match="threshold"):
+        support_graph(bipartite_graphon(), epsilon)
+    assert SupportGraph(np.eye(2, dtype=bool), 0).epsilon == 0.0
+
+
 def test_support_graph_er_all_true():
     assert support_graph(er_graphon(0.2)).matrix.all()
     assert not support_graph(er_graphon(0.0)).matrix.any()

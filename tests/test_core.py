@@ -495,6 +495,16 @@ def test_permute_blocks_rejects_non_permutation():
         permute_blocks(bipartite_graphon(), [0, 0])
 
 
+@pytest.mark.parametrize("sigma", [[0, 1.5], [1.0, 0.0], [True, False],
+                                   np.array([1, 0], dtype=object)])
+def test_permute_blocks_reads_only_integer_dtypes(sigma):
+    # 1.5 used to be truncated to 1 and True read as 1, so [0, 1.5] and
+    # [True, False] returned graphons
+    with pytest.raises(ValidationError, match="integer"):
+        permute_blocks(lift([[0, 1], [1, 0]]), sigma)
+    assert permute_blocks(lift([[0, 1], [1, 0]]), np.array([1, 0], np.uint8))
+
+
 def test_values_are_immutable():
     w = bipartite_graphon()
     with pytest.raises(ValueError):

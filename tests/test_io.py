@@ -91,6 +91,17 @@ def test_load_symmetrizes_tiny_asymmetry(tmp_path):
     assert w.blocks[0, 1] == w.blocks[1, 0]
 
 
+@pytest.mark.parametrize("data", [[1, 2], "step", 3, None])
+def test_both_entry_points_reject_a_description_that_is_not_an_object(
+        tmp_path, data):
+    # graphon_from_dict([1, 2]) used to raise AttributeError
+    path = tmp_path / "list.json"
+    path.write_text(json.dumps(data))
+    for load in (graphon_from_dict, load_graphon):
+        with pytest.raises(ValidationError, match="must be a JSON object"):
+            load(data if load is graphon_from_dict else path)
+
+
 def test_load_rejects_bad_json_and_kind(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
