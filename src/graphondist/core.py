@@ -49,10 +49,11 @@ def _own(obj, **dtypes) -> None:
     kept, a list (or an array of another dtype) is converted, and anything
     else -- a writable array, any view -- is copied.  So a caller's array
     is never frozen or aliased, and a fresh array passed read-only is
-    never copied."""
+    never copied.  A value numpy cannot convert exactly is a
+    ``ValidationError`` (see ``_array``)."""
     for name, dtype in dtypes.items():
         value = getattr(obj, name)
-        a = np.asarray(value, dtype=dtype)
+        a = _array(value, name, dtype)
         if a.base is not None or a.flags.writeable:
             if a.base is not None or a is value or not isinstance(
                     value, (list, tuple, np.ndarray)):
@@ -61,15 +62,51 @@ def _own(obj, **dtypes) -> None:
         object.__setattr__(obj, name, a)
 
 
+def _array(value, what: str, dtype=float) -> np.ndarray:
+    """A caller's value as an array of ``dtype`` (``None`` keeps the
+    value's), converted by ``np.asarray``: an array of that dtype is
+    itself.  Ragged or non-numeric entries, and complex ones (whose
+    imaginary parts numpy would drop with only a warning), raise
+    ``ValidationError``."""
+    try:
+        a = np.asarray(value)
+        if a.dtype.kind == "c":
+            raise TypeError("complex entries")
+        return np.asarray(a, dtype=dtype)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{what} must hold real numbers: {exc}") from exc
+
+
 def _square_matrix(value, what: str, dtype=float) -> np.ndarray:
-    """A caller's matrix as an array of ``dtype``, rejected unless it is
-    a nonempty square 2-D array.  Nothing is copied but what the
-    conversion needs, and finiteness is left to the caller."""
-    a = np.asarray(value, dtype=dtype)
+    """A caller's matrix as an array of ``dtype`` (``_array``), rejected
+    unless it is a nonempty square 2-D array.  Nothing is copied but what
+    the conversion needs, and finiteness is left to the caller."""
+    a = _array(value, what, dtype)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
         raise ValidationError(
             f"{what} must be square and nonempty, got shape {a.shape}")
     return a
+
+
+def _vector(value, what: str, dtype=float) -> np.ndarray:
+    """A caller's vector as a 1-D array of ``dtype`` (``_array``), never
+    flattened from another shape; its length is left to the caller."""
+    a = _array(value, what, dtype)
+    if a.ndim != 1:
+        raise ValidationError(f"{what} must be a vector, got shape {a.shape}")
+    return a
+
+
+def _real(value, what: str) -> float:
+    """A caller's real scalar as a float; a sequence, an array with an
+    axis, a complex number or a non-numeric string is a
+    ``ValidationError``."""
+    try:
+        if not (np.ndim(value) or np.iscomplexobj(value)):
+            return float(value)
+    except (TypeError, ValueError):
+        pass
+    raise ValidationError(f"{what} must be a real number, got {value!r}")
 
 
 def _checked_count(value, name: str = "resolution", floor: int = 1) -> int:
@@ -420,7 +457,7 @@ def permute_blocks(w: StepGraphon, sigma) -> StepGraphon:
     result onto block sigma[i] of the input; adjacency operators of the two
     graphons are unitarily equivalent.
     """
-    perm = np.asarray(sigma).reshape(-1)
+    perm = _vector(sigma, "permutation", None)
     if not np.issubdtype(perm.dtype, np.integer):
         raise ValidationError(f"a permutation needs integer entries, got {sigma!r}")
     if sorted(perm.tolist()) != list(range(w.size)):

@@ -14,7 +14,7 @@ import numpy as np
 
 from .connectivity import _bfs, _Bits
 from .core import (MathDomainError, ValidationError, _check_symmetric, _own,
-                   _readonly, _square_matrix)
+                   _readonly, _real, _square_matrix)
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,6 +95,14 @@ class TaylorFamily:
 EXPONENTIAL = TaylorFamily("exp", lambda k: 1.0 / math.factorial(k), math.inf,
                            lambda k: -math.lgamma(k + 1.0))
 RESOLVENT = TaylorFamily("resolvent", lambda k: 1.0, 1.0)
+
+
+def _check_family(family) -> None:
+    """Reject anything but a ``TaylorFamily`` (a family's name, None) with
+    ``ValidationError``."""
+    if not isinstance(family, TaylorFamily):
+        raise ValidationError(f"family must be a TaylorFamily, got {family!r}")
+
 
 _MAX_TERMS = 200
 
@@ -367,10 +375,11 @@ def analytic_transform(family: TaylorFamily, L, t: float) -> tuple[np.ndarray, i
     t that raise): no entry is cut before its first nonzero term, so an
     entry first reached at order d keeps its leading term a_d t^d (L^d)_ij.
     """
+    _check_family(family)
     L = _square_matrix(L, "L")
     if not np.isfinite(L).all():
         raise ValidationError("analytic transform requires finite entries")
-    t = float(t)
+    t = _real(t, "t")
     if not math.isfinite(t):
         raise ValidationError(f"analytic transform requires finite t, got {t!r}")
     if t == 0.0:

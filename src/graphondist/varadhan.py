@@ -31,13 +31,14 @@ All-pair transform slopes (``transform_slopes``) come from one series
 over every start row, as a read-only ``TransformSlopes`` table in which a
 pair with no slope (its series hit the term cap, or |f| is 0 at some t)
 has a NaN slope and its own error.  A single pair (i, j) is read off the
-table of start row i.  The last row summed is kept (``_start_row``), keyed
-by the read-only L itself (compared with ``np.array_equal``; 8 MB at
-1,000 blocks), the family, the t-grid and i, so an in-place edit of the
-caller's arrays is a new operator.  A kept pair costs its validation and
-the key comparison, a miss the whole row (one BLAS thread, a sparse random
-pattern): 0.025 and 0.34 ms at 24 blocks, 0.050 and 0.87 ms at 100, 0.33
-and 2.8 ms at 300, 8.2 and 27 ms at 1,000.
+table of start row i.  The last row summed is kept (``_start_row``) with
+read-only copies of the converted inputs (at most 2n^2 + n floats and the
+t-grid; one copy when adjacency and weights are one array), the family and
+i.  A call whose inputs match the copies in dtype, shape and bytes reads
+the kept row and validates nothing (the copies passed); any other, an
+in-place edit included, validates, sums and replaces it.  A kept pair and a
+miss take (one BLAS thread, sparse random pattern) 0.012 and 0.43 ms at 24
+blocks, 0.024 and 1.0 ms at 100, 0.20 and 3.7 at 300, 3.0 and 29 at 1,000.
 """
 
 from __future__ import annotations
@@ -59,13 +60,16 @@ from .core import (
     ValidationError,
     _own,
     _readonly,
+    _real,
     _square_matrix,
+    _vector,
     degree,
 )
 from .linalg import (
     EXPONENTIAL,
     STOP_REASONS,
     TaylorFamily,
+    _check_family,
     _Series,
     _values,
     _walk_series,
@@ -232,7 +236,7 @@ def heat_content(w, u: IntervalSet, v: IntervalSet, t: float,
     eigenpairs of diag(k) - D^{1/2} A D^{1/2}, so it is defined for every
     finite t >= 0.
     """
-    t = float(t)
+    t = _real(t, "t")
     if not 0.0 <= t < math.inf:
         raise ValidationError("heat content requires finite t >= 0")
     if u.is_empty or v.is_empty:
@@ -302,7 +306,7 @@ def _validate_t_grid(t_grid) -> np.ndarray:
     two t values, each finite and > 0, strictly decreasing.  There is no
     floor above 0: the series are summed in the log domain, so a grid as
     low as 1e-25 still has logarithms to fit."""
-    tg = np.array(np.ravel(t_grid), dtype=float)
+    tg = np.array(_vector(t_grid, "t grid"))
     if tg.size < 2:
         raise ValidationError("slope fit needs at least two t values")
     if not np.all(np.isfinite(tg) & (tg > 0.0)):
@@ -384,7 +388,7 @@ def _transform_operator(adjacency, weights, diag) -> np.ndarray:
         )
     if float(m.min()) < 0.0:
         raise ValidationError("weights must be nonnegative")
-    d = np.asarray(diag, dtype=float).reshape(-1)
+    d = _vector(diag, "diagonal")
     if d.shape[0] != a.shape[0]:
         raise ValidationError("diagonal length does not match matrix size")
     lmat = m + np.diag(d)
@@ -464,6 +468,7 @@ def transform_slopes(adjacency, weights, diag, family: TaylorFamily,
     one series over every start row; the inputs are those of
     ``general_varadhan_slope``, checked once.  A pair whose series hits the
     term cap has a NaN slope, like a pair whose |f| is 0 at some t."""
+    _check_family(family)
     tg = _DEFAULT_T_GRID if t_grid is None else _validate_t_grid(t_grid)
     return _transform_table(family, _transform_operator(adjacency, weights,
                                                         diag), tg)
@@ -483,34 +488,49 @@ def general_varadhan_slope(adjacency, weights, diag, family: TaylorFamily,
     the whole start row are kept (see the module docstring), so the other
     pairs of row i are lookups.
     """
-    lmat = _transform_operator(adjacency, weights, diag)
-    n = lmat.shape[0]
+    a = _square_matrix(adjacency, "adjacency matrix")
+    inputs = (a, _square_matrix(weights, "weight matrix"),
+              _vector(diag, "diagonal"),
+              _DEFAULT_T_GRID if t_grid is None else _vector(t_grid, "t grid"))
     i, j = _indices(i, j)
+    _check_family(family)
+    n = a.shape[0]
     if not (0 <= i < n and 0 <= j < n):
         raise ValidationError(f"indices ({i}, {j}) out of range for n = {n}")
-    tg = _DEFAULT_T_GRID if t_grid is None else _validate_t_grid(t_grid)
-    return _start_row(family, lmat, tg, i).estimate(i, j)
+    return _start_row(family, inputs, i).estimate(i, j)
 
 
-#: the kept start row of ``general_varadhan_slope``: (L, family, t-grid,
-#: row index, that row's one-row ``TransformSlopes``), replaced whole under
-#: the lock, so a call never reads another operator's row
-_kept_row: tuple = (None, None, None, -1, None)
+#: the kept start row of ``general_varadhan_slope``: (read-only copies of
+#: the converted inputs, family, row index, that row's ``TransformSlopes``),
+#: replaced whole under the lock, so a call never reads another one's row
+_kept_row: tuple = ((), None, -1, None)
 _kept_row_lock = threading.Lock()
 
 
-def _start_row(family: TaylorFamily, lmat: np.ndarray, tg: np.ndarray,
-               i: int) -> TransformSlopes:
+def _same_bytes(kept: np.ndarray, a: np.ndarray) -> bool:
+    """Whether ``a`` has the dtype, shape and bytes of ``kept``, compared
+    as ``bytes`` up to 4,096 entries and as uint64 views (no copy) above."""
+    if kept is a or kept.dtype != a.dtype or kept.shape != a.shape:
+        return kept is a
+    if a.size <= 1 << 12:
+        return kept.tobytes() == a.tobytes()
+    return bool((kept.view(np.uint64) == a.view(np.uint64)).all())
+
+
+def _start_row(family: TaylorFamily, inputs: tuple, i: int) -> TransformSlopes:
     """The slopes of start row i of f(tL) over all columns, from the kept
-    row when its key matches, else summed and kept in its place (see the
-    module docstring for the key)."""
+    row when the family, i and the bytes of every input match it, else
+    validated, summed and kept in its place (see the module docstring)."""
     global _kept_row
-    kept_l, kept_family, kept_tg, kept_i, row = _kept_row  # one whole tuple
+    kept, kept_family, kept_i, row = _kept_row  # one whole tuple
     if (kept_i == i and kept_family == family
-            and (kept_tg is tg or np.array_equal(kept_tg, tg))
-            and np.array_equal(kept_l, lmat)):
+            and all(map(_same_bytes, kept, inputs))):
         return row
-    row = _transform_table(family, lmat, tg, i)
+    a, m, d, tg = inputs
+    tg = tg if tg is _DEFAULT_T_GRID else _validate_t_grid(tg)
+    row = _transform_table(family, _transform_operator(a, m, d), tg, i)
+    ka = _readonly(a.copy())
+    kept = (ka, ka if m is a else _readonly(m.copy()), _readonly(d.copy()), tg)
     with _kept_row_lock:
-        _kept_row = (lmat, family, tg, i, row)
+        _kept_row = (kept, family, i, row)
     return row

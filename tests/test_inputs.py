@@ -28,10 +28,13 @@ from graphondist import (
     expm,
     general_varadhan_slope,
     graphon_from_dict,
+    heat_content,
     lift,
+    permute_blocks,
     step,
     sym_eig,
     transform_slopes,
+    varadhan_slope,
 )
 from graphondist.cli import main
 from conftest import cycle_adjacency
@@ -202,3 +205,98 @@ def test_nested_measures_exit_2(tmp_path, capsys):
                  "--out", str(tmp_path / "out")]) == 2
     assert "input error" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_a_family_that_is_not_a_taylor_family_is_an_input_error():
+    # a family's name or None used to raise AttributeError ("'str' object
+    # has no attribute 'radius'")
+    a = cycle_adjacency(4)
+    for family in ("exp", "resolvent", None):
+        with pytest.raises(ValidationError, match="TaylorFamily"):
+            general_varadhan_slope(a, a, np.zeros(4), family, 0, 1)
+        with pytest.raises(ValidationError, match="TaylorFamily"):
+            transform_slopes(a, a, np.zeros(4), family)
+        with pytest.raises(ValidationError, match="TaylorFamily"):
+            analytic_transform(family, a, 0.1)
+
+
+C2 = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+#: (matrix, vector) inputs numpy cannot read as real arrays: ragged,
+#: non-numeric, complex (lists, and arrays whose imaginary parts numpy
+#: would drop with only a ComplexWarning)
+UNREADABLE = {
+    "ragged": ([[0, 1], [1]], [0.5, [0.5]]),
+    "non-numeric": ([[0, "x"], [1, 0]], [0.5, "x"]),
+    "complex list": ([[0, 1 + 1j], [1 + 1j, 0]], [0.5, 0.5 + 1j]),
+    "complex array": (C2 * (1 + 1j), np.array([0.5, 0.5 + 1j])),
+}
+
+#: every reader of a caller's vector, given that vector
+VECTOR_READERS = {
+    "Partition": Partition,
+    "BlockFunction": lambda v: BlockFunction(P2, v),
+    "transform_slopes diag": lambda v: transform_slopes(C2, C2, v,
+                                                        EXPONENTIAL),
+    "general_varadhan_slope diag": lambda v: general_varadhan_slope(
+        C2, C2, v, EXPONENTIAL, 0, 1),
+    "general_varadhan_slope t-grid": lambda v: general_varadhan_slope(
+        C2, C2, np.zeros(2), EXPONENTIAL, 0, 1, v),
+}
+
+
+@pytest.mark.parametrize("value", sorted(UNREADABLE))
+@pytest.mark.parametrize("reader", sorted(
+    {*MATRIX_READERS, *VECTOR_READERS} - {"step JSON", "grid JSON"}))
+def test_a_value_numpy_cannot_read_as_real_is_an_input_error(reader, value):
+    # numpy's bare ValueError and TypeError used to escape, and complex
+    # entries lost their imaginary parts: step(P, [[0, 1+1j], [1+1j, 0]])
+    # built [[0, 1], [1, 0]] and transform_slopes returned slopes
+    matrix, vector = UNREADABLE[value]
+    if reader == "SupportGraph":
+        if value == "non-numeric":  # a bool matrix reads strings as truth
+            return
+        read = lambda m: SupportGraph(m, 0.0)  # noqa: E731
+    else:
+        read = MATRIX_READERS.get(reader)
+    with pytest.raises(ValidationError, match="real numbers"):
+        if read is None:
+            VECTOR_READERS[reader](vector)
+        else:
+            read(matrix)
+
+
+@pytest.mark.parametrize("t", [[[0.1]], [0.1], np.array([0.1]), 0.1j, "x"])
+def test_a_time_that_is_not_a_real_number_is_an_input_error(t):
+    # a nested list used to raise TypeError
+    w = lift(C2)
+    half = IntervalSet(((0.0, 0.5),))
+    with pytest.raises(ValidationError, match="real number"):
+        heat_content(w, half, half, t)
+    with pytest.raises(ValidationError, match="real number"):
+        analytic_transform(EXPONENTIAL, C2, t)
+
+
+def test_a_callers_vector_is_never_flattened():
+    # a (3, 1) diagonal, a column t-grid and a column permutation used to
+    # be read as vectors
+    a = cycle_adjacency(3)
+    column = np.zeros((3, 1))
+    with pytest.raises(ValidationError, match="diagonal must be a vector"):
+        general_varadhan_slope(a, a, column, EXPONENTIAL, 0, 1)
+    with pytest.raises(ValidationError, match="diagonal must be a vector"):
+        transform_slopes(a, a, column, EXPONENTIAL)
+    grid = [[1e-3], [1e-4]]
+    with pytest.raises(ValidationError, match="t grid must be a vector"):
+        general_varadhan_slope(a, a, np.zeros(3), EXPONENTIAL, 0, 1, grid)
+    with pytest.raises(ValidationError, match="t grid must be a vector"):
+        transform_slopes(a, a, np.zeros(3), EXPONENTIAL, grid)
+    with pytest.raises(ValidationError, match="t grid must be a vector"):
+        varadhan_slope(lift(a), IntervalSet(((0.0, 0.3),)),
+                       IntervalSet(((0.5, 0.6),)), grid)
+    with pytest.raises(ValidationError, match="permutation must be a vector"):
+        permute_blocks(lift(C2), [[1], [0]])
+    # the vectors they meant still read
+    assert general_varadhan_slope(a, a, np.zeros(3), EXPONENTIAL, 0, 1,
+                                  [1e-3, 1e-4]).estimated_distance == 1
+    assert np.array_equal(permute_blocks(lift(C2), [1, 0]).blocks, C2)

@@ -126,6 +126,27 @@ def test_edits_in_place_between_calls_give_the_new_operator():
     assert_same(est, pair_alone(a, weights, diag, EXPONENTIAL, 0, 4))
 
 
+def test_edits_past_the_bytes_comparison_give_the_new_operator():
+    # 70 blocks hold 4,900 entries: the key compares them as uint64 views
+    rng = np.random.default_rng(13)
+    a = cycle_adjacency(70)
+    weights, diag = random_operator(rng, a)
+    general_varadhan_slope(a, weights, diag, EXPONENTIAL, 0, 35)
+    weights[3, 4] = weights[4, 3] = 9.0
+    assert_same(general_varadhan_slope(a, weights, diag, EXPONENTIAL, 0, 35),
+                pair_alone(a, weights, diag, EXPONENTIAL, 0, 35))
+    view = weights.T  # equal bytes in another order: the kept row
+    assert_same(general_varadhan_slope(a, view, diag, EXPONENTIAL, 0, 4),
+                pair_alone(a, weights, diag, EXPONENTIAL, 0, 4))
+    a[10, 11] = 2.0  # one entry of the adjacency, the pattern unchanged
+    a[11, 10] = 2.0
+    assert_same(general_varadhan_slope(a, weights, diag, EXPONENTIAL, 0, 35),
+                pair_alone(a, weights, diag, EXPONENTIAL, 0, 35))
+    weights[0, 35] = weights[35, 0] = 1.0
+    with pytest.raises(ValidationError, match="zero pattern"):
+        general_varadhan_slope(a, weights, diag, EXPONENTIAL, 0, 35)
+
+
 def test_alternating_operators_never_mix():
     rng = np.random.default_rng(11)
     a, b = cycle_adjacency(10), cycle_adjacency(10)
@@ -179,6 +200,8 @@ def test_a_capped_entry_fails_alone():
 
 
 def test_one_start_row_is_kept(monkeypatch):
+    # the kept row is keyed by read-only copies of the converted inputs,
+    # not by L: a kept pair compares bytes and validates nothing
     summed = []
 
     def counted(family, lmat, tg, row=None):
@@ -187,21 +210,49 @@ def test_one_start_row_is_kept(monkeypatch):
 
     transform_table = varadhan._transform_table
     monkeypatch.setattr(varadhan, "_transform_table", counted)
+    monkeypatch.setattr(varadhan, "_kept_row", ((), None, -1, None))
     a = cycle_adjacency(12)
     zeros = np.zeros(12)
     for i in range(12):
         for j in (0, 6, 11, 6):
             assert_same(general_varadhan_slope(a, a, zeros, EXPONENTIAL, i, j),
                         pair_alone(a, a, zeros, EXPONENTIAL, i, j))
-        kept_l, family, tg, row_index, row = varadhan._kept_row
+        kept, family, row_index, row = varadhan._kept_row
         assert (row_index, family) == (i, EXPONENTIAL)
-        assert np.array_equal(kept_l, a) and not kept_l.flags.writeable
+        adjacency, weights, diag, tg = kept
+        # one array given as adjacency and weights is kept once
+        assert weights is adjacency
+        assert tg is varadhan._DEFAULT_T_GRID
+        for copy, given in ((adjacency, a), (diag, zeros)):
+            assert copy.dtype == float and np.array_equal(copy, given)
+            assert not copy.flags.writeable and copy.base is None
+            assert not np.shares_memory(copy, given)
         assert np.array_equal(row.rows, [i]) and row.slope.shape == (1, 12)
     # a row by row sweep sums each row once; a row that was replaced is
     # summed again
     assert summed == list(range(12))
     general_varadhan_slope(a, a, zeros, EXPONENTIAL, 0, 3)
     assert summed == [*range(12), 0]
+
+
+def test_a_row_by_row_sweep_validates_each_row_once(monkeypatch):
+    validated = []
+
+    def counted(adjacency, weights, diag):
+        validated.append(1)
+        return transform_operator(adjacency, weights, diag)
+
+    transform_operator = varadhan._transform_operator
+    monkeypatch.setattr(varadhan, "_transform_operator", counted)
+    monkeypatch.setattr(varadhan, "_kept_row", ((), None, -1, None))
+    a = cycle_adjacency(12)
+    for i in range(12):
+        for j in (0, 6, 11, 6):
+            # a fresh diagonal each call: equal bytes, not the same array
+            general_varadhan_slope(a, a, np.zeros(12), EXPONENTIAL, i, j)
+    # one validation per row, where every one of the 48 calls used to
+    # validate its arrays
+    assert len(validated) == 12
 
 
 def test_threads_sharing_the_kept_rows_get_their_own_operators():
