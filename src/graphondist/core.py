@@ -99,10 +99,11 @@ def _vector(value, what: str, dtype=float) -> np.ndarray:
 
 def _real(value, what: str) -> float:
     """A caller's real scalar as a float; a sequence, an array with an
-    axis, a complex number or a non-numeric string is a
+    axis, a complex number or a string (``"0.1"`` too) is a
     ``ValidationError``."""
     try:
-        if not (np.ndim(value) or np.iscomplexobj(value)):
+        a = np.asarray(value)
+        if a.ndim == 0 and a.dtype.kind not in "cSUV":
             return float(value)
     except (TypeError, ValueError):
         pass

@@ -34,11 +34,13 @@ has a NaN slope and its own error.  A single pair (i, j) is read off the
 table of start row i.  The last row summed is kept (``_start_row``) with
 read-only copies of the converted inputs (at most 2n^2 + n floats and the
 t-grid; one copy when adjacency and weights are one array), the family and
-i.  A call whose inputs match the copies in dtype, shape and bytes reads
-the kept row and validates nothing (the copies passed); any other, an
-in-place edit included, validates, sums and replaces it.  A kept pair and a
-miss take (one BLAS thread, sparse random pattern) 0.012 and 0.43 ms at 24
-blocks, 0.024 and 1.0 ms at 100, 0.20 and 3.7 at 300, 3.0 and 29 at 1,000.
+i.  A call whose inputs, as the gate converts them to float64, match the
+copies in shape and bytes (as uint64 views, no copy) reads the kept row
+and validates nothing: the copies are what was validated and summed.  Any
+other call, an in-place edit included, copies, validates, sums, replaces.
+A kept pair and a miss take (one BLAS thread, sparse random pattern) 0.025
+and 0.61 ms at 24 blocks, 0.035 and 1.4 ms at 100, 0.23 and 5.2 at 300,
+3.6 and 40 at 1,000.
 """
 
 from __future__ import annotations
@@ -488,13 +490,13 @@ def general_varadhan_slope(adjacency, weights, diag, family: TaylorFamily,
     the whole start row are kept (see the module docstring), so the other
     pairs of row i are lookups.
     """
-    a = _square_matrix(adjacency, "adjacency matrix")
-    inputs = (a, _square_matrix(weights, "weight matrix"),
+    inputs = (_square_matrix(adjacency, "adjacency matrix"),
+              _square_matrix(weights, "weight matrix"),
               _vector(diag, "diagonal"),
               _DEFAULT_T_GRID if t_grid is None else _vector(t_grid, "t grid"))
     i, j = _indices(i, j)
     _check_family(family)
-    n = a.shape[0]
+    n = inputs[0].shape[0]
     if not (0 <= i < n and 0 <= j < n):
         raise ValidationError(f"indices ({i}, {j}) out of range for n = {n}")
     return _start_row(family, inputs, i).estimate(i, j)
@@ -503,34 +505,34 @@ def general_varadhan_slope(adjacency, weights, diag, family: TaylorFamily,
 #: the kept start row of ``general_varadhan_slope``: (read-only copies of
 #: the converted inputs, family, row index, that row's ``TransformSlopes``),
 #: replaced whole under the lock, so a call never reads another one's row
-_kept_row: tuple = ((), None, -1, None)
+_kept_row: tuple = ((None,) * 4, None, -1, None)
 _kept_row_lock = threading.Lock()
 
 
 def _same_bytes(kept: np.ndarray, a: np.ndarray) -> bool:
-    """Whether ``a`` has the dtype, shape and bytes of ``kept``, compared
-    as ``bytes`` up to 4,096 entries and as uint64 views (no copy) above."""
-    if kept is a or kept.dtype != a.dtype or kept.shape != a.shape:
-        return kept is a
-    if a.size <= 1 << 12:
-        return kept.tobytes() == a.tobytes()
-    return bool((kept.view(np.uint64) == a.view(np.uint64)).all())
+    """Whether float64 ``a`` has the shape and bytes of ``kept``, compared
+    as uint64 views: nothing is copied, and -0.0 is not 0.0."""
+    return kept is a or (kept.shape == a.shape and not np.count_nonzero(
+        kept.view(np.uint64) != a.view(np.uint64)))
 
 
 def _start_row(family: TaylorFamily, inputs: tuple, i: int) -> TransformSlopes:
-    """The slopes of start row i of f(tL) over all columns, from the kept
-    row when the family, i and the bytes of every input match it, else
-    validated, summed and kept in its place (see the module docstring)."""
+    """The slopes of start row i of f(tL) over all columns: the kept row if
+    the family, i and every input's bytes match it, else the inputs are
+    copied and the copies validated, summed and kept (module docstring)."""
     global _kept_row
-    kept, kept_family, kept_i, row = _kept_row  # one whole tuple
-    if (kept_i == i and kept_family == family
-            and all(map(_same_bytes, kept, inputs))):
-        return row
+    (ka, km, kd, ktg), kept_family, kept_i, row = _kept_row  # one tuple
     a, m, d, tg = inputs
-    tg = tg if tg is _DEFAULT_T_GRID else _validate_t_grid(tg)
-    row = _transform_table(family, _transform_operator(a, m, d), tg, i)
+    if (kept_i == i and kept_family == family and _same_bytes(ka, a)
+            and (km is ka and m is a or _same_bytes(km, m))
+            and _same_bytes(kd, d) and _same_bytes(ktg, tg)):
+        return row
+    # the key is the very bytes validated: a caller's later write is a miss
     ka = _readonly(a.copy())
-    kept = (ka, ka if m is a else _readonly(m.copy()), _readonly(d.copy()), tg)
+    km = ka if m is a else _readonly(m.copy())
+    kd = _readonly(d.copy())
+    tg = tg if tg is _DEFAULT_T_GRID else _validate_t_grid(tg)  # a copy
+    row = _transform_table(family, _transform_operator(ka, km, kd), tg, i)
     with _kept_row_lock:
-        _kept_row = (kept, family, i, row)
+        _kept_row = ((ka, km, kd, tg), family, i, row)
     return row

@@ -266,7 +266,8 @@ def test_a_value_numpy_cannot_read_as_real_is_an_input_error(reader, value):
             read(matrix)
 
 
-@pytest.mark.parametrize("t", [[[0.1]], [0.1], np.array([0.1]), 0.1j, "x"])
+@pytest.mark.parametrize("t", [[[0.1]], [0.1], np.array([0.1]), 0.1j, "x",
+                               "0.1", b"0.1", np.array("0.1")])
 def test_a_time_that_is_not_a_real_number_is_an_input_error(t):
     # a nested list used to raise TypeError
     w = lift(C2)

@@ -1,8 +1,9 @@
 """Property test of the kept start row's key: between two calls on the same
 start row the caller changes one input (an in-place edit, a -0.0 for a 0.0,
-an int array or a list for a float array, a transposed view, an edit that
-breaks the zero pattern), and the second call must give the outcome of its
-pair summed alone (``test_start_rows.pair_alone``), or raise its error."""
+an int array or a list for a float array, a transposed view, an edit of the
+weights or of the adjacency alone that breaks the zero pattern), and the
+second call must give the outcome of its pair summed alone
+(``test_start_rows.pair_alone``), or raise its error."""
 
 import numpy as np
 import pytest
@@ -51,6 +52,14 @@ def flip_one_pair(inputs, rng):
     weights[p, q] = weights[q, p] = 0.0 if a[p, q] else 0.7
 
 
+def flip_one_edge(inputs, rng):
+    """Break the zero pattern from the adjacency alone: drop an edge that
+    keeps its weight, or add one where the weight is 0."""
+    a = inputs[0]
+    p, q = rng.choice(a.shape[0], 2, replace=False)
+    a[p, q] = a[q, p] = 0.0 if a[p, q] else 1.0
+
+
 def strided_transpose(inputs, rng):
     """The weights as a transposed view that is contiguous in neither
     order."""
@@ -80,6 +89,7 @@ CHANGES = {
     "list t-grid": lambda x, rng: x.__setitem__(3, x[3].tolist()),
     "transposed weights": strided_transpose,
     "pattern break": flip_one_pair,
+    "adjacency pattern break": flip_one_edge,
 }
 
 
@@ -100,5 +110,5 @@ def test_a_changed_input_is_never_answered_from_the_kept_row(change, n,
     args = (*inputs[:3], family, i, k, inputs[3])
     got = result(general_varadhan_slope, *args)
     assert_same_result(got, result(pair_alone, *args))
-    if change == "pattern break":
+    if change.endswith("pattern break"):
         assert got[0] == "ValidationError" and "zero pattern" in got[1]

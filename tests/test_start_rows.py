@@ -127,7 +127,7 @@ def test_edits_in_place_between_calls_give_the_new_operator():
 
 
 def test_edits_past_the_bytes_comparison_give_the_new_operator():
-    # 70 blocks hold 4,900 entries: the key compares them as uint64 views
+    # 70 blocks, a larger operator than the other tests use
     rng = np.random.default_rng(13)
     a = cycle_adjacency(70)
     weights, diag = random_operator(rng, a)
@@ -210,7 +210,7 @@ def test_one_start_row_is_kept(monkeypatch):
 
     transform_table = varadhan._transform_table
     monkeypatch.setattr(varadhan, "_transform_table", counted)
-    monkeypatch.setattr(varadhan, "_kept_row", ((), None, -1, None))
+    monkeypatch.setattr(varadhan, "_kept_row", ((None,) * 4, None, -1, None))
     a = cycle_adjacency(12)
     zeros = np.zeros(12)
     for i in range(12):
@@ -244,7 +244,7 @@ def test_a_row_by_row_sweep_validates_each_row_once(monkeypatch):
 
     transform_operator = varadhan._transform_operator
     monkeypatch.setattr(varadhan, "_transform_operator", counted)
-    monkeypatch.setattr(varadhan, "_kept_row", ((), None, -1, None))
+    monkeypatch.setattr(varadhan, "_kept_row", ((None,) * 4, None, -1, None))
     a = cycle_adjacency(12)
     for i in range(12):
         for j in (0, 6, 11, 6):
@@ -253,6 +253,27 @@ def test_a_row_by_row_sweep_validates_each_row_once(monkeypatch):
     # one validation per row, where every one of the 48 calls used to
     # validate its arrays
     assert len(validated) == 12
+
+
+def test_a_write_after_validation_never_enters_the_key(monkeypatch):
+    # the caller's weights lose an edge just after the operator passed
+    # validation, as another thread's write would: the kept key must hold
+    # the bytes that passed, so the broken weights are validated and fail
+    a = cycle_adjacency(8)
+    weights, diag = random_operator(np.random.default_rng(3), a)
+
+    def write_after(adjacency, w, d):
+        lmat = transform_operator(adjacency, w, d)
+        weights[0, 1] = weights[1, 0] = 0.0
+        return lmat
+
+    transform_operator = varadhan._transform_operator
+    monkeypatch.setattr(varadhan, "_transform_operator", write_after)
+    monkeypatch.setattr(varadhan, "_kept_row", ((None,) * 4, None, -1, None))
+    general_varadhan_slope(a, weights, diag, EXPONENTIAL, 0, 4)
+    monkeypatch.setattr(varadhan, "_transform_operator", transform_operator)
+    with pytest.raises(ValidationError, match="zero pattern"):
+        general_varadhan_slope(a, weights, diag, EXPONENTIAL, 0, 4)
 
 
 def test_threads_sharing_the_kept_rows_get_their_own_operators():
