@@ -10,33 +10,27 @@ as approximate by the CLI.
 The work is sized to the question.  Cells with identical support rows
 (support twins) are merged first by ``_row_classes``, which also finds the
 sampler's twins and the groups of ``merge_twins``; the walk on the k x k
-class graph is exact, since twins have the same neighbours.  One whole
-walk of the class graph answers every query: it takes L - 1 products when
-the largest walk distance L joins every pair, and L when some pair is
-unreachable (one closing product finds the next level empty), and its
-largest level is the diameter.
+class graph is exact, since twins have the same neighbours.  One function,
+``_class_walk``, runs every whole walk of a class graph.  It takes L - 1
+products when the largest walk distance L joins every pair, and L when
+some pair is unreachable (one closing product finds the next level empty),
+and its largest level is the diameter.
 
-A graphon keeps what its walks share, per support threshold, in a
+A graphon keeps one record per support threshold, ``_Walk``, in a
 ``weakref.WeakKeyDictionary`` keyed by the graphon (``_walk``): the
-support-twin quotient bit-packed into 64-bit words (k^2 / 8 bytes), the
-class of each cell, the diameter once a whole walk has decided it, and
-the read-only k x k class levels of that walk (k^2 bytes, 2 k^2 once
-the walk reaches level 256, against the graphon's own 8 n^2 bytes of
-blocks).  One rule holds: the first ``diameter``, ``is_connected``,
-point or set query on a graphon at a threshold walks the whole class
-graph once and keeps its levels; every later one reads them (connected
-iff the diameter is finite) and walks nothing, as do ``diameter`` and
-``is_connected`` after a field.  So a cold one-shot query pays a whole
-walk where one BFS row would do (a point query on the band tau = 1/7 at
-2,048 cells: about 0.1 s against 7 ms; tau = 1/1024: 1 s against 33
-ms), and a query on a long-lived graphon costs a lookup.  The one
-exception is ``distance_field`` (``varadhan``): it returns the kept
-levels when there are any, and otherwise keeps only the diameter of its
-walk, since the ``DistanceField`` owns the levels.  Keeping them on the
-graphon too would share that array, yet it raises the ``field``
-benchmark's peak RSS by their size, 6 MB of uint8 levels (290 to 297
-MB); see the README for the measurement.
-The entries go with the graphon, which must be immutable:
+read-only k x k class levels of its whole walk (k^2 bytes, 2 k^2 once the
+walk reaches level 256, against the graphon's own 8 n^2 bytes of blocks),
+the read-only class of each cell and the diameter.  The first
+``distance_field``, ``diameter``, ``is_connected``, point or set query at
+a threshold builds it whole; every later one reads it and walks nothing
+(connected iff the diameter is finite), and a ``DistanceField`` shares
+its arrays.  So a cold one-shot query pays a whole walk where one BFS row
+would do (a point query on the band tau = 1/7 at 2,048 cells: about 0.1 s
+against 7 ms; tau = 1/1024: 1 s against 33 ms), and a query on a
+long-lived graphon costs a lookup.  A kept array of 128 KB or more lies
+in a memory map of its own (``core._mapped``): on the C heap it splits
+the space that short-lived arrays reuse (see the README).
+The record goes with the graphon, which must be immutable:
 ``StepGraphon`` is a frozen dataclass whose blocks and measures are
 read-only arrays of its own (``core._own``).
 ``block_distance_matrix`` takes a bare ``SupportGraph`` and keeps nothing.
@@ -75,7 +69,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GridGraphon, ValidationError, _own, _readonly, _square_matrix
+from .core import (GridGraphon, ValidationError, _mapped, _own, _readonly,
+                   _real, _square_matrix)
 
 #: explicit marker for unreachable pairs (never a large integer)
 UNREACHABLE = math.inf
@@ -122,7 +117,8 @@ def _threshold(w, epsilon: float | None) -> float:
     """The support threshold of a query or a ``SupportGraph``:
     ``default_epsilon(w)`` for ``None``, rejected unless finite and
     nonnegative."""
-    eps = default_epsilon(w) if epsilon is None else float(epsilon)
+    eps = (default_epsilon(w) if epsilon is None
+           else _real(epsilon, "support threshold"))
     if not (math.isfinite(eps) and eps >= 0.0):
         raise ValidationError(
             f"support threshold must be finite and nonnegative, got {eps!r}")
@@ -349,44 +345,25 @@ def _cell_levels(levels: np.ndarray, classes: np.ndarray) -> np.ndarray:
     return levels[np.ix_(classes, classes)]
 
 
+def _class_walk(adj: np.ndarray):
+    """The whole-field BFS levels between the support classes of a boolean
+    support (k x k small integers, 0 where no walk joins two classes; see
+    ``_bfs``) and the class of each vertex."""
+    reps, classes = _row_classes(np.packbits(adj, axis=1))
+    if reps.size < adj.shape[0]:
+        adj = adj[np.ix_(reps, reps)]
+    return _bfs(_Bits.of(adj)), classes
+
+
+@dataclass(frozen=True, eq=False)
 class _Walk:
-    """What the walks of one support keep (see the module docstring): the
-    support-twin quotient packed by ``_pack``, the class of each cell, the
-    diameter once a whole walk has decided it, and ``kept``, the read-only
-    class levels of the walk that ``keep`` ran (each ``None`` before); no
-    reference to the graphon."""
+    """The kept walk of a graphon at a threshold: the read-only ``levels``
+    and ``classes`` of ``_class_walk`` and the ``diameter``, their largest
+    level or ``UNREACHABLE`` when some pair has none."""
 
-    __slots__ = ("words", "classes", "diameter", "kept")
-
-    def __init__(self, adj: np.ndarray):
-        reps, classes = _row_classes(np.packbits(adj, axis=1))
-        if reps.size < adj.shape[0]:
-            adj = adj[np.ix_(reps, reps)]
-        self.words = _readonly(_pack(adj))
-        self.classes = _readonly(classes)
-        self.diameter = self.kept = None
-
-    @property
-    def size(self) -> int:
-        """The number k of support classes."""
-        return int(self.words.shape[0])
-
-    def levels(self) -> np.ndarray:
-        """BFS levels between every pair of classes (k x k small integers,
-        0 where no walk joins them), from one whole-field BFS, which also
-        decides the diameter: the largest level, or ``UNREACHABLE`` when
-        some pair has none."""
-        k = self.size
-        levels = _bfs(_Bits((k, k), np.arange(k), self.words))
-        self.diameter = int(levels.max()) if levels.all() else UNREACHABLE
-        return levels
-
-    def keep(self) -> np.ndarray:
-        """The kept class levels: the first call walks (``levels``) and
-        keeps them read-only, later calls read them."""
-        if self.kept is None:
-            self.kept = _readonly(self.levels())
-        return self.kept
+    levels: np.ndarray
+    classes: np.ndarray
+    diameter: int | float
 
 
 #: graphon -> {support threshold: ``_Walk``}; see the module docstring
@@ -394,14 +371,17 @@ _WALKS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _walk(w, epsilon: float | None = None) -> _Walk:
-    """The kept walk state of a graphon at a threshold (``None`` for
-    ``default_epsilon(w)``), built on first use: one support graph and one
-    support-twin quotient per graphon and threshold."""
+    """The kept walk of a graphon at a threshold (``None`` for
+    ``default_epsilon(w)``), built whole on first use; a bad threshold is
+    rejected before anything is walked or kept."""
     eps = _threshold(w, epsilon)
     kept = _WALKS.setdefault(w, {})
     walk = kept.get(eps)
     if walk is None:
-        walk = kept[eps] = _Walk(w.blocks > eps)
+        levels, classes = _class_walk(w.blocks > eps)
+        walk = kept[eps] = _Walk(
+            _mapped(levels), _mapped(classes),
+            int(levels.max()) if levels.all() else UNREACHABLE)
     return walk
 
 
@@ -415,8 +395,7 @@ def block_distance_matrix(s: SupportGraph) -> np.ndarray:
     entry is 1 when the block carries a self-loop, otherwise 2 when the
     block has any neighbour (walk i -> j -> i), otherwise unreachable.
     """
-    walk = _Walk(s.matrix)
-    return _distances(_cell_levels(walk.levels(), walk.classes))
+    return _distances(_cell_levels(*_class_walk(s.matrix)))
 
 
 def is_connected(w, epsilon: float | None = None) -> bool:
@@ -429,15 +408,6 @@ def is_connected(w, epsilon: float | None = None) -> bool:
 
 def diameter(w, epsilon: float | None = None):
     """Largest walk distance over all block pairs (diagonal included);
-    ``UNREACHABLE`` when some pair cannot be joined by any walk.
-
-    The largest level of the whole-field BFS on the support-twin quotient,
-    decided by the graphon's first whole walk at the threshold: the first
-    query's, which it keeps, or ``distance_field``'s.  Only a call before
-    either walks, at what ``block_distance_matrix`` costs, and keeps the
-    walk's k x k class levels for later queries.
-    """
-    walk = _walk(w, epsilon)
-    if walk.diameter is None:
-        walk.keep()
-    return walk.diameter
+    ``UNREACHABLE`` when some pair cannot be joined by any walk: the
+    diameter of the graphon's kept walk (``_walk``)."""
+    return _walk(w, epsilon).diameter

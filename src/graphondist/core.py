@@ -19,6 +19,7 @@ block-constant functions, with the orthogonal complement annihilated.
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +36,7 @@ class MathDomainError(ValueError):
 _SYM_TOL = 1e-12
 _SUM_TOL = 1e-12
 _RANGE_TOL = 1e-9
+_NOT_REAL = "cSUV"  # dtype kinds not read as real: complex, bytes, str, void
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -45,16 +47,18 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 def _own(obj, **dtypes) -> None:
     """Set each named array field of the frozen value type ``obj`` to a
     read-only array of the given dtype (``None`` keeps the field's) that
-    no caller can write.  An array that is read-only and owns its data is
-    kept, a list (or an array of another dtype) is converted, and anything
-    else -- a writable array, any view -- is copied.  So a caller's array
+    no caller can write.  An array that is read-only and owns its data (or
+    lies in a map of the library's own, ``_mapped``) is kept, a list (or
+    an array of another dtype) is converted, and anything else -- a
+    writable array, any other view -- is copied.  So a caller's array
     is never frozen or aliased, and a fresh array passed read-only is
     never copied.  A value numpy cannot convert exactly is a
     ``ValidationError`` (see ``_array``)."""
     for name, dtype in dtypes.items():
         value = getattr(obj, name)
         a = _array(value, name, dtype)
-        if a.base is not None or a.flags.writeable:
+        if a.flags.writeable or not (a.base is None
+                                     or isinstance(a.base, _Map)):
             if a.base is not None or a is value or not isinstance(
                     value, (list, tuple, np.ndarray)):
                 a = a.copy()
@@ -62,17 +66,40 @@ def _own(obj, **dtypes) -> None:
         object.__setattr__(obj, name, a)
 
 
+class _Map(mmap.mmap):
+    """An anonymous memory map of one array of the library's own."""
+
+
+def _mapped(a: np.ndarray) -> np.ndarray:
+    """``a`` read-only, copied into an anonymous memory map of its own
+    (freed with the array) from 128 KB, glibc's default threshold for
+    mapping a block: for an array that a graphon keeps for its lifetime,
+    which on the C heap would split the space that the short-lived arrays
+    of later calls reuse (see ``connectivity``)."""
+    if a.nbytes < 1 << 17:
+        return _readonly(a)
+    out = np.ndarray(a.shape, a.dtype, buffer=_Map(-1, a.nbytes))
+    out[...] = a
+    return _readonly(out)
+
+
+def _as_real(value, dtype=float) -> np.ndarray:
+    """``np.asarray(value, dtype)``; complex entries, and for a ``dtype``
+    string or bytes ones (read as numbers, or as bool by truthiness), are
+    a TypeError.  ``None`` keeps the value's dtype, strings included."""
+    a = np.asarray(value)
+    if a.dtype.kind == "c" or dtype is not None and a.dtype.kind in _NOT_REAL:
+        raise TypeError(f"{a.dtype} entries are not real numbers")
+    return np.asarray(a, dtype=dtype)
+
+
 def _array(value, what: str, dtype=float) -> np.ndarray:
     """A caller's value as an array of ``dtype`` (``None`` keeps the
-    value's), converted by ``np.asarray``: an array of that dtype is
-    itself.  Ragged or non-numeric entries, and complex ones (whose
-    imaginary parts numpy would drop with only a warning), raise
+    value's), converted by ``_as_real``: an array of that dtype is itself.
+    Ragged, non-numeric, string and complex entries raise
     ``ValidationError``."""
     try:
-        a = np.asarray(value)
-        if a.dtype.kind == "c":
-            raise TypeError("complex entries")
-        return np.asarray(a, dtype=dtype)
+        return _as_real(value, dtype)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{what} must hold real numbers: {exc}") from exc
 
@@ -103,7 +130,7 @@ def _real(value, what: str) -> float:
     ``ValidationError``."""
     try:
         a = np.asarray(value)
-        if a.ndim == 0 and a.dtype.kind not in "cSUV":
+        if a.ndim == 0 and a.dtype.kind not in _NOT_REAL:
             return float(value)
     except (TypeError, ValueError):
         pass
@@ -114,8 +141,8 @@ def _checked_count(value, name: str = "resolution", floor: int = 1) -> int:
     """A count (a resolution, a power, a truncation) as an int.  Whole
     numbers of at least ``floor`` (0 or 1) pass, ``2.0`` and ``np.int64(2)``
     included; anything else is a ValidationError, so 2.5 is never
-    truncated to 2."""
-    res = float(value)
+    truncated to 2; a string, ``"2"`` too, is not a number (``_real``)."""
+    res = _real(value, f"'{name}'")
     if not (res.is_integer() and res >= floor):
         kind = "a positive" if floor else "a nonnegative"
         raise ValidationError(
@@ -199,7 +226,7 @@ class Partition:
     def locate(self, x):
         """Block index containing x (scalar or array); endpoints per the
         half-open convention, x = 1 falls in the last block."""
-        xv = np.asarray(x, dtype=float)
+        xv = _array(x, "coordinates")
         if not np.all((xv >= 0.0) & (xv <= 1.0)):
             raise ValidationError("coordinates must be finite and lie in [0,1]")
         idx = np.searchsorted(self.breakpoints, xv, side="right") - 1
@@ -224,7 +251,8 @@ class IntervalSet:
     def __post_init__(self):
         norm = []
         for pair in self.intervals:
-            a, b = float(pair[0]), float(pair[1])
+            a = _real(pair[0], "interval endpoint")
+            b = _real(pair[1], "interval endpoint")
             if not (0.0 <= a < b <= 1.0):
                 raise ValidationError(
                     f"interval [{a!r}, {b!r}) must satisfy 0 <= a < b <= 1"

@@ -24,8 +24,10 @@ from .core import (
     Partition,
     StepGraphon,
     ValidationError,
+    _as_real,
     _check_symmetric,
     _checked_count,
+    _real,
     _square_matrix,
     lift,
 )
@@ -39,24 +41,9 @@ def bipartite_graphon() -> StepGraphon:
     return lift(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
-def _parsed(convert, value, what: str, **kwargs):
-    """``convert(value, **kwargs)``, what it rejects as a ValidationError
-    (a ValidationError of ``convert``'s own passes unchanged)."""
-    try:
-        return convert(value, **kwargs)
-    except ValidationError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed {what} {value!r}: {exc}") from exc
-
-
-def _resolution(value) -> int:
-    return _parsed(_checked_count, value, "'resolution'")
-
-
 def er_graphon(p: float) -> StepGraphon:
     """Constant kernel of density p (Erdos-Renyi limit)."""
-    p = _parsed(float, p, "'p'")
+    p = _real(p, "'p'")
     return StepGraphon(Partition(np.array([1.0])), np.array([[p]]))
 
 
@@ -66,10 +53,10 @@ def circular_band_graphon(tau: float, resolution: int) -> GridGraphon:
     Cell-center sampling keeps the support band exactly ``floor(tau * n)``
     cells wide on each side, which the distance layers rely on.
     """
-    tau = _parsed(float, tau, "'tau'")
+    tau = _real(tau, "'tau'")
     if not (0.0 < tau <= 0.5):
         raise ValidationError("circular band needs 0 < tau <= 1/2")
-    n = _resolution(resolution)
+    n = _checked_count(resolution)
     # circular gap between cell centers i and j is min(d, n - d)/n with
     # d = (j - i) mod n; dividing the integer gap once avoids rounding fuzz
     # at the band edge.  The matrix is circulant, so it is read off one row
@@ -84,7 +71,7 @@ def circular_band_graphon(tau: float, resolution: int) -> GridGraphon:
 
 def one_minus_max_graphon(resolution: int) -> GridGraphon:
     """W(x,y) = 1 - max(x,y), sampled at cell centers."""
-    n = _resolution(resolution)
+    n = _checked_count(resolution)
     centers = (np.arange(n) + 0.5) / n
     return GridGraphon(n, 1.0 - np.maximum(centers[:, None], centers[None, :]))
 
@@ -96,7 +83,7 @@ def builtin_graphon(name: str, params: dict | None = None,
     if params is not None and not isinstance(params, dict):
         raise ValidationError(f"'params' must be an object, got {params!r}")
     params = params or {}
-    res = _resolution(params.get("resolution", resolution))
+    res = _checked_count(params.get("resolution", resolution))
     if name == "bipartite":
         return bipartite_graphon()
     if name == "er":
@@ -117,7 +104,11 @@ def builtin_graphon(name: str, params: dict | None = None,
 
 
 def _load_matrix(rows, what: str) -> np.ndarray:
-    a = _square_matrix(_parsed(np.asarray, rows, what, dtype=float), what)
+    try:
+        a = _as_real(rows)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed {what}: {exc}") from exc
+    a = _square_matrix(a, what)
     _check_symmetric(a, LOAD_SYM_TOL, what, scale=1.0)
     return (a + a.T) / 2.0
 
@@ -132,12 +123,12 @@ def graphon_from_dict(data: dict, grid_resolution: int = 512):
     if kind == "step":
         if "measures" not in data or "blocks" not in data:
             raise ValidationError("step graphon needs 'measures' and 'blocks'")
-        return StepGraphon(_parsed(Partition, data["measures"], "'measures'"),
+        return StepGraphon(Partition(data["measures"]),
                            _load_matrix(data["blocks"], "'blocks'"))
     if kind == "grid":
         if "resolution" not in data or "values" not in data:
             raise ValidationError("grid graphon needs 'resolution' and 'values'")
-        return GridGraphon(_resolution(data["resolution"]),
+        return GridGraphon(_checked_count(data["resolution"]),
                            _load_matrix(data["values"], "'values'"))
     if kind == "builtin":
         if "name" not in data:

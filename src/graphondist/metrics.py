@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connectivity import _Walk, _row_classes
+from .connectivity import _class_walk, _row_classes
 from .core import (
     GridGraphon,
     IntervalSet,
@@ -46,6 +46,7 @@ from .core import (
     ValidationError,
     _checked_count,
     _own,
+    _real,
 )
 from .linalg import SpectralData, sym_eig
 
@@ -143,7 +144,8 @@ def communicability_embedding(w: StepGraphon, x: IntervalSet,
 
 
 def _slice_rows(w, x: float, y: float) -> list[int]:
-    return [w.partition.locate(float(x)), w.partition.locate(float(y))]
+    return [w.partition.locate(_real(x, "x")),
+            w.partition.locate(_real(y, "y"))]
 
 
 def neighbourhood_distance(w, x: float, y: float) -> float:
@@ -183,6 +185,7 @@ def merge_twins(w: StepGraphon, tol: float = 1e-9) -> StepGraphon:
     has pairwise-distinct rows at the given tolerance.  A round costs
     k^2 n + n^2 m for k distinct rows and m groups.
     """
+    tol = _real(tol, "merge tolerance")
     if not tol >= 0.0:
         raise ValidationError("merge tolerance must be nonnegative")
     current = w
@@ -194,12 +197,12 @@ def merge_twins(w: StepGraphon, tol: float = 1e-9) -> StepGraphon:
         np.fill_diagonal(close, True)
         # the groups are the components of the closeness relation: rows of
         # equal reach, numbered by first member
-        walk = _Walk(close)
-        heads, group = _row_classes(np.packbits(walk.levels() > 0, axis=1))
+        levels, classes = _class_walk(close)
+        heads, group = _row_classes(np.packbits(levels > 0, axis=1))
         if heads.size == current.size:
             return current
         # one-hot block -> group map E: merged value = E^T (mu B mu) E / M M^T
-        onehot = np.eye(heads.size)[group[walk.classes[row]]]
+        onehot = np.eye(heads.size)[group[classes[row]]]
         mu_new = mu @ onehot
         mass = mu[:, None] * current.blocks * mu[None, :]
         blocks_new = (onehot.T @ mass @ onehot) / np.outer(mu_new, mu_new)

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connectivity import _Walk, _distances, _row_classes
-from .core import ValidationError, _checked_count, _own, _readonly
+from .connectivity import _class_walk, _distances, _row_classes
+from .core import ValidationError, _checked_count, _own, _readonly, _real
 from .varadhan import distance_field
 
 RNG_ALGORITHM = "numpy-pcg64"
@@ -67,7 +67,7 @@ def sample_graph(w, n: int, seed: int) -> SampledGraph:
     """
     n = _checked_count(n, "n")
     # int(seed), not a float, so a seed past 2^53 stays exact
-    if not (float(seed).is_integer() and seed >= 0):
+    if not (_real(seed, "seed").is_integer() and seed >= 0):
         raise ValidationError(f"sampling requires a nonnegative seed, got "
                               f"{seed!r}")
     seed = int(seed)
@@ -107,8 +107,8 @@ def _sample_classes(graph: SampledGraph):
     and false twins), and the class of each vertex.  Entry [a, b] is the
     distance of every pair of distinct vertices drawn from classes a and b;
     a sample of a {0,1} step graphon has at most one class per block."""
-    walk = _Walk(_true_twin_loops(graph.adjacency))
-    return _distances(walk.levels()), walk.classes
+    levels, classes = _class_walk(_true_twin_loops(graph.adjacency))
+    return _distances(levels), classes
 
 
 def _pair_counts(sizes: np.ndarray) -> np.ndarray:

@@ -6,15 +6,14 @@ the adjacency operator with mass between them, ``min { m : <1_U, W^m 1_V> >
 whose support contains the pair.  Both are computed combinatorially on the
 block/cell support graph -- walk counting, never series summation.
 
-Every point and set query reads the k x k BFS levels between the
+Every field, point and set query reads the graphon's kept walk at its
+threshold (``connectivity._walk``): the k x k BFS levels between the
 support classes of one whole-field walk (the support-twin quotient merges
 cells with identical support rows into one of k classes, which is exact),
-which the graphon keeps from its first query at a threshold on: a cold
-one-shot query pays that walk, and every later one a lookup (see
-``connectivity`` for the rule, its cost and what else the graphon keeps).
-A ``DistanceField`` holds what the whole-field walk leaves, O(k^2 + n)
-bytes: the k x k BFS levels between classes and the class of each of the
-n cells; its n x n float ``matrix`` is derived only when read.
+the class of each of the n cells and the diameter, built by the first
+query and read by every later one.  A ``DistanceField`` holds the levels
+and classes of that record, O(k^2 + n) bytes; its n x n float ``matrix``
+is derived only when read.
 
 The heat-trace route (slope of log <1_V, e^{tW} 1_U> against log t as t
 shrinks) recovers the same integers and is provided as an independent
@@ -53,7 +52,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .connectivity import UNREACHABLE, _cell_levels, _distances, _walk
+from .connectivity import (UNREACHABLE, _cell_levels, _distances, _threshold,
+                           _walk)
 from .core import (
     GridGraphon,
     IntervalSet,
@@ -85,8 +85,8 @@ class DistanceField:
     """Pairwise walk distances of a graphon at block/cell resolution:
     ``levels``, the read-only k x k small-integer BFS levels between the
     k support classes (0 where no walk joins two), and ``classes``, the
-    class of each of the n blocks/cells.  The levels are the graphon's
-    kept ones when a query has walked it, else the field's own.
+    class of each of the n blocks/cells: the arrays of the graphon's kept
+    walk.
 
     ``matrix``, built on first read and kept, is the n x n float64 field:
     ``matrix[i, j]`` is the distance between distinct points of blocks i
@@ -145,21 +145,17 @@ def _point_distances(x, y, d):
 
 
 def distance_field(w, epsilon: float | None = None) -> DistanceField:
-    """Build the full distance field of a graphon from one whole-field
-    walk.
+    """The full distance field of a graphon: the levels and classes of its
+    kept walk (``connectivity._walk``), walked on its first query at the
+    threshold.
 
     The distance layers are the level sets of the levels; their count
     equals the diameter.  For a disconnected graphon the field is still
     returned, with level-0 (unreachable) entries and ``connected=False``.
-    A graphon that keeps the class levels of a query's walk returns them
-    without walking.  Otherwise every call walks again, and the graphon
-    keeps only the diameter the walk decided: the field owns its levels
-    (see ``connectivity`` for why).
     """
     walk = _walk(w, epsilon)
     kind = "grid" if isinstance(w, GridGraphon) else "step"
-    levels = _readonly(walk.levels()) if walk.kept is None else walk.kept
-    return DistanceField(kind, w.partition, levels, walk.classes,
+    return DistanceField(kind, w.partition, walk.levels, walk.classes,
                          math.isfinite(walk.diameter))
 
 
@@ -168,35 +164,35 @@ def varadhan_distance(w, x, y, epsilon: float | None = None):
 
     0 iff x == y; otherwise the walk distance of the blocks containing the
     two points, with the within-block rule on the diagonal: a lookup in
-    the class levels the graphon keeps, walked on its first query at the
-    threshold, once the points are located.
+    the graphon's kept walk, walked on its first query at the threshold
+    once the points are located.
     """
+    ix, iy = w.partition.locate(x), w.partition.locate(y)
     walk = _walk(w, epsilon)
-    ix = walk.classes[w.partition.locate(x)]
-    iy = walk.classes[w.partition.locate(y)]
-    return _point_distances(x, y, _distances(walk.keep()[ix, iy]))
+    d = walk.levels[walk.classes[ix], walk.classes[iy]]
+    return _point_distances(x, y, _distances(d))
 
 
 def set_distance(w, u: IntervalSet, v: IntervalSet, epsilon: float | None = None):
     """Least adjacency power with mass between two interval sets.
 
-    0 when the sets overlap on positive measure; otherwise the minimum walk
-    distance between any block touched by U and any block touched by V:
-    the least nonzero level over U's classes x V's classes in the class
-    levels the graphon keeps (walked on its first query at the threshold).
-    ``UNREACHABLE`` when no power connects them (disconnected graphon).
-    The threshold is checked also when the sets overlap.
+    0 when the sets overlap on positive measure, without walking;
+    otherwise the minimum walk distance between any block touched by U and
+    any block touched by V: the least nonzero level over U's classes x V's
+    classes in the graphon's kept walk (walked on its first query at the
+    threshold).  ``UNREACHABLE`` when no power connects them (disconnected
+    graphon).  The threshold is checked also when the sets overlap.
     """
     if u.is_empty or v.is_empty:
         raise ValidationError("set distance requires nonempty interval sets")
-    walk = _walk(w, epsilon)
+    eps = _threshold(w, epsilon)
     if u.intersection_measure(v) > 0.0:
         return 0
-    um = np.zeros(walk.size, dtype=bool)  # U's classes
-    vm = np.zeros(walk.size, dtype=bool)  # V's classes
+    walk = _walk(w, eps)
+    um, vm = np.zeros((2, len(walk.levels)), dtype=bool)  # U's, V's classes
     um[walk.classes[u.block_masses(w.partition) > 0.0]] = True
     vm[walk.classes[v.block_masses(w.partition) > 0.0]] = True
-    block = walk.keep()[um][:, vm]
+    block = walk.levels[um][:, vm]
     reached = block[block > 0]
     return int(reached.min()) if reached.size else UNREACHABLE
 
@@ -296,8 +292,9 @@ def default_t_grid(lo: float = 1e-5, hi: float = 1e-3, k: int = 8) -> np.ndarray
     at the top against log underflow at the bottom.  Bounds must be finite
     and positive, k a whole number >= 2, and the grid strictly decreasing
     (so not equal bounds), as every slope fit requires."""
-    lo, hi = sorted((float(lo), float(hi)))
-    if not (0.0 < lo and hi < math.inf and float(k).is_integer() and k >= 2):
+    lo, hi = sorted((_real(lo, "t grid bound"), _real(hi, "t grid bound")))
+    k = _real(k, "t grid size")
+    if not (0.0 < lo and hi < math.inf and k.is_integer() and k >= 2):
         raise ValidationError("t grid needs finite positive bounds and a "
                               f"whole k >= 2, got ({lo!r}, {hi!r}, {k!r})")
     return _validate_t_grid(np.logspace(math.log10(hi), math.log10(lo), int(k)))

@@ -3,6 +3,7 @@ array is never aliased or frozen), and every caller's matrix passes one
 rule (a nonempty, square, 2-D array) or raises ``ValidationError``."""
 
 import json
+import mmap
 
 import numpy as np
 import pytest
@@ -23,19 +24,32 @@ from graphondist import (
     ValidationError,
     analytic_transform,
     block_distance_matrix,
+    circular_band_graphon,
     communicability_distance,
+    communicability_embedding,
+    comp_power,
+    default_t_grid,
+    diameter,
     distance_field,
+    er_graphon,
     expm,
     general_varadhan_slope,
     graphon_from_dict,
     heat_content,
     lift,
+    merge_twins,
+    neighbourhood_distance,
     permute_blocks,
+    sample_graph,
+    set_distance,
     step,
     sym_eig,
+    to_grid,
     transform_slopes,
+    varadhan_distance,
     varadhan_slope,
 )
+from graphondist import core
 from graphondist.cli import main
 from conftest import cycle_adjacency
 
@@ -117,6 +131,23 @@ def test_a_value_type_keeps_an_owned_read_only_array_and_copies_a_view(kind):
     value = build(*views)
     for name, a in zip(names, given):
         assert not np.may_share_memory(getattr(value, name), a)
+
+
+def test_a_library_map_is_kept_and_a_callers_map_is_copied():
+    # an array over a caller's memory map is copied, since the caller can
+    # still write through the map; one over a map of the library's own
+    # (what a graphon keeps of its walk) is kept like an owned array
+    buf = mmap.mmap(-1, 16)
+    theirs = np.ndarray((2,), float, buffer=buf)
+    theirs[:] = [0.25, 0.75]
+    theirs.setflags(write=False)
+    p = Partition(theirs)
+    assert p.measures is not theirs
+    buf[:8] = np.float64(0.5).tobytes()
+    assert p.measures.tolist() == [0.25, 0.75]
+    ours = core._mapped(np.full(1 << 14, 2.0 ** -14))
+    assert isinstance(ours.base, core._Map) and not ours.flags.writeable
+    assert Partition(ours).measures is ours
 
 
 def test_a_lists_conversion_is_kept_without_a_second_copy():
@@ -222,14 +253,17 @@ def test_a_family_that_is_not_a_taylor_family_is_an_input_error():
 
 C2 = np.array([[0.0, 1.0], [1.0, 0.0]])
 
-#: (matrix, vector) inputs numpy cannot read as real arrays: ragged,
+#: (matrix, vector) inputs that are not read as real arrays: ragged,
 #: non-numeric, complex (lists, and arrays whose imaginary parts numpy
-#: would drop with only a ComplexWarning)
+#: would drop with only a ComplexWarning), and strings or bytes, which
+#: numpy would read as numbers ("0.5") or, as booleans, by truthiness
 UNREADABLE = {
     "ragged": ([[0, 1], [1]], [0.5, [0.5]]),
     "non-numeric": ([[0, "x"], [1, 0]], [0.5, "x"]),
     "complex list": ([[0, 1 + 1j], [1 + 1j, 0]], [0.5, 0.5 + 1j]),
     "complex array": (C2 * (1 + 1j), np.array([0.5, 0.5 + 1j])),
+    "numeric strings": ([["0", "1"], ["1", "0"]], ["0.5", "0.5"]),
+    "bytes": (np.array([[b"0", b"1"], [b"1", b"0"]]), [b"0.5", b"0.5"]),
 }
 
 #: every reader of a caller's vector, given that vector
@@ -249,13 +283,13 @@ VECTOR_READERS = {
 @pytest.mark.parametrize("reader", sorted(
     {*MATRIX_READERS, *VECTOR_READERS} - {"step JSON", "grid JSON"}))
 def test_a_value_numpy_cannot_read_as_real_is_an_input_error(reader, value):
-    # numpy's bare ValueError and TypeError used to escape, and complex
-    # entries lost their imaginary parts: step(P, [[0, 1+1j], [1+1j, 0]])
-    # built [[0, 1], [1, 0]] and transform_slopes returned slopes
+    # numpy's bare ValueError and TypeError used to escape, complex
+    # entries lost their imaginary parts (step(P, [[0, 1+1j], [1+1j, 0]])
+    # built [[0, 1], [1, 0]] and transform_slopes returned slopes), and
+    # strings were read as numbers, or as truth values by SupportGraph
+    # (all True for [["0", "0"], ["0", "0"]])
     matrix, vector = UNREADABLE[value]
     if reader == "SupportGraph":
-        if value == "non-numeric":  # a bool matrix reads strings as truth
-            return
         read = lambda m: SupportGraph(m, 0.0)  # noqa: E731
     else:
         read = MATRIX_READERS.get(reader)
@@ -301,3 +335,67 @@ def test_a_callers_vector_is_never_flattened():
     assert general_varadhan_slope(a, a, np.zeros(3), EXPONENTIAL, 0, 1,
                                   [1e-3, 1e-4]).estimated_distance == 1
     assert np.array_equal(permute_blocks(lift(C2), [1, 0]).blocks, C2)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("measures", ["0.5", "0.5"]),
+    ("blocks", [["0", "1"], ["1", "0"]]),
+    ("blocks", [[0, "1"], ["1", 0]]),
+])
+def test_string_entries_in_a_graphon_file_exit_2(tmp_path, capsys, field,
+                                                 value):
+    # they were read as the numbers they spell, and the report was written
+    data = {"kind": "step", "measures": [0.5, 0.5], "blocks": C2.tolist()}
+    data[field] = value
+    with pytest.raises(ValidationError,
+                       match="real numbers" if field == "measures"
+                       else "malformed 'blocks'"):
+        graphon_from_dict(data)
+    path = tmp_path / "strings.json"
+    path.write_text(json.dumps(data))
+    assert main(["connectivity", "--input", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "input error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+C6 = lift(cycle_adjacency(6))
+HALF = IntervalSet(((0.0, 0.5),))
+
+#: every scalar a caller passes, read through the one gate: a string, a
+#: numeric one too, a sequence and None are input errors (numpy's or
+#: Python's bare ValueError or TypeError escaped, and "0.1" was read as
+#: the number it spells)
+BAD_SCALARS = {
+    "t grid bound 'x'": lambda: default_t_grid("x"),
+    "t grid bound '1e-5'": lambda: default_t_grid("1e-5", 1e-3),
+    "t grid size [2]": lambda: default_t_grid(1e-5, 1e-3, [2]),
+    "t grid size '4'": lambda: default_t_grid(1e-5, 1e-3, "4"),
+    "field threshold 'x'": lambda: distance_field(C6, "x"),
+    "field threshold '0.1'": lambda: distance_field(C6, "0.1"),
+    "diameter threshold [0.1]": lambda: diameter(C6, [0.1]),
+    "set threshold '0.1'": lambda: set_distance(C6, HALF, HALF, "0.1"),
+    "interval endpoint 'a'": lambda: IntervalSet((("a", 0.5),)),
+    "interval endpoint '0.5'": lambda: IntervalSet(((0.0, "0.5"),)),
+    "uniform partition 'x'": lambda: Partition.uniform("x"),
+    "uniform partition '3'": lambda: Partition.uniform("3"),
+    "to_grid None": lambda: to_grid(C6, None),
+    "comp_power '2'": lambda: comp_power(C6, "2"),
+    "embedding truncation 'x'": lambda: communicability_embedding(
+        C6, HALF, "x"),
+    "sample seed 'x'": lambda: sample_graph(C6, 10, "x"),
+    "sample size '10'": lambda: sample_graph(C6, "10", 1),
+    "merge tolerance 'x'": lambda: merge_twins(C6, "x"),
+    "merge tolerance '0.1'": lambda: merge_twins(C6, "0.1"),
+    "point '0.1'": lambda: varadhan_distance(C6, "0.1", 0.6),
+    "point list of strings": lambda: varadhan_distance(C6, ["0.1"], 0.6),
+    "slice point '0.1'": lambda: neighbourhood_distance(C6, "0.1", 0.6),
+    "er p '0.5'": lambda: er_graphon("0.5"),
+    "band tau '0.25'": lambda: circular_band_graphon("0.25", 16),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SCALARS))
+def test_a_scalar_that_is_not_a_real_number_is_an_input_error(case):
+    with pytest.raises(ValidationError):
+        BAD_SCALARS[case]()

@@ -2,6 +2,7 @@
 quotient and the diameter read from its levels, against the queue BFS
 oracle, and what a graphon keeps of its walks."""
 
+import dataclasses
 import gc
 import math
 import tracemalloc
@@ -30,7 +31,7 @@ from graphondist import (
     to_grid,
     varadhan_distance,
 )
-from graphondist import connectivity
+from graphondist import DistanceField, connectivity, core
 from conftest import bfs_oracle
 
 
@@ -68,6 +69,13 @@ def walk_oracle(adj, sources=None) -> np.ndarray:
         else:
             d[row, i] = math.inf
     return d
+
+
+def kept_walk(w, eps=None):
+    """The walk a graphon keeps at a threshold, or None; unlike
+    ``connectivity._walk`` this never walks."""
+    return connectivity._WALKS.get(w, {}).get(
+        connectivity._threshold(w, eps))
 
 
 def random_interval_set(rng):
@@ -152,25 +160,32 @@ def test_point_query_allocates_less_than_a_field():
     # class levels, but never builds an n x n float field
     varadhan_distance(circular_band_graphon(1 / 7, 64), 0.1, 0.6)  # warm numpy
     w = circular_band_graphon(1 / 7, 2048)
+    assert kept_walk(w) is None
     tracemalloc.start()
     try:
         assert varadhan_distance(w, 0.1, 0.6) == 4
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert connectivity._walk(w).kept is not None
+    walk = kept_walk(w)
+    assert walk is not None and walk.diameter == 4
+    assert walk.levels.shape == (2048, 2048) and walk.levels.dtype == np.uint8
     assert peak < 2048 * 2048 * 8  # one n x n float64 field: 32 MB
 
 
-def test_points_are_located_before_the_walk():
-    # a point outside [0, 1] is rejected before the whole walk runs, so
-    # the graphon keeps no levels
+def test_points_are_located_before_the_walk(monkeypatch):
+    # a point outside [0, 1] (or not a number) is rejected before the
+    # whole walk runs, so the graphon walks nothing and keeps nothing
     w = circular_band_graphon(1 / 7, 64)
-    for x, y in ((1.5, 0.5), (0.5, np.array([0.2, -0.1]))):
+    calls = counting_steps(monkeypatch)
+    for x, y in ((1.5, 0.5), (0.5, np.array([0.2, -0.1])), ("0.1", 0.6),
+                 (0.1, [0.6, "x"])):
         with pytest.raises(ValidationError):
             varadhan_distance(w, x, y)
-        assert connectivity._walk(w).kept is None
+        assert w not in connectivity._WALKS
+    assert calls == {"packed": 0, "table": 0}
     assert varadhan_distance(w, 0.1, 0.6) == 4
+    assert kept_walk(w) is not None and calls["table"] + calls["packed"] > 0
 
 
 def distinct_support(rng, k: int, connected: bool) -> np.ndarray:
@@ -371,11 +386,12 @@ def test_a_graphon_walks_once_per_threshold(monkeypatch):
     fld = distance_field(w)
     assert diameter(w) == fld.layer_count == 4 and is_connected(w)
     assert calls == {"packed": 0, "table": 6}
-    # the queries after the field walk once more, on the kept quotient:
-    # one quotient per graphon
+    # the queries after the field read its kept walk and walk nothing:
+    # one quotient and one walk per graphon
     assert varadhan_distance(w, 0.1, 0.6) == 4
     assert set_distance(w, block_set([0], 512), block_set([256], 512)) == 4
-    assert calls == {"packed": 0, "table": 9}
+    assert distance_field(w).levels is fld.levels
+    assert calls == {"packed": 0, "table": 6}
     assert quotients == [512, 512]
     # a disconnected support: is_connected walks the whole field and
     # keeps its levels, so diameter and later point and set queries walk
@@ -386,7 +402,7 @@ def test_a_graphon_walks_once_per_threshold(monkeypatch):
     calls["packed"] = calls["table"] = 0
     assert not is_connected(w)
     assert calls != {"packed": 0, "table": 0}
-    assert connectivity._walk(w).kept is not None
+    assert kept_walk(w).diameter == UNREACHABLE
     walked = dict(calls)
     assert diameter(w) == UNREACHABLE
     assert varadhan_distance(w, 0.5 / 12, 5.5 / 12) == 5
@@ -423,27 +439,57 @@ def test_kept_walks_go_with_their_graphon(monkeypatch):
     memo = weakref.WeakKeyDictionary()
     monkeypatch.setattr(connectivity, "_WALKS", memo)
     w = circular_band_graphon(1 / 7, 200)
+    want = walk_oracle(support_graph(w).matrix)
     assert diameter(w) == 4
     assert varadhan_distance(w, 0.1, 0.6, 1e-3) == 4
     (kept,) = memo.values()
     assert sorted(kept) == [GRID_EPSILON, 1e-3]
     refs = [weakref.ref(w)]
     for walk in kept.values():
-        # the packed quotient, the class map, the diameter and the class
-        # levels of the one whole walk at each threshold
-        k = walk.size
-        assert walk.words.shape == (k, -(-k // 64))
-        assert walk.words.dtype == np.uint64
+        # a frozen record of three fields, built whole: the read-only class
+        # levels of the one whole walk at each threshold, the read-only
+        # class of each cell and the diameter; no packed words
+        assert [f.name for f in dataclasses.fields(walk)] == \
+            ["levels", "classes", "diameter"]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            walk.diameter = 5
+        k = int(walk.classes.max()) + 1
+        assert walk.levels.shape == (k, k) and walk.levels.dtype == np.uint8
         assert walk.classes.shape == (200,)
-        assert not walk.words.flags.writeable
+        assert not walk.levels.flags.writeable
+        assert not walk.classes.flags.writeable
         assert walk.diameter == 4
-        assert walk.kept.shape == (k, k) and walk.kept.dtype == np.uint8
-        assert not walk.kept.flags.writeable
-        refs.append(weakref.ref(walk.kept))
+        assert np.array_equal(connectivity._distances(
+            walk.levels[np.ix_(walk.classes, walk.classes)]), want)
+        refs += [weakref.ref(walk.levels), weakref.ref(walk.classes)]
+    for name in ("keep", "kept", "words", "size"):
+        assert not hasattr(connectivity._Walk, name)
     del w, kept, walk
     gc.collect()
     assert all(ref() is None for ref in refs)
     assert len(memo) == 0
+
+
+def test_large_kept_arrays_lie_in_maps_of_their_own():
+    # levels of at least 128 KB are copied into an anonymous memory map
+    # that goes with them; smaller arrays stay where numpy put them, and
+    # either kind is shared, not copied, by every field of the graphon
+    w = circular_band_graphon(1 / 7, 512)
+    fld = distance_field(w)
+    walk = kept_walk(w)
+    assert isinstance(walk.levels.base, core._Map)
+    assert walk.levels.nbytes == 512 * 512 >= 1 << 17
+    assert walk.classes.base is None and walk.classes.nbytes < 1 << 17
+    assert not walk.levels.flags.writeable
+    assert fld.levels is walk.levels and fld.classes is walk.classes
+    again = DistanceField(fld.kind, fld.partition, fld.levels, fld.classes,
+                          fld.connected)
+    assert again.levels is walk.levels
+    assert np.array_equal(fld.matrix, walk_oracle(support_graph(w).matrix))
+    mapped = weakref.ref(walk.levels.base)
+    del w, fld, walk, again
+    gc.collect()
+    assert mapped() is None
 
 
 def test_queries_after_diameter_read_its_levels(monkeypatch):
@@ -465,29 +511,49 @@ def test_queries_after_diameter_read_its_levels(monkeypatch):
                         block_set([60, 300], 512)) == 1
     fld = distance_field(w)
     assert calls == {"packed": 0, "table": 3}
-    assert np.array_equal(fld.levels, connectivity._walk(w).kept)
+    walk = kept_walk(w)
+    assert fld.levels is walk.levels and fld.classes is walk.classes
     assert np.array_equal(fld.matrix, want)
 
 
-def test_a_field_keeps_no_levels(monkeypatch):
-    # the field owns the levels of its walk: the graphon keeps only the
-    # diameter, so a later diameter walks nothing and keeps nothing; the
-    # first point query then walks once and keeps the levels, and a set
-    # query and a second field read them
+def test_a_field_keeps_its_walk(monkeypatch):
+    # a field is the graphon's kept walk: a later diameter, is_connected,
+    # point query, set query and second field all read it and walk nothing
     w = circular_band_graphon(1 / 7, 512)
+    want = walk_oracle(support_graph(w).matrix)
     calls = counting_steps(monkeypatch)
     fld = distance_field(w)
     assert calls == {"packed": 0, "table": 3}
-    assert diameter(w) == fld.layer_count == 4 and is_connected(w)
-    walk = connectivity._walk(w)
-    assert walk.kept is None and walk.diameter == 4
-    assert calls == {"packed": 0, "table": 3}
+    walk = kept_walk(w)
+    assert fld.levels is walk.levels and fld.classes is walk.classes
+    assert walk.diameter == fld.layer_count == 4 and fld.connected
+    assert diameter(w) == 4 and is_connected(w)
     assert varadhan_distance(w, 0.1, 0.6) == 4
-    assert calls == {"packed": 0, "table": 6}
-    assert np.array_equal(walk.kept, fld.levels)
+    ci, cj = np.arange(0, 512, 8), np.arange(511, 0, -8)
+    got = varadhan_distance(w, (ci + 0.5) / 512, (cj + 0.25) / 512)
+    assert np.array_equal(got, want[ci, cj])
     assert set_distance(w, block_set([0], 512), block_set([256], 512)) == 4
-    assert distance_field(w).levels is walk.kept
-    assert calls == {"packed": 0, "table": 6}
+    again = distance_field(w)
+    assert again.levels is walk.levels and again.classes is walk.classes
+    assert calls == {"packed": 0, "table": 3}
+    assert kept_walk(w) is walk
+    assert np.array_equal(fld.matrix, want)
+
+
+def test_a_cold_overlapping_set_query_walks_nothing(monkeypatch):
+    # sets that overlap on positive measure are at distance 0 at any
+    # threshold: the threshold is checked, but nothing is walked or kept
+    w = circular_band_graphon(1 / 7, 512)
+    calls = counting_steps(monkeypatch)
+    u = block_set([0, 1], 512)
+    assert set_distance(w, u, block_set([1, 300], 512)) == 0
+    assert set_distance(w, u, u, 0.5) == 0
+    with pytest.raises(ValidationError, match="threshold"):
+        set_distance(w, u, u, "0.5")
+    assert calls == {"packed": 0, "table": 0}
+    assert w not in connectivity._WALKS
+    assert set_distance(w, u, block_set([256], 512)) == 4
+    assert calls == {"packed": 0, "table": 3}
 
 
 @pytest.mark.parametrize("eps", [math.nan, -1.0])
@@ -558,9 +624,8 @@ def choose_steps(monkeypatch, choice: str, seed: int = 7) -> None:
 def check_against_oracle(rng, cells: np.ndarray) -> None:
     """Field, point, set, connectivity and diameter answers of the lifted
     support against the walk oracle, each query kind first on a fresh
-    graphon (so it walks the whole field and keeps its levels) and then
-    after the others (so it reads them), and the queries after a field,
-    which keeps no levels."""
+    graphon (so it walks the whole field and keeps it) and then after the
+    others (so it reads the kept walk and walks nothing)."""
     want = walk_oracle(cells)
     n = cells.shape[0]
     assert np.array_equal(block_distance_matrix(SupportGraph(cells, 0.0)),
@@ -589,21 +654,27 @@ def check_against_oracle(rng, cells: np.ndarray) -> None:
         for u, v, best in sets:
             assert set_distance(w, u, v) == best
 
+    def kept_only_once(w) -> None:
+        walk = kept_walk(w)
+        assert walk is not None
+        queries_match(w)
+        assert diameter(w) == diam and is_connected(w) == connected
+        fld = distance_field(w)
+        assert fld.levels is walk.levels and fld.classes is walk.classes
+        assert np.array_equal(fld.matrix, want)
+        assert kept_walk(w) is walk
+
     diam = int(want.max()) if connected else UNREACHABLE
     w = lift(cells.astype(float))
-    assert is_connected(w) == connected  # walks and keeps the levels
-    assert connectivity._walk(w).kept is not None
-    assert diameter(w) == diam
-    queries_match(w)
+    assert kept_walk(w) is None
+    assert is_connected(w) == connected  # walks and keeps the walk
+    kept_only_once(w)
     w = lift(cells.astype(float))
     queries_match(w)  # the first point query walks and keeps
-    assert diameter(w) == diam
-    assert is_connected(w) == connected
+    kept_only_once(w)
     w = lift(cells.astype(float))
-    assert distance_field(w).connected == connected  # keeps no levels
-    assert connectivity._walk(w).kept is None and diameter(w) == diam
-    queries_match(w)
-    assert connectivity._walk(w).kept is not None
+    assert distance_field(w).connected == connected  # walks and keeps
+    kept_only_once(w)
 
 
 def block_set(blocks, n: int) -> IntervalSet:
