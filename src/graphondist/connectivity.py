@@ -27,9 +27,9 @@ a threshold builds it whole; every later one reads it and walks nothing
 its arrays.  So a cold one-shot query pays a whole walk where one BFS row
 would do (a point query on the band tau = 1/7 at 2,048 cells: about 0.1 s
 against 7 ms; tau = 1/1024: 1 s against 33 ms), and a query on a
-long-lived graphon costs a lookup.  A kept array of 128 KB or more lies
-in a memory map of its own (``core._mapped``): on the C heap it splits
-the space that short-lived arrays reuse (see the README).
+long-lived graphon costs a lookup.  Each kept array lies in a memory
+map of its own (``core._mapped``): on the C heap it splits the space
+that short-lived arrays reuse (see the README).
 The record goes with the graphon, which must be immutable:
 ``StepGraphon`` is a frozen dataclass whose blocks and measures are
 read-only arrays of its own (``core._own``).

@@ -72,13 +72,14 @@ class _Map(mmap.mmap):
 
 def _mapped(a: np.ndarray) -> np.ndarray:
     """``a`` read-only, copied into an anonymous memory map of its own
-    (freed with the array) from 128 KB, glibc's default threshold for
-    mapping a block: for an array that a graphon keeps for its lifetime,
-    which on the C heap would split the space that the short-lived arrays
-    of later calls reuse (see ``connectivity``)."""
-    if a.nbytes < 1 << 17:
-        return _readonly(a)
-    out = np.ndarray(a.shape, a.dtype, buffer=_Map(-1, a.nbytes))
+    (freed with the array): for an array that a graphon keeps for its
+    lifetime, which on the C heap would split the space that the
+    short-lived arrays of later calls reuse (see ``connectivity``).  The
+    map is private (``ACCESS_COPY``), so the kernel joins neighbouring
+    maps into one mapping, and many kept arrays do not run into its limit
+    on mappings per process."""
+    buf = _Map(-1, a.nbytes, access=mmap.ACCESS_COPY)
+    out = np.ndarray(a.shape, a.dtype, buffer=buf)
     out[...] = a
     return _readonly(out)
 
@@ -96,11 +97,11 @@ def _as_real(value, dtype=float) -> np.ndarray:
 def _array(value, what: str, dtype=float) -> np.ndarray:
     """A caller's value as an array of ``dtype`` (``None`` keeps the
     value's), converted by ``_as_real``: an array of that dtype is itself.
-    Ragged, non-numeric, string and complex entries raise
-    ``ValidationError``."""
+    Ragged, non-numeric, string and complex entries, and integers past
+    the float range, raise ``ValidationError``."""
     try:
         return _as_real(value, dtype)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{what} must hold real numbers: {exc}") from exc
 
 
@@ -126,13 +127,13 @@ def _vector(value, what: str, dtype=float) -> np.ndarray:
 
 def _real(value, what: str) -> float:
     """A caller's real scalar as a float; a sequence, an array with an
-    axis, a complex number or a string (``"0.1"`` too) is a
-    ``ValidationError``."""
+    axis, a complex number, a string (``"0.1"`` too) or an integer past
+    the float range (``10**400``) is a ``ValidationError``."""
     try:
         a = np.asarray(value)
         if a.ndim == 0 and a.dtype.kind not in _NOT_REAL:
             return float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         pass
     raise ValidationError(f"{what} must be a real number, got {value!r}")
 

@@ -106,7 +106,7 @@ def builtin_graphon(name: str, params: dict | None = None,
 def _load_matrix(rows, what: str) -> np.ndarray:
     try:
         a = _as_real(rows)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed {what}: {exc}") from exc
     a = _square_matrix(a, what)
     _check_symmetric(a, LOAD_SYM_TOL, what, scale=1.0)

@@ -49,7 +49,7 @@ from graphondist import (
     varadhan_distance,
     varadhan_slope,
 )
-from graphondist import core
+from graphondist import connectivity, core
 from graphondist.cli import main
 from conftest import cycle_adjacency
 
@@ -145,7 +145,7 @@ def test_a_library_map_is_kept_and_a_callers_map_is_copied():
     assert p.measures is not theirs
     buf[:8] = np.float64(0.5).tobytes()
     assert p.measures.tolist() == [0.25, 0.75]
-    ours = core._mapped(np.full(1 << 14, 2.0 ** -14))
+    ours = core._mapped(np.array([0.25, 0.75]))
     assert isinstance(ours.base, core._Map) and not ours.flags.writeable
     assert Partition(ours).measures is ours
 
@@ -176,7 +176,8 @@ def test_library_values_keep_their_fresh_arrays():
     # what the library builds goes in read-only, so nothing is copied twice
     w = lift(cycle_adjacency(6))
     fld = distance_field(w)
-    assert fld.levels.base is None and fld.classes.base is None
+    walk = connectivity._walk(w)
+    assert fld.levels is walk.levels and fld.classes is walk.classes
     spec = sym_eig(w.blocks)
     assert spec.eigenvectors.base is None
     a = cycle_adjacency(5)
@@ -255,8 +256,9 @@ C2 = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 #: (matrix, vector) inputs that are not read as real arrays: ragged,
 #: non-numeric, complex (lists, and arrays whose imaginary parts numpy
-#: would drop with only a ComplexWarning), and strings or bytes, which
-#: numpy would read as numbers ("0.5") or, as booleans, by truthiness
+#: would drop with only a ComplexWarning), strings or bytes, which
+#: numpy would read as numbers ("0.5") or, as booleans, by truthiness,
+#: and integers past the float range (a bare OverflowError)
 UNREADABLE = {
     "ragged": ([[0, 1], [1]], [0.5, [0.5]]),
     "non-numeric": ([[0, "x"], [1, 0]], [0.5, "x"]),
@@ -264,6 +266,7 @@ UNREADABLE = {
     "complex array": (C2 * (1 + 1j), np.array([0.5, 0.5 + 1j])),
     "numeric strings": ([["0", "1"], ["1", "0"]], ["0.5", "0.5"]),
     "bytes": (np.array([[b"0", b"1"], [b"1", b"0"]]), [b"0.5", b"0.5"]),
+    "past the float range": ([[0, 10**400], [10**400, 0]], [0.5, 10**400]),
 }
 
 #: every reader of a caller's vector, given that vector
@@ -279,9 +282,13 @@ VECTOR_READERS = {
 }
 
 
-@pytest.mark.parametrize("value", sorted(UNREADABLE))
-@pytest.mark.parametrize("reader", sorted(
-    {*MATRIX_READERS, *VECTOR_READERS} - {"step JSON", "grid JSON"}))
+@pytest.mark.parametrize("reader, value", [
+    (reader, value)
+    for reader in sorted({*MATRIX_READERS, *VECTOR_READERS}
+                         - {"step JSON", "grid JSON"})
+    for value in sorted(UNREADABLE)
+    # a support is read by truthiness: 10**400 is an edge
+    if (reader, value) != ("SupportGraph", "past the float range")])
 def test_a_value_numpy_cannot_read_as_real_is_an_input_error(reader, value):
     # numpy's bare ValueError and TypeError used to escape, complex
     # entries lost their imaginary parts (step(P, [[0, 1+1j], [1+1j, 0]])
@@ -359,6 +366,32 @@ def test_string_entries_in_a_graphon_file_exit_2(tmp_path, capsys, field,
     assert not (tmp_path / "out").exists()
 
 
+HUGE = 10**400
+STEP_C2 = {"kind": "step", "measures": [0.5, 0.5], "blocks": C2.tolist()}
+BAND = {"kind": "builtin", "name": "circular_band", "params": {"tau": 0.25}}
+
+
+@pytest.mark.parametrize("command, data, flags", [
+    ("connectivity", {"kind": "grid", "resolution": HUGE,
+                      "values": C2.tolist()}, []),
+    ("connectivity", {"kind": "step", "measures": [0.5, HUGE],
+                      "blocks": C2.tolist()}, []),
+    ("connectivity", BAND, ["--grid", str(HUGE)]),
+    ("slope", STEP_C2, ["--u", "0:0.5", "--v", "0.5:1",
+                        "--tgrid", f"1e-5:1e-3:{HUGE}"]),
+])
+def test_an_integer_past_the_float_range_exits_2(tmp_path, capsys, command,
+                                                 data, flags):
+    # float() raised a bare OverflowError, which the CLI printed as a
+    # traceback
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data))
+    assert main([command, "--input", str(path), *flags,
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "input error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 C6 = lift(cycle_adjacency(6))
 HALF = IntervalSet(((0.0, 0.5),))
 
@@ -392,6 +425,10 @@ BAD_SCALARS = {
     "slice point '0.1'": lambda: neighbourhood_distance(C6, "0.1", 0.6),
     "er p '0.5'": lambda: er_graphon("0.5"),
     "band tau '0.25'": lambda: circular_band_graphon("0.25", 16),
+    "uniform partition 10**400": lambda: Partition.uniform(10**400),
+    "t grid size 10**400": lambda: default_t_grid(1e-5, 1e-3, 10**400),
+    "er p 10**400": lambda: er_graphon(10**400),
+    "interval endpoint -10**400": lambda: IntervalSet(((-10**400, 0.5),)),
 }
 
 

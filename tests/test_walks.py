@@ -5,6 +5,7 @@ oracle, and what a graphon keeps of its walks."""
 import dataclasses
 import gc
 import math
+import os
 import tracemalloc
 import weakref
 
@@ -32,7 +33,7 @@ from graphondist import (
     varadhan_distance,
 )
 from graphondist import DistanceField, connectivity, core
-from conftest import bfs_oracle
+from conftest import bfs_oracle, cycle_adjacency
 
 
 def twin_graphon(rng):
@@ -470,26 +471,44 @@ def test_kept_walks_go_with_their_graphon(monkeypatch):
     assert len(memo) == 0
 
 
-def test_large_kept_arrays_lie_in_maps_of_their_own():
-    # levels of at least 128 KB are copied into an anonymous memory map
-    # that goes with them; smaller arrays stay where numpy put them, and
-    # either kind is shared, not copied, by every field of the graphon
-    w = circular_band_graphon(1 / 7, 512)
+@pytest.mark.parametrize("n", [6, 512])
+def test_kept_arrays_lie_in_maps_of_their_own(n):
+    # the levels and the classes, at any size, are copied into anonymous
+    # memory maps that go with them, and shared, not copied, by every
+    # field of the graphon
+    w = circular_band_graphon(1 / 7, n)
     fld = distance_field(w)
     walk = kept_walk(w)
-    assert isinstance(walk.levels.base, core._Map)
-    assert walk.levels.nbytes == 512 * 512 >= 1 << 17
-    assert walk.classes.base is None and walk.classes.nbytes < 1 << 17
-    assert not walk.levels.flags.writeable
+    for name in ("levels", "classes"):
+        a = getattr(walk, name)
+        assert isinstance(a.base, core._Map) and len(a.base) == a.nbytes
+        assert not a.flags.writeable
+    del a
+    assert walk.levels.shape == (n, n) and walk.classes.shape == (n,)
     assert fld.levels is walk.levels and fld.classes is walk.classes
     again = DistanceField(fld.kind, fld.partition, fld.levels, fld.classes,
                           fld.connected)
-    assert again.levels is walk.levels
+    assert again.levels is walk.levels and again.classes is walk.classes
     assert np.array_equal(fld.matrix, walk_oracle(support_graph(w).matrix))
-    mapped = weakref.ref(walk.levels.base)
+    maps = [weakref.ref(walk.levels.base), weakref.ref(walk.classes.base)]
     del w, fld, walk, again
     gc.collect()
-    assert mapped() is None
+    assert all(ref() is None for ref in maps)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"),
+                    reason="counts the process's mappings on Linux")
+def test_kept_maps_share_mappings():
+    # the maps are private, so the kernel joins neighbours: 400 kept
+    # arrays do not take 400 of the process's mappings (a shared map each
+    # would, and about 65,000 is the usual limit)
+    def mappings():
+        with open("/proc/self/maps") as f:
+            return sum(1 for _ in f)
+    ws = [lift(cycle_adjacency(8)) for _ in range(200)]
+    before = mappings()
+    assert all(diameter(w) == 4 for w in ws)
+    assert mappings() - before < 100
 
 
 def test_queries_after_diameter_read_its_levels(monkeypatch):
