@@ -1,9 +1,10 @@
 """Batch command line front end.
 
 Subcommands: ``varadhan`` (distance matrix CSV + layer heatmap PGM + summary
-JSON, every row looked up from the ``DistanceField``'s k x k class levels
-at the classes of its cells, one string per level, so no n x n float
-matrix is built), ``slope`` (log-log slope experiments, set-pair or
+JSON, rendered from the ``DistanceField``'s k x k class levels at the
+classes of its cells, a panel of rows per gather of packed level strings
+(``_level_rows``), so no n x n float matrix and no string per cell is
+built), ``slope`` (log-log slope experiments, set-pair or
 matrix-transform mode), ``metrics`` (communicability matrix / embedding /
 cut norm), ``connectivity`` and ``sample``.  Each subcommand accepts only
 the flags it reads, and each slope mode only its own.  ``main`` loads the graphon once; the subcommand
@@ -238,12 +239,11 @@ def _write_lines(path: Path, *parts) -> None:
             f.write(line + "\n")
 
 
-def _write_csv(path: Path, rows, labels: list[str], meta: dict) -> None:
+def _write_csv(path: Path, lines, labels: list[str], meta: dict) -> None:
     """The metadata lines, a header of labels, then each label with its
-    row of formatted cells."""
+    line of comma-joined cells."""
     _write_lines(path, _meta_lines(meta), [",".join(["index"] + labels)],
-                 (label + "," + ",".join(cells)
-                  for label, cells in zip(labels, rows)))
+                 (label + "," + line for label, line in zip(labels, lines)))
 
 
 def read_csv_matrix(path) -> np.ndarray:
@@ -257,21 +257,57 @@ def read_csv_matrix(path) -> np.ndarray:
     return np.asarray(rows)
 
 
-def _write_pgm(path: Path, rows, shape: tuple[int, int], maxval: int,
+def _write_pgm(path: Path, lines, shape: tuple[int, int], maxval: int,
                meta: dict) -> None:
-    """A plain PGM of ``shape`` (rows, columns) from formatted pixel rows."""
+    """A plain PGM of ``shape`` (rows, columns) from lines of
+    space-joined pixels."""
     _write_lines(path, ["P2"], _meta_lines(meta),
-                 [f"{shape[1]} {shape[0]}", str(max(1, maxval))],
-                 (" ".join(cells) for cells in rows))
+                 [f"{shape[1]} {shape[0]}", str(max(1, maxval))], lines)
 
 
-def _level_rows(fld, table: list[str]):
-    """The cell rows of a distance field as lists of strings, level m
-    written ``table[m]`` (``table[0]`` for unreachable): row i looks up
-    ``levels[classes[i]][classes]``."""
-    table = np.array(table, dtype=object)
-    for c in fld.classes:
-        yield table[fld.levels[c][fld.classes]].tolist()
+#: cell rows of a distance field rendered by one gather
+_PANEL = 64
+
+
+def _level_rows(fld, table: list[str], sep: str):
+    """The cell rows of a distance field as lines, level m written
+    ``table[m]`` (``table[0]`` for unreachable) and cells joined by
+    ``sep``: row i reads ``levels[classes[i]][classes]``.
+
+    Each string plus ``sep`` is packed, NUL-padded, into one unsigned word
+    of the narrowest of 1, 2, 4 or 8 bytes that holds the widest, so a
+    panel of rows is one gather of words at its codes
+    ``levels[classes[rows]][:, classes]``.  No string holds a NUL, so the
+    panel's nonzero bytes (all its bytes when every string fills its word)
+    are its text exactly; it is split into rows by their summed string
+    lengths, each less its last ``sep``.  A string wider than 8 bytes is
+    refused here, before any row is written.
+    """
+    strings = [(text + sep).encode("ascii") for text in table]
+    lengths = np.array([len(b) for b in strings], dtype=np.int32)
+    size = next((b for b in (1, 2, 4, 8) if b >= lengths.max()), None)
+    if size is None:
+        raise ValidationError(f"a level string of {lengths.max()} bytes "
+                              "does not fit a word of 8")
+    words = np.array(strings, dtype=f"S{size}").view(f"u{size}")
+    padded = bool(lengths.min() < size)
+    classes = fld.classes
+    # a class row's text length: each level's length times its cells
+    row_lengths = np.take(lengths, fld.levels) @ np.bincount(
+        classes, minlength=fld.levels.shape[0]).astype(np.int32)
+
+    def lines():
+        for lo in range(0, classes.size, _PANEL):
+            rows = classes[lo:lo + _PANEL]
+            text = np.take(words, fld.levels[rows][:, classes]).tobytes()
+            if padded:
+                text = text.translate(None, b"\0")
+            text = text.decode("ascii")
+            start = 0
+            for end in np.cumsum(row_lengths[rows]).tolist():
+                yield text[start:end - len(sep)]
+                start = end
+    return lines()
 
 
 def _write_edges(path: Path, graph, meta: dict) -> None:
@@ -326,10 +362,10 @@ def cmd_varadhan(cfg: argparse.Namespace, w) -> tuple[int, list]:
     levels = range(1, top + 1)
     return 0, [
         (_write_csv, "varadhan_distance.csv",
-         _level_rows(fld, ["inf"] + [repr(float(m)) for m in levels]),
+         _level_rows(fld, ["inf"] + [repr(float(m)) for m in levels], ","),
          _axis_labels(w), meta),
         (_write_pgm, "varadhan_layers.pgm",
-         _level_rows(fld, [str(maxval)] + [str(m) for m in levels]),
+         _level_rows(fld, [str(maxval)] + [str(m) for m in levels], " "),
          (fld.size, fld.size), maxval, meta),
         (_write_json, "varadhan_summary.json", summary),
     ]
@@ -425,8 +461,8 @@ def cmd_metrics(cfg: argparse.Namespace, w) -> tuple[int, list]:
             for j in range(i, len(sets)):
                 m[i, j] = m[j, i] = communicability_distance(w, si, sets[j])
         labels = [f"set_{i}" for i in range(len(sets))]
-        rows = [[repr(v) for v in row] for row in m.tolist()]
-        writes.append((_write_csv, "metrics_communicability.csv", rows,
+        lines = [",".join(map(repr, row)) for row in m.tolist()]
+        writes.append((_write_csv, "metrics_communicability.csv", lines,
                        labels, meta))
         if cfg.embed is not None:
             embs = [communicability_embedding(w, s, cfg.embed)

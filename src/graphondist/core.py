@@ -86,10 +86,13 @@ def _mapped(a: np.ndarray) -> np.ndarray:
 
 def _as_real(value, dtype=float) -> np.ndarray:
     """``np.asarray(value, dtype)``; complex entries, and for a ``dtype``
-    string or bytes ones (read as numbers, or as bool by truthiness), are
-    a TypeError.  ``None`` keeps the value's dtype, strings included."""
+    string or bytes ones (read as numbers, or as bool by truthiness), in
+    an object array too, are a TypeError.  ``None`` keeps the value's
+    dtype, strings included."""
     a = np.asarray(value)
-    if a.dtype.kind == "c" or dtype is not None and a.dtype.kind in _NOT_REAL:
+    if a.dtype.kind == "c" or dtype is not None and (
+            a.dtype.kind in _NOT_REAL or a.dtype.kind == "O" and any(
+                isinstance(x, (str, bytes)) for x in a.flat)):
         raise TypeError(f"{a.dtype} entries are not real numbers")
     return np.asarray(a, dtype=dtype)
 
@@ -428,7 +431,7 @@ def mat(partition: Partition, w: StepGraphon) -> np.ndarray:
 
 def coarsen(partition: Partition, w: StepGraphon) -> StepGraphon:
     """L2-orthogonal projection of a graphon onto P-step graphons."""
-    return StepGraphon(partition, mat(partition, w))
+    return StepGraphon(partition, _readonly(mat(partition, w)))
 
 
 def comp_power(w: StepGraphon, m: int) -> StepGraphon:
@@ -448,7 +451,8 @@ def comp_power(w: StepGraphon, m: int) -> StepGraphon:
         out = mm @ out
     # the base initializer keeps w's type without its own constructor
     result = object.__new__(type(w))
-    StepGraphon.__init__(result, w.partition, np.clip(out, 0.0, 1.0))
+    StepGraphon.__init__(result, w.partition,
+                         _readonly(np.clip(out, 0.0, 1.0)))
     return result
 
 
@@ -494,7 +498,7 @@ def permute_blocks(w: StepGraphon, sigma) -> StepGraphon:
         raise ValidationError(f"not a permutation of 0..{w.size - 1}: {sigma!r}")
     mu = w.partition.measures[perm]
     blocks = w.blocks[np.ix_(perm, perm)]
-    return StepGraphon(Partition(_readonly(mu)), blocks)
+    return StepGraphon(Partition(_readonly(mu)), _readonly(blocks))
 
 
 def to_grid(w: StepGraphon, resolution: int) -> GridGraphon:
@@ -502,4 +506,4 @@ def to_grid(w: StepGraphon, resolution: int) -> GridGraphon:
     n = _checked_count(resolution)
     centers = (np.arange(n) + 0.5) / n
     idx = w.partition.locate(centers)
-    return GridGraphon(n, w.blocks[np.ix_(idx, idx)])
+    return GridGraphon(n, _readonly(w.blocks[np.ix_(idx, idx)]))

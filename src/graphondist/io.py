@@ -27,6 +27,7 @@ from .core import (
     _as_real,
     _check_symmetric,
     _checked_count,
+    _readonly,
     _real,
     _square_matrix,
     lift,
@@ -73,7 +74,8 @@ def one_minus_max_graphon(resolution: int) -> GridGraphon:
     """W(x,y) = 1 - max(x,y), sampled at cell centers."""
     n = _checked_count(resolution)
     centers = (np.arange(n) + 0.5) / n
-    return GridGraphon(n, 1.0 - np.maximum(centers[:, None], centers[None, :]))
+    values = np.maximum(centers[:, None], centers[None, :])
+    return GridGraphon(n, _readonly(np.subtract(1.0, values, out=values)))
 
 
 def builtin_graphon(name: str, params: dict | None = None,
@@ -110,7 +112,7 @@ def _load_matrix(rows, what: str) -> np.ndarray:
         raise ValidationError(f"malformed {what}: {exc}") from exc
     a = _square_matrix(a, what)
     _check_symmetric(a, LOAD_SYM_TOL, what, scale=1.0)
-    return (a + a.T) / 2.0
+    return _readonly((a + a.T) / 2.0)
 
 
 def graphon_from_dict(data: dict, grid_resolution: int = 512):

@@ -46,6 +46,7 @@ from .core import (
     ValidationError,
     _checked_count,
     _own,
+    _readonly,
     _real,
 )
 from .linalg import SpectralData, sym_eig
@@ -206,7 +207,8 @@ def merge_twins(w: StepGraphon, tol: float = 1e-9) -> StepGraphon:
         mu_new = mu @ onehot
         mass = mu[:, None] * current.blocks * mu[None, :]
         blocks_new = (onehot.T @ mass @ onehot) / np.outer(mu_new, mu_new)
-        current = StepGraphon(Partition(mu_new), blocks_new)
+        current = StepGraphon(Partition(_readonly(mu_new)),
+                              _readonly(blocks_new))
     return current
 
 

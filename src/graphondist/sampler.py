@@ -39,7 +39,8 @@ SAMPLE_BLOCK = 1 << 17
 @dataclass(frozen=True, eq=False)
 class SampledGraph:
     """Simple undirected graph sampled from a graphon, with its latent
-    coordinates and the seed that produced it."""
+    coordinates and the seed that produced it; an adjacency that is not
+    symmetric or has a self-loop is a ``ValidationError``."""
 
     coordinates: np.ndarray
     adjacency: np.ndarray
@@ -47,6 +48,12 @@ class SampledGraph:
 
     def __post_init__(self):
         _own(self, coordinates=float, adjacency=bool)
+        adj = self.adjacency
+        if adj.ndim != 2 or not np.array_equal(adj, adj.T):
+            raise ValidationError("a sampled graph's adjacency must be a "
+                                  "symmetric matrix")
+        if adj.diagonal().any():
+            raise ValidationError("a sampled graph has no self-loops")
 
     @property
     def n(self) -> int:
@@ -54,7 +61,7 @@ class SampledGraph:
 
     @property
     def edge_count(self) -> int:
-        return int(np.triu(self.adjacency, k=1).sum())
+        return int(np.count_nonzero(self.adjacency)) // 2
 
 
 def sample_graph(w, n: int, seed: int) -> SampledGraph:
@@ -63,7 +70,9 @@ def sample_graph(w, n: int, seed: int) -> SampledGraph:
     Pair (i, j), i < j, is an edge when coin [i, j] of one n x n uniform
     draw falls below W(x_i, x_j).  The coins and the probabilities are
     made in blocks of rows, which draws the same stream as one n x n call,
-    so memory is one n x n boolean adjacency plus a block.
+    so memory is one n x n boolean adjacency plus a block.  A block's
+    comparison is written into its rows of the adjacency, and each row's
+    part at or below the diagonal is then cleared.
     """
     n = _checked_count(n, "n")
     # int(seed), not a float, so a seed past 2^53 stays exact
@@ -79,8 +88,11 @@ def sample_graph(w, n: int, seed: int) -> SampledGraph:
     for lo in range(0, n, step):
         hi = min(lo + step, n)
         coins = rng.random((hi - lo, n))
-        hits = coins < w.blocks[cells[lo:hi, None], cells[None, :]]
-        adjacency[lo:hi] = np.triu(hits, k=lo + 1)
+        hits = adjacency[lo:hi]
+        np.less(coins, np.take(w.blocks[cells[lo:hi]], cells, axis=1),
+                out=hits)
+        for i in range(lo, hi):  # only pairs i < j are drawn
+            hits[i - lo, :i + 1] = False
     adjacency |= adjacency.T
     return SampledGraph(_readonly(coords), _readonly(adjacency), seed)
 

@@ -379,6 +379,25 @@ def test_fractional_resolutions_are_rejected(build):
         build()
 
 
+@pytest.mark.parametrize("build", [
+    lambda: to_grid(lift(cycle_adjacency(6)), 1024),
+    lambda: one_minus_max_graphon(1024),
+], ids=["to_grid", "one_minus_max"])
+def test_a_grid_keeps_the_array_its_builder_renders(build):
+    # builders handed GridGraphon a fresh writable array, which it copied:
+    # a second 8 MB array at 1,024 cells
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        g = build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.resolution == 1024 and not g.values.flags.writeable
+    assert peak < 2 * 8 * 1024**2
+
+
 def test_integral_resolutions_of_any_type_render():
     w = lift(cycle_adjacency(6))
     for res in (2, 2.0, np.int64(2), np.float64(2.0)):

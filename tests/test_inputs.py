@@ -83,7 +83,8 @@ VALUE_TYPES = {
                  np.array([["tail_bound", "tail_bound"]])]),
     "SampledGraph": (("coordinates", "adjacency"),
                      lambda c, a: SampledGraph(c, a, 0),
-                     lambda: [np.array([0.1, 0.6]), np.eye(2, dtype=bool)]),
+                     lambda: [np.array([0.1, 0.6]),
+                              np.array([[0, 1], [1, 0]], dtype=bool)]),
     "SupportGraph": (("matrix",), lambda m: SupportGraph(m, 0.0),
                      lambda: [np.eye(2, dtype=bool)]),
 }
@@ -266,6 +267,10 @@ UNREADABLE = {
     "complex array": (C2 * (1 + 1j), np.array([0.5, 0.5 + 1j])),
     "numeric strings": ([["0", "1"], ["1", "0"]], ["0.5", "0.5"]),
     "bytes": (np.array([[b"0", b"1"], [b"1", b"0"]]), [b"0.5", b"0.5"]),
+    "strings in an object array": (np.array([[0, "1"], ["1", 0]], object),
+                                   np.array(["0.5", 0.5], object)),
+    "bytes in an object array": (np.array([[0, b"1"], [b"1", 0]], object),
+                                 np.array([b"0.5", 0.5], object)),
     "past the float range": ([[0, 10**400], [10**400, 0]], [0.5, 10**400]),
 }
 
@@ -305,6 +310,32 @@ def test_a_value_numpy_cannot_read_as_real_is_an_input_error(reader, value):
             VECTOR_READERS[reader](vector)
         else:
             read(matrix)
+
+
+#: the value types whose array fields are all read as real numbers (a
+#: ``DistanceField``'s levels and classes and the tables of a
+#: ``TransformSlopes`` keep the dtype they are given)
+REAL_VALUE_TYPES = sorted(set(VALUE_TYPES) - {"DistanceField",
+                                              "TransformSlopes"})
+
+
+@pytest.mark.parametrize("entry", [pytest.param(str, id="str"),
+                                   pytest.param(lambda x: str(x).encode(),
+                                                id="bytes")])
+@pytest.mark.parametrize("kind", REAL_VALUE_TYPES)
+def test_a_string_in_an_object_array_is_an_input_error(kind, entry):
+    # numpy reads an object array entry by entry, so a string in one was
+    # read as a number (Partition(np.array(['0.5', 0.5], dtype=object))
+    # had measures [0.5, 0.5]) or, as a boolean, by truthiness (a
+    # SupportGraph of '0' strings was all True)
+    names, build, arrays = VALUE_TYPES[kind]
+    for field in range(len(names)):
+        given = arrays()
+        a = given[field].astype(object)
+        a.flat[0] = entry(a.flat[0])
+        given[field] = a
+        with pytest.raises(ValidationError, match="real numbers"):
+            build(*given)
 
 
 @pytest.mark.parametrize("t", [[[0.1]], [0.1], np.array([0.1]), 0.1j, "x",

@@ -126,6 +126,16 @@ def test_sample_rejects_empty_graph_request():
         sample_graph(er_graphon(0.5), 0, seed=1)
 
 
+@pytest.mark.parametrize("adjacency", [
+    [[0, 1], [0, 0]], np.eye(2), [[1, 1], [1, 0]], [0, 1], [[0, 1, 0]],
+], ids=["asymmetric", "loops", "one-loop", "vector", "not-square"])
+def test_a_sampled_graph_is_simple_and_undirected(adjacency):
+    # an asymmetric or looped adjacency was accepted, though the edge list
+    # and the twin quotient read it as a simple undirected graph
+    with pytest.raises(ValidationError, match="sampled graph"):
+        SampledGraph([0.1, 0.6], adjacency, 0)
+
+
 def test_sample_rejects_negative_seed():
     with pytest.raises(ValidationError, match="nonnegative seed"):
         sample_graph(er_graphon(0.5), 10, seed=-1)
