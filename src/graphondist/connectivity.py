@@ -14,7 +14,11 @@ class graph is exact, since twins have the same neighbours.  One function,
 ``_class_walk``, runs every whole walk of a class graph.  It takes L - 1
 products when the largest walk distance L joins every pair, and L when
 some pair is unreachable (one closing product finds the next level empty),
-and its largest level is the diameter.
+and its largest level is the diameter.  A circulant class graph (row i is
+row 0 rotated by i: a ring graphon W(x, y) = f(|x - y| mod 1) on a uniform
+grid) takes those products on class 0's row alone and rotates its levels,
+since rotation by one class maps it onto itself; any other whose row 1
+is not row 0 rotated is turned away in O(k).
 
 A graphon keeps one record per support threshold, ``_Walk``, in a
 ``weakref.WeakKeyDictionary`` keyed by the graphon (``_walk``): the
@@ -24,12 +28,13 @@ the read-only class of each cell and the diameter.  The first
 ``distance_field``, ``diameter``, ``is_connected``, point or set query at
 a threshold builds it whole; every later one reads it and walks nothing
 (connected iff the diameter is finite), and a ``DistanceField`` shares
-its arrays.  So a cold one-shot query pays a whole walk where one BFS row
-would do (a point query on the band tau = 1/7 at 2,048 cells: about 0.1 s
-against 7 ms; tau = 1/1024: 1 s against 33 ms), and a query on a
-long-lived graphon costs a lookup.  Each kept array lies in a memory
-map of its own (``core._mapped``): on the C heap it splits the space
-that short-lived arrays reuse (see the README).
+its arrays.  So a cold one-shot query pays the walk of the whole field:
+one BFS row on a circulant (a point query at 2,048 cells: about 18 ms on
+the band tau = 1/7 and 45 ms on tau = 1/1024, where walking every class
+row took 0.1 s and 1 s), every class row on any other support; and a
+query on a long-lived graphon costs a lookup.  Each kept array lies in a
+memory map of its own (``core._mapped``): on the C heap it splits the
+space that short-lived arrays reuse (see the README).
 The record goes with the graphon, which must be immutable:
 ``StepGraphon`` is a frozen dataclass whose blocks and measures are
 read-only arrays of its own (``core._own``).
@@ -57,8 +62,7 @@ source row always takes the packed step, since it has at most k
 nonzeros.  A thin walk never scans a dense matrix, and no walk multiplies
 a floating-point matrix.  ``_bfs`` is a plain boolean product per level,
 so it also walks from the source rows of a slope series' start set on
-the directed pattern of its operator (``linalg._walk_series``), the one
-walk that starts from source rows.
+the directed pattern of its operator (``linalg._walk_series``).
 """
 
 from __future__ import annotations
@@ -68,6 +72,7 @@ import weakref
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (GridGraphon, ValidationError, _mapped, _own, _readonly,
                    _real, _square_matrix)
@@ -307,7 +312,14 @@ def _bfs(b: _Bits, sources: np.ndarray | None = None) -> np.ndarray:
     level is recorded from its nonzeros where the next step derived them
     (a packed step), and from its unpacked matrix otherwise.
     """
-    front = b if sources is None else _compose(_Bits.of(sources), b)
+    return _levels(b, b if sources is None
+                   else _compose(_Bits.of(sources), b))
+
+
+def _levels(b: _Bits, front: _Bits) -> np.ndarray:
+    """The levels of ``_bfs`` on ``b`` from the first level ``front``:
+    ``b`` itself, the neighbourhoods of source sets, or one row of ``b``
+    (the row walk of a circulant, ``_class_walk``)."""
     dist = np.zeros(front.shape, dtype=np.uint8)
     seen = np.zeros((front.shape[0], b.words.shape[1]), dtype=np.uint64)
     reached = 0
@@ -345,14 +357,37 @@ def _cell_levels(levels: np.ndarray, classes: np.ndarray) -> np.ndarray:
     return levels[np.ix_(classes, classes)]
 
 
+def _rotations(row: np.ndarray) -> np.ndarray:
+    """The k x k circulant of a length-k row, entry [i, j] = row[(j - i)
+    mod k]: a read-only strided view of the doubled row, so nothing of
+    size k^2 is copied."""
+    k = row.size
+    return sliding_window_view(np.concatenate((row, row)), k)[k:0:-1]
+
+
 def _class_walk(adj: np.ndarray):
     """The whole-field BFS levels between the support classes of a boolean
     support (k x k small integers, 0 where no walk joins two classes; see
-    ``_bfs``) and the class of each vertex."""
+    ``_bfs``) and the class of each vertex.
+
+    A circulant class support, whose row i is row 0 rotated by i (a ring
+    graphon W(x, y) = f(|x - y| mod 1) on a uniform grid), walks class 0
+    alone: rotation by one class maps the support onto itself, so the
+    levels are the rotations of row 0's (``_rotations``), and row 0
+    reaches the largest level, so they widen past 255 as the whole walk
+    does.  Row 1 is compared first, so any other support is turned away
+    in O(k) unless it shares the first two rows of a circulant.
+    """
     reps, classes = _row_classes(np.packbits(adj, axis=1))
     if reps.size < adj.shape[0]:
         adj = adj[np.ix_(reps, reps)]
-    return _bfs(_Bits.of(adj)), classes
+    b = _Bits.of(adj)
+    rotated = _rotations(adj[0])
+    if not (np.array_equal(adj[1:2], rotated[1:2])
+            and np.array_equal(adj, rotated)):
+        return _bfs(b), classes
+    row = _Bits((1, b.shape[1]), np.zeros(1, dtype=np.intp), b.words[:1])
+    return _rotations(_levels(b, row)[0]), classes
 
 
 @dataclass(frozen=True, eq=False)
@@ -379,8 +414,9 @@ def _walk(w, epsilon: float | None = None) -> _Walk:
     walk = kept.get(eps)
     if walk is None:
         levels, classes = _class_walk(w.blocks > eps)
+        levels = _mapped(levels)
         walk = kept[eps] = _Walk(
-            _mapped(levels), _mapped(classes),
+            levels, _mapped(classes),
             int(levels.max()) if levels.all() else UNREACHABLE)
     return walk
 

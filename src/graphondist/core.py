@@ -130,11 +130,13 @@ def _vector(value, what: str, dtype=float) -> np.ndarray:
 
 def _real(value, what: str) -> float:
     """A caller's real scalar as a float; a sequence, an array with an
-    axis, a complex number, a string (``"0.1"`` too) or an integer past
-    the float range (``10**400``) is a ``ValidationError``."""
+    axis, a complex number, a string (``"0.1"`` too, held in an object
+    array as well) or an integer past the float range (``10**400``) is a
+    ``ValidationError``."""
     try:
         a = np.asarray(value)
-        if a.ndim == 0 and a.dtype.kind not in _NOT_REAL:
+        if a.ndim == 0 and a.dtype.kind not in _NOT_REAL and not (
+                a.dtype.kind == "O" and isinstance(a[()], (str, bytes))):
             return float(value)
     except (TypeError, ValueError, OverflowError):
         pass

@@ -103,6 +103,12 @@ class DistanceField:
 
     def __post_init__(self):
         _own(self, levels=None, classes=None)
+        levels = _square_matrix(self.levels, "distance levels", None)
+        classes = _vector(self.classes, "distance classes", None)
+        if levels.dtype.kind not in "iu" or classes.dtype.kind not in "iu":
+            raise ValidationError(
+                "distance levels and classes must be integer arrays, got "
+                f"{levels.dtype} and {classes.dtype}")
 
     @cached_property
     def matrix(self) -> np.ndarray:

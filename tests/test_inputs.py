@@ -313,8 +313,8 @@ def test_a_value_numpy_cannot_read_as_real_is_an_input_error(reader, value):
 
 
 #: the value types whose array fields are all read as real numbers (a
-#: ``DistanceField``'s levels and classes and the tables of a
-#: ``TransformSlopes`` keep the dtype they are given)
+#: ``DistanceField``'s levels and classes keep the integer dtype they are
+#: given, and the tables of a ``TransformSlopes`` keep theirs)
 REAL_VALUE_TYPES = sorted(set(VALUE_TYPES) - {"DistanceField",
                                               "TransformSlopes"})
 
@@ -459,6 +459,14 @@ BAD_SCALARS = {
     "uniform partition 10**400": lambda: Partition.uniform(10**400),
     "t grid size 10**400": lambda: default_t_grid(1e-5, 1e-3, 10**400),
     "er p 10**400": lambda: er_graphon(10**400),
+    # a string held in a 0-d object array was read as a number
+    # (er_graphon(np.array('0.5', dtype=object)) built [[0.5]])
+    "er p '0.5' in an object array": lambda: er_graphon(
+        np.array("0.5", dtype=object)),
+    "er p b'0.5' in an object array": lambda: er_graphon(
+        np.array(b"0.5", dtype=object)),
+    "threshold '0.1' in an object array": lambda: diameter(
+        C6, np.array("0.1", dtype=object)),
     "interval endpoint -10**400": lambda: IntervalSet(((-10**400, 0.5),)),
 }
 
@@ -467,3 +475,34 @@ BAD_SCALARS = {
 def test_a_scalar_that_is_not_a_real_number_is_an_input_error(case):
     with pytest.raises(ValidationError):
         BAD_SCALARS[case]()
+
+
+def test_a_number_in_a_0d_object_array_is_still_read():
+    assert er_graphon(np.array(0.5, dtype=object)).blocks.tolist() == [[0.5]]
+
+
+#: DistanceField levels and classes that are not what a walk keeps: an
+#: integer square matrix and an integer vector
+BAD_FIELDS = {
+    "string levels": (np.array([["2", "1"], ["1", "2"]], dtype=object),
+                      np.array([0, 1])),
+    "float levels": (np.array([[2.0, 1.0], [1.0, 2.0]]), np.array([0, 1])),
+    "bool levels": (np.array([[True, True], [True, True]]), np.array([0, 1])),
+    "non-square levels": (np.array([[2, 1]]), np.array([0, 1])),
+    "empty levels": (np.zeros((0, 0), dtype=np.uint8), np.array([0, 1])),
+    "vector levels": (np.array([2, 1]), np.array([0, 1])),
+    "float classes": (np.array([[2, 1], [1, 2]]), np.array([0.0, 1.0])),
+    "string classes": (np.array([[2, 1], [1, 2]]), np.array(["0", "1"])),
+    "matrix classes": (np.array([[2, 1], [1, 2]]), np.array([[0, 1]])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_FIELDS))
+def test_a_distance_field_keeps_integer_levels_and_classes(case):
+    # DistanceField('step', P2, <object array of strings>, [0, 1], True)
+    # used to be accepted and kept its object levels
+    levels, classes = BAD_FIELDS[case]
+    with pytest.raises(ValidationError):
+        DistanceField("step", P2, levels, classes, True)
+    fld = DistanceField("step", P2, [[2, 1], [1, 2]], np.array([0, 1]), True)
+    assert fld.levels.dtype.kind in "iu" and fld.matrix[0, 1] == 1.0

@@ -269,13 +269,13 @@ def test_sample_walks_on_its_blow_up(monkeypatch):
 
     w, g = band_sample()
     walked = []
-    original = connectivity._bfs
+    original = connectivity._levels
 
-    def recording(adj, sources=None):
+    def recording(adj, front):
         walked.append(adj.shape[0])
-        return original(adj, sources)
+        return original(adj, front)
 
-    monkeypatch.setattr(connectivity, "_bfs", recording)
+    monkeypatch.setattr(connectivity, "_levels", recording)
     compare_sample(w, g)
     empirical_distance_profile(g)
     # the field of 512 cells, the sample twice: each on at most 512 classes

@@ -157,8 +157,8 @@ def test_twin_rich_grid_field_matches_its_step_source():
 
 
 def test_point_query_allocates_less_than_a_field():
-    # the cold first query walks the whole field and keeps its k x k
-    # class levels, but never builds an n x n float field
+    # the cold first query keeps the k x k class levels of the whole
+    # field, but never builds an n x n float field
     varadhan_distance(circular_band_graphon(1 / 7, 64), 0.1, 0.6)  # warm numpy
     w = circular_band_graphon(1 / 7, 2048)
     assert kept_walk(w) is None
@@ -273,6 +273,23 @@ def table_field(monkeypatch, adj) -> np.ndarray:
         return block_distance_matrix(SupportGraph(adj, 0.0))
 
 
+def relabelled(adj: np.ndarray) -> np.ndarray:
+    """``adj`` with its cells relabelled by a fixed non-affine
+    permutation: an isomorphic support, so its whole walk has the same
+    level sizes and takes the same steps, but not a circulant one, so it
+    is walked whole, not from one row."""
+    p = np.random.default_rng(11).permutation(adj.shape[0])
+    out = adj[np.ix_(p, p)]
+    assert not np.array_equal(out, connectivity._rotations(out[0]))
+    return out
+
+
+def band_support(n: int = 512) -> np.ndarray:
+    """The support of the band tau = 1/7 on n cells: circulant, n distinct
+    rows, four levels of 2/7 of the pairs each."""
+    return support_graph(circular_band_graphon(1 / 7, n)).matrix
+
+
 def path_support(k: int) -> np.ndarray:
     a = np.zeros((k, k), dtype=bool)
     idx = np.arange(k - 1)
@@ -300,8 +317,9 @@ def test_field_step_kinds_follow_the_frontier(monkeypatch, rng):
     # a long path is thin on every level: only packed steps
     assert count_steps(monkeypatch, path_support(301)) == \
         {"packed": 299, "table": 0}
-    # band tau = 1/7 on 512 cells: four levels, each 2/7 of the pairs
-    fat = support_graph(circular_band_graphon(1 / 7, 512)).matrix
+    # band tau = 1/7 on 512 cells, relabelled so that it is walked whole:
+    # four levels, each 2/7 of the pairs
+    fat = relabelled(band_support())
     assert count_steps(monkeypatch, fat, table_field(monkeypatch, fat)) == \
         {"packed": 0, "table": 3}
     # a clique glued to a path: the fat first level takes the table step,
@@ -314,6 +332,38 @@ def test_field_step_kinds_follow_the_frontier(monkeypatch, rng):
     sparse = expanding_support(rng, 700, 3.0)
     calls = count_steps(monkeypatch, sparse, table_field(monkeypatch, sparse))
     assert calls["table"] >= 1 and calls["packed"] >= 1
+
+
+def walked_rows(monkeypatch) -> list:
+    """The rows of the first level of every walk from now on: k for the
+    whole walk of k classes, 1 for the row walk of a circulant."""
+    rows = []
+    levels = connectivity._levels
+    monkeypatch.setattr(connectivity, "_levels", lambda b, front: (
+        rows.append(front.shape[0]) or levels(b, front)))
+    return rows
+
+
+def test_a_circulant_walks_one_row(monkeypatch):
+    # a circulant support walks class 0 alone and rotates its levels: the
+    # band tau = 1/7 on 512 cells takes three packed steps from one row,
+    # where the same band relabelled takes three table steps from all
+    # 512; a 600-cycle walks to level 300 in 299 packed steps from one
+    # row, and its levels widen to two bytes as the whole walk's do
+    band = band_support()
+    shuffled = relabelled(band)
+    want, want_shuffled = (table_field(monkeypatch, band),
+                           table_field(monkeypatch, shuffled))
+    rows = walked_rows(monkeypatch)
+    assert count_steps(monkeypatch, band, want) == {"packed": 3, "table": 0}
+    assert count_steps(monkeypatch, shuffled, want_shuffled) == \
+        {"packed": 0, "table": 3}
+    cycle = cycle_adjacency(600) > 0.0
+    assert count_steps(monkeypatch, cycle) == {"packed": 299, "table": 0}
+    assert rows == [1, 512, 1]
+    levels, classes = connectivity._class_walk(cycle)
+    assert levels.dtype == np.uint16 and int(levels.max()) == 300
+    assert np.array_equal(classes, np.arange(600))
 
 
 def test_popcount_without_bitwise_count(monkeypatch, rng):
@@ -337,8 +387,8 @@ def test_diameter_takes_the_steps_of_the_field(monkeypatch):
     # the diameter is the largest level of the whole-field walk, so it
     # takes exactly the products the field takes
     for adj, kinds in [(path_support(301), {"packed": 299, "table": 0}),
-                       (support_graph(circular_band_graphon(1 / 7, 512))
-                        .matrix, {"packed": 0, "table": 3})]:
+                       (relabelled(band_support()),
+                        {"packed": 0, "table": 3})]:
         want = table_field(monkeypatch, adj)
         assert count_steps(monkeypatch, adj, want) == kinds
         with monkeypatch.context() as m:
@@ -369,9 +419,10 @@ def test_rows_and_diameter_switch_steps_mid_walk(monkeypatch, rng):
 
 
 def test_a_graphon_walks_once_per_threshold(monkeypatch):
-    # band tau = 1/7 on 512 cells: the first diameter takes the field's
-    # three table steps, a second one and is_connected none, and a
-    # field's own walk answers both for a graphon not walked before
+    # band tau = 1/7 on 512 cells: the first diameter takes the three
+    # packed steps of the circulant's row walk, a second one and
+    # is_connected none, and a field's own walk answers both for a
+    # graphon not walked before
     quotients = []
     row_classes = connectivity._row_classes
     monkeypatch.setattr(connectivity, "_row_classes",
@@ -380,19 +431,19 @@ def test_a_graphon_walks_once_per_threshold(monkeypatch):
     calls = counting_steps(monkeypatch)
     w = circular_band_graphon(1 / 7, 512)
     assert diameter(w) == 4
-    assert calls == {"packed": 0, "table": 3}
+    assert calls == {"packed": 3, "table": 0}
     assert diameter(w) == 4 and is_connected(w)
-    assert calls == {"packed": 0, "table": 3}
+    assert calls == {"packed": 3, "table": 0}
     w = circular_band_graphon(1 / 7, 512)
     fld = distance_field(w)
     assert diameter(w) == fld.layer_count == 4 and is_connected(w)
-    assert calls == {"packed": 0, "table": 6}
+    assert calls == {"packed": 6, "table": 0}
     # the queries after the field read its kept walk and walk nothing:
     # one quotient and one walk per graphon
     assert varadhan_distance(w, 0.1, 0.6) == 4
     assert set_distance(w, block_set([0], 512), block_set([256], 512)) == 4
     assert distance_field(w).levels is fld.levels
-    assert calls == {"packed": 0, "table": 6}
+    assert calls == {"packed": 6, "table": 0}
     assert quotients == [512, 512]
     # a disconnected support: is_connected walks the whole field and
     # keeps its levels, so diameter and later point and set queries walk
@@ -512,14 +563,14 @@ def test_kept_maps_share_mappings():
 
 
 def test_queries_after_diameter_read_its_levels(monkeypatch):
-    # band tau = 1/7 on 512 cells: the diameter's walk takes the field's
-    # three table steps and keeps its levels; point, 64-point, set and
-    # field queries then walk nothing
+    # band tau = 1/7 on 512 cells: the diameter's walk takes the three
+    # packed steps of the circulant's row walk and keeps the field's
+    # levels; point, 64-point, set and field queries then walk nothing
     w = circular_band_graphon(1 / 7, 512)
     want = walk_oracle(support_graph(w).matrix)
     calls = counting_steps(monkeypatch)
     assert diameter(w) == 4
-    assert calls == {"packed": 0, "table": 3}
+    assert calls == {"packed": 3, "table": 0}
     ci, cj = np.arange(0, 512, 8), np.arange(511, 0, -8)
     got = varadhan_distance(w, (ci + 0.5) / 512, (cj + 0.25) / 512)
     assert np.array_equal(got, want[ci, cj])
@@ -529,7 +580,7 @@ def test_queries_after_diameter_read_its_levels(monkeypatch):
     assert set_distance(w, block_set([0, 1], 512),
                         block_set([60, 300], 512)) == 1
     fld = distance_field(w)
-    assert calls == {"packed": 0, "table": 3}
+    assert calls == {"packed": 3, "table": 0}
     walk = kept_walk(w)
     assert fld.levels is walk.levels and fld.classes is walk.classes
     assert np.array_equal(fld.matrix, want)
@@ -538,11 +589,12 @@ def test_queries_after_diameter_read_its_levels(monkeypatch):
 def test_a_field_keeps_its_walk(monkeypatch):
     # a field is the graphon's kept walk: a later diameter, is_connected,
     # point query, set query and second field all read it and walk nothing
+    # (the band's row walk: three packed steps)
     w = circular_band_graphon(1 / 7, 512)
     want = walk_oracle(support_graph(w).matrix)
     calls = counting_steps(monkeypatch)
     fld = distance_field(w)
-    assert calls == {"packed": 0, "table": 3}
+    assert calls == {"packed": 3, "table": 0}
     walk = kept_walk(w)
     assert fld.levels is walk.levels and fld.classes is walk.classes
     assert walk.diameter == fld.layer_count == 4 and fld.connected
@@ -554,7 +606,7 @@ def test_a_field_keeps_its_walk(monkeypatch):
     assert set_distance(w, block_set([0], 512), block_set([256], 512)) == 4
     again = distance_field(w)
     assert again.levels is walk.levels and again.classes is walk.classes
-    assert calls == {"packed": 0, "table": 3}
+    assert calls == {"packed": 3, "table": 0}
     assert kept_walk(w) is walk
     assert np.array_equal(fld.matrix, want)
 
@@ -572,7 +624,7 @@ def test_a_cold_overlapping_set_query_walks_nothing(monkeypatch):
     assert calls == {"packed": 0, "table": 0}
     assert w not in connectivity._WALKS
     assert set_distance(w, u, block_set([256], 512)) == 4
-    assert calls == {"packed": 0, "table": 3}
+    assert calls == {"packed": 3, "table": 0}
 
 
 @pytest.mark.parametrize("eps", [math.nan, -1.0])
