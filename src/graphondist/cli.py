@@ -1,17 +1,30 @@
 """Batch command line front end.
 
 Subcommands: ``varadhan`` (distance matrix CSV + layer heatmap PGM + summary
-JSON, rendered from the ``DistanceField``'s k x k class levels at the
-classes of its cells, a panel of rows per gather of packed level strings
-(``_level_rows``), so no n x n float matrix and no string per cell is
-built), ``slope`` (log-log slope experiments, set-pair or
-matrix-transform mode), ``metrics`` (communicability matrix / embedding /
-cut norm), ``connectivity`` and ``sample``.  Each subcommand accepts only
-the flags it reads, and each slope mode only its own.  ``main`` loads the graphon once; the subcommand
-computes everything and returns its exit code and its writes, and only
-then is ``--out`` created and written, so a rejected request writes
-nothing.  Exit codes: 0 ok, 1 expectation check failed (in slope transform
-mode: some pair misses its distance or has no defined slope; slope.json is
+JSON), ``slope`` (log-log slope experiments, set-pair or matrix-transform
+mode), ``metrics`` (communicability matrix / embedding / cut norm),
+``connectivity`` and ``sample`` (W-random edge list + agreement report).
+Each subcommand accepts only the flags it reads, and each slope mode only
+its own; the parser is built once per process.  ``main`` loads the
+graphon once; the subcommand computes everything and returns its exit
+code and its writes, and only then is ``--out`` created and written, so a
+rejected request writes nothing.
+
+Every file is written in binary mode, so a line ends in one newline byte
+on every platform.  The matrix and edge files are rendered as bytes,
+``_PANEL`` rows at a time, from tables of strings packed into unsigned
+words (``_words``): a panel's text is one gather of words and their bytes
+with the NUL padding dropped (``_text``), written at once.  The CSV and
+PGM rows (``_level_rows``) gather the ``DistanceField``'s k x k class
+levels at the classes of their cells, each level string followed by its
+separator, and the last column again from a table of the same strings
+followed by a newline, so a panel is whole lines; no n x n float matrix
+and no string per cell is built.  The edge list (``_edge_rows``) gathers
+a word "u " per edge of a row and a word of "v" and a newline at each of
+its columns above the diagonal.
+
+Exit codes: 0 ok, 1 expectation check failed (in slope transform mode:
+some pair misses its distance or has no defined slope; slope.json is
 still written), 2 invalid input (a usage error, a bad graphon or option
 value, or a request too large to allocate), 3 mathematical domain error
 (including a disconnected graphon without --allow-disconnected), 4 I/O
@@ -21,6 +34,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import itertools
 import json
@@ -113,7 +127,10 @@ _SHARED_FLAGS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process (parsing does not
+    change it)."""
     parser = argparse.ArgumentParser(
         prog="graphondist",
         description="Distances on graphons: Varadhan (shortest-path), "
@@ -222,8 +239,7 @@ def _meta_lines(meta: dict) -> list[str]:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n",
-                    encoding="utf-8")
+    path.write_bytes(_lines(json.dumps(payload, sort_keys=True, indent=2)))
 
 
 def _axis_labels(w) -> list[str]:
@@ -232,18 +248,33 @@ def _axis_labels(w) -> list[str]:
     return [f"block_{i}" for i in range(w.size)]
 
 
-def _write_lines(path: Path, *parts) -> None:
-    """A text output: every line of every part, each ending in a newline."""
-    with path.open("w", encoding="utf-8") as f:
-        for line in itertools.chain(*parts):
-            f.write(line + "\n")
+def _write(path: Path, *parts) -> None:
+    """A binary output: every bytes chunk of every part, one write each."""
+    with path.open("wb") as f:
+        for chunk in itertools.chain(*parts):
+            f.write(chunk)
 
 
-def _write_csv(path: Path, lines, labels: list[str], meta: dict) -> None:
-    """The metadata lines, a header of labels, then each label with its
-    line of comma-joined cells."""
-    _write_lines(path, _meta_lines(meta), [",".join(["index"] + labels)],
-                 (label + "," + line for label, line in zip(labels, lines)))
+def _lines(*lines: str) -> bytes:
+    """Text lines as bytes, each ending in a newline."""
+    return "".join(line + "\n" for line in lines).encode("utf-8")
+
+
+def _write_csv(path: Path, panels, labels: list[str], meta: dict) -> None:
+    """The metadata lines, a header of labels, then each row of the
+    ``panels`` (bytes of whole lines, in order) after its label and a
+    comma: one join per panel."""
+    heads = [(label + ",").encode("utf-8") for label in labels]
+
+    def labelled():
+        start = 0
+        for panel in panels:
+            rows = panel.splitlines(keepends=True)
+            yield b"".join(itertools.chain.from_iterable(
+                zip(heads[start:start + len(rows)], rows)))
+            start += len(rows)
+    _write(path, [_lines(*_meta_lines(meta), ",".join(["index"] + labels))],
+           labelled())
 
 
 def read_csv_matrix(path) -> np.ndarray:
@@ -257,72 +288,99 @@ def read_csv_matrix(path) -> np.ndarray:
     return np.asarray(rows)
 
 
-def _write_pgm(path: Path, lines, shape: tuple[int, int], maxval: int,
+def _write_pgm(path: Path, panels, shape: tuple[int, int], maxval: int,
                meta: dict) -> None:
-    """A plain PGM of ``shape`` (rows, columns) from lines of
-    space-joined pixels."""
-    _write_lines(path, ["P2"], _meta_lines(meta),
-                 [f"{shape[1]} {shape[0]}", str(max(1, maxval))], lines)
+    """A plain PGM of ``shape`` (rows, columns) from panels of whole
+    lines of space-joined pixels."""
+    _write(path, [_lines("P2", *_meta_lines(meta), f"{shape[1]} {shape[0]}",
+                         str(max(1, maxval)))], panels)
 
 
-#: cell rows of a distance field rendered by one gather
+#: rows of a matrix or edge file rendered by one gather
 _PANEL = 64
 
 
-def _level_rows(fld, table: list[str], sep: str):
-    """The cell rows of a distance field as lines, level m written
-    ``table[m]`` (``table[0]`` for unreachable) and cells joined by
-    ``sep``: row i reads ``levels[classes[i]][classes]``.
-
-    Each string plus ``sep`` is packed, NUL-padded, into one unsigned word
-    of the narrowest of 1, 2, 4 or 8 bytes that holds the widest, so a
-    panel of rows is one gather of words at its codes
-    ``levels[classes[rows]][:, classes]``.  No string holds a NUL, so the
-    panel's nonzero bytes (all its bytes when every string fills its word)
-    are its text exactly; it is split into rows by their summed string
-    lengths, each less its last ``sep``.  A string wider than 8 bytes is
-    refused here, before any row is written.
-    """
-    strings = [(text + sep).encode("ascii") for text in table]
-    lengths = np.array([len(b) for b in strings], dtype=np.int32)
-    size = next((b for b in (1, 2, 4, 8) if b >= lengths.max()), None)
+def _words(*tables: list[str]) -> list[np.ndarray]:
+    """Each table of ASCII strings as an array of unsigned words: every
+    string packed, NUL-padded, into one word of the narrowest of 1, 2, 4
+    or 8 bytes that holds the widest string of all the tables, so words
+    gathered from any of them are one text (``_text``).  A string wider
+    than 8 bytes is refused here, before any text is made."""
+    strings = [[text.encode("ascii") for text in table] for table in tables]
+    widest = max(len(b) for table in strings for b in table)
+    size = next((b for b in (1, 2, 4, 8) if b >= widest), None)
     if size is None:
-        raise ValidationError(f"a level string of {lengths.max()} bytes "
-                              "does not fit a word of 8")
-    words = np.array(strings, dtype=f"S{size}").view(f"u{size}")
-    padded = bool(lengths.min() < size)
-    classes = fld.classes
-    # a class row's text length: each level's length times its cells
-    row_lengths = np.take(lengths, fld.levels) @ np.bincount(
-        classes, minlength=fld.levels.shape[0]).astype(np.int32)
+        raise ValidationError(f"a string of {widest} bytes does not fit a "
+                              "word of 8")
+    return [np.array(table, dtype=f"S{size}").view(f"u{size}")
+            for table in strings]
 
-    def lines():
+
+def _text(words: np.ndarray) -> bytes:
+    """The text of gathered words: their bytes in order, NUL padding
+    dropped (no string holds a NUL)."""
+    text = words.tobytes()
+    return text.translate(None, b"\0") if b"\0" in text else text
+
+
+def _cells_are_classes(fld) -> bool:
+    """Whether every cell of a distance field is its own class, numbered
+    in order (``classes`` is ``arange(k)``), so ``levels`` are the cell
+    levels themselves."""
+    return np.array_equal(fld.classes, np.arange(fld.levels.shape[0]))
+
+
+def _level_rows(fld, table: list[str], sep: str):
+    """The cell rows of a distance field as text, ``_PANEL`` whole lines
+    per bytes panel: level m written ``table[m]`` (``table[0]`` for
+    unreachable), cells joined by ``sep``, row i reading
+    ``levels[classes[i]][classes]``.
+
+    Each string is packed by ``_words`` twice, followed by ``sep`` and
+    followed by a newline.  A panel is one gather of the first table at
+    its codes ``levels[classes[rows]][:, classes]`` (a slice of
+    ``levels`` when every cell is its own class), whose last column is
+    gathered again from the second, so its text ends every row.  A
+    string wider than a word is refused before any row is made.
+    """
+    inner, last = _words([text + sep for text in table],
+                         [text + "\n" for text in table])
+    levels, classes = fld.levels, fld.classes
+    own = _cells_are_classes(fld)
+
+    def panels():
         for lo in range(0, classes.size, _PANEL):
-            rows = classes[lo:lo + _PANEL]
-            text = np.take(words, fld.levels[rows][:, classes]).tobytes()
-            if padded:
-                text = text.translate(None, b"\0")
-            text = text.decode("ascii")
-            start = 0
-            for end in np.cumsum(row_lengths[rows]).tolist():
-                yield text[start:end - len(sep)]
-                start = end
-    return lines()
+            codes = (levels[lo:lo + _PANEL] if own
+                     else levels[classes[lo:lo + _PANEL]][:, classes])
+            words = np.take(inner, codes)
+            words[:, -1] = np.take(last, codes[:, -1])
+            yield _text(words)
+    return panels()
 
 
-def _write_edges(path: Path, graph, meta: dict) -> None:
-    """One 'u v' line per edge u < v, in row-major order, after the
-    metadata lines."""
-    adj = graph.adjacency
-    names = np.array([str(i) for i in range(graph.n)], dtype=object)
-    with path.open("w", encoding="utf-8") as f:
-        for line in _meta_lines(meta):
-            f.write(line + "\n")
-        for u in range(graph.n):
-            cols = np.flatnonzero(adj[u, u + 1:]) + (u + 1)
-            if cols.size:
-                head = names[u] + " "
-                f.write(head + ("\n" + head).join(names[cols]) + "\n")
+def _edge_rows(adj: np.ndarray):
+    """The edges u < v of a simple graph's adjacency as 'u v' lines in
+    row-major order, ``_PANEL`` adjacency rows per bytes panel: the word
+    "u " repeated by its row's count of columns above the diagonal, each
+    followed by the word of such a column v, "v" and a newline, both
+    packed by ``_words``."""
+    names = [str(i) for i in range(adj.shape[0])]
+    heads, tails = _words([name + " " for name in names],
+                          [name + "\n" for name in names])
+    upper = np.triu(np.ones((_PANEL, _PANEL), dtype=bool), 1)
+
+    def panels():
+        for lo in range(0, adj.shape[0], _PANEL):
+            above = adj[lo:lo + _PANEL, lo:].copy()  # columns from lo on
+            rows = above.shape[0]
+            above[:, :rows] &= upper[:rows, :rows]
+            counts = np.count_nonzero(above, axis=1)
+            words = np.empty((counts.sum(), 2), dtype=heads.dtype)
+            words[:, 0] = np.repeat(heads[lo:lo + rows], counts)
+            words[:, 1] = np.take(tails[lo:],
+                                  np.flatnonzero(above) % above.shape[1])
+            yield _text(words)
+    return panels()
 
 
 # ---------------------------------------------------------------------------
@@ -337,9 +395,12 @@ def _require_connected(connected: bool, cfg: argparse.Namespace) -> None:
 
 def _layer_sizes(w, fld) -> dict:
     """Each layer's product measure, summed in the float field's row-major
-    order (bit-stable); its n x n temporaries are freed on return."""
+    order (bit-stable); its n x n temporaries are freed on return, and
+    the cell levels are ``levels`` itself when every cell is its own
+    class."""
     mass = np.outer(w.partition.measures, w.partition.measures)
-    cells = fld.levels[np.ix_(fld.classes, fld.classes)]
+    cells = (fld.levels if _cells_are_classes(fld)
+             else fld.levels[np.ix_(fld.classes, fld.classes)])
     return {str(m): float(np.sum(mass[cells == m]))
             for m in range(1, fld.layer_count + 1)}
 
@@ -461,8 +522,8 @@ def cmd_metrics(cfg: argparse.Namespace, w) -> tuple[int, list]:
             for j in range(i, len(sets)):
                 m[i, j] = m[j, i] = communicability_distance(w, si, sets[j])
         labels = [f"set_{i}" for i in range(len(sets))]
-        lines = [",".join(map(repr, row)) for row in m.tolist()]
-        writes.append((_write_csv, "metrics_communicability.csv", lines,
+        rows = _lines(*(",".join(map(repr, row)) for row in m.tolist()))
+        writes.append((_write_csv, "metrics_communicability.csv", [rows],
                        labels, meta))
         if cfg.embed is not None:
             embs = [communicability_embedding(w, s, cfg.embed)
@@ -517,7 +578,8 @@ def cmd_sample(cfg: argparse.Namespace, w) -> tuple[int, list]:
     if connected:
         payload["comparison"] = compare_sample(w, graph, cfg.trials,
                                                cfg.epsilon)
-    return 0, [(_write_edges, "sample_edges.txt", graph, meta),
+    return 0, [(_write, "sample_edges.txt", [_lines(*_meta_lines(meta))],
+                _edge_rows(graph.adjacency)),
                (_write_json, "sample_report.json", payload)]
 
 

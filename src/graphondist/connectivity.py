@@ -74,8 +74,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import (GridGraphon, ValidationError, _mapped, _own, _readonly,
-                   _real, _square_matrix)
+from .core import (GridGraphon, ValidationError, _array, _mapped, _own,
+                   _readonly, _real, _square_matrix)
 
 #: explicit marker for unreachable pairs (never a large integer)
 UNREACHABLE = math.inf
@@ -96,13 +96,21 @@ class SupportGraph:
 
     The matrix must be nonempty, square and symmetric, as a graphon's
     support is (the walks on it and its support-twin quotient rely on
-    that); the threshold is checked as a query's (``None`` is the step
-    default)."""
+    that); its entries must be booleans or numbers exactly 0 or 1 (no
+    entry is read by truthiness); the threshold is checked as a query's
+    (``None`` is the step default)."""
 
     matrix: np.ndarray
     epsilon: float
 
     def __post_init__(self):
+        m = self.matrix
+        if not (isinstance(m, np.ndarray) and m.dtype == bool):
+            m = _array(m, "support matrix")
+            if not np.all((m == 0.0) | (m == 1.0)):
+                raise ValidationError(
+                    "support matrix entries must be booleans or exactly 0 "
+                    "or 1")
         _own(self, matrix=bool)
         m = _square_matrix(self.matrix, "support matrix", bool)
         if not np.array_equal(m, m.T):
@@ -351,8 +359,9 @@ def _distances(levels: np.ndarray) -> np.ndarray:
 
 def _cell_levels(levels: np.ndarray, classes: np.ndarray) -> np.ndarray:
     """Class levels spread to every pair of cells (n x n), read from
-    ``levels`` itself when every cell is its own class."""
-    if levels.shape[0] == classes.shape[0]:  # twin-free: classes are cells
+    ``levels`` itself when every cell is its own class, numbered in order
+    (``classes`` is ``arange(k)``; an O(n) check)."""
+    if np.array_equal(classes, np.arange(levels.shape[0])):
         return levels
     return levels[np.ix_(classes, classes)]
 

@@ -86,7 +86,8 @@ class DistanceField:
     ``levels``, the read-only k x k small-integer BFS levels between the
     k support classes (0 where no walk joins two), and ``classes``, the
     class of each of the n blocks/cells: the arrays of the graphon's kept
-    walk.
+    walk.  Classes outside [0, k), or a class count other than the
+    partition's block count, are a ``ValidationError``.
 
     ``matrix``, built on first read and kept, is the n x n float64 field:
     ``matrix[i, j]`` is the distance between distinct points of blocks i
@@ -109,6 +110,14 @@ class DistanceField:
             raise ValidationError(
                 "distance levels and classes must be integer arrays, got "
                 f"{levels.dtype} and {classes.dtype}")
+        if classes.size != self.partition.size:
+            raise ValidationError(
+                f"distance classes give {classes.size} classes for "
+                f"{self.partition.size} blocks")
+        if classes.min() < 0 or classes.max() >= levels.shape[0]:
+            raise ValidationError(
+                f"distance classes must lie in [0, {levels.shape[0]}), got "
+                f"[{classes.min()}, {classes.max()}]")
 
     @cached_property
     def matrix(self) -> np.ndarray:

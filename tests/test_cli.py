@@ -636,6 +636,22 @@ def test_cli_counts_below_their_floor_are_code_2(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+def test_cli_builds_its_parser_once(tmp_path, capsys):
+    # each main call used to build the whole parser again; the kept one
+    # parses every call alike, a usage error after a good run included
+    from graphondist.cli import _build_parser
+    assert _build_parser() is _build_parser()
+    spec = c6_file(tmp_path)
+    for _ in range(2):
+        assert main(["connectivity", "--input", str(spec), "--out",
+                     str(tmp_path / "ok")]) == 0
+        assert main(["varadhan", "--input", str(spec), "--seed", "1"]) == 2
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err
+        assert main(["sample", "--input", str(spec), "--trials", "0"]) == 2
+        assert "argument --trials: '0' is not a positive integer" in \
+            capsys.readouterr().err
+
+
 def test_cli_negative_tolerance_is_code_2(tmp_path):
     # a negative tolerance would fail every expectation check (exit 1)
     spec = c6_file(tmp_path)

@@ -14,8 +14,9 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 
-from graphondist import ValidationError, distance_field, dump_graphon, lift  # noqa: E402
-from graphondist.cli import _level_rows, main, read_csv_matrix  # noqa: E402
+from graphondist import (DistanceField, Partition, ValidationError,  # noqa: E402
+                         distance_field, dump_graphon, lift, step)
+from graphondist.cli import _layer_sizes, _level_rows, main, read_csv_matrix  # noqa: E402
 from test_walk_properties import step_graphons  # noqa: E402
 
 PROPERTIES = settings(derandomize=True, max_examples=60, deadline=None)
@@ -35,6 +36,12 @@ def cell_rows(fld, table):
     table = np.array(table, dtype=object)
     for c in fld.classes:
         yield table[fld.levels[c][fld.classes]].tolist()
+
+
+def row_texts(fld, table, sep):
+    """The rows that ``_level_rows`` renders, as strings without their
+    newlines."""
+    return b"".join(_level_rows(fld, table, sep)).decode("ascii").splitlines()
 
 
 def oracle_files(w, meta_lines):
@@ -97,8 +104,18 @@ def test_a_string_wider_than_a_word_is_refused():
     # string has no word to go in and must not be cut, and is refused
     # before a row is made, so the CLI writes no file
     fld = distance_field(path_graphon(3))
-    assert len(list(_level_rows(fld, ["inf", "1.0", "2.0"], ","))) == 3
-    assert list(_level_rows(fld, ["x", "65535.0", "y"], ","))[1] == \
+    assert len(row_texts(fld, ["inf", "1.0", "2.0"], ",")) == 3
+    assert row_texts(fld, ["x", "65535.0", "y"], ",")[1] == \
         "65535.0,y,65535.0"
     with pytest.raises(ValidationError, match="9 bytes"):
         _level_rows(fld, ["inf", "65535.00", "2.0"], ",")
+
+
+def test_permuted_classes_render_their_cells():
+    # every cell its own class, but not numbered in order: the rows and
+    # the layer sizes read levels[classes][:, classes], not the levels
+    w = step(Partition([0.25, 0.75]), np.ones((2, 2)))
+    fld = DistanceField("step", w.partition, [[1, 2], [2, 3]], [1, 0], True)
+    assert row_texts(fld, ["inf", "1.0", "2.0", "3.0"], ",") == \
+        ["3.0,2.0", "2.0,1.0"]
+    assert _layer_sizes(w, fld) == {"1": 0.5625, "2": 0.375, "3": 0.0625}

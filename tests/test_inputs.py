@@ -3,6 +3,7 @@ array is never aliased or frozen), and every caller's matrix passes one
 rule (a nonempty, square, 2-D array) or raises ``ValidationError``."""
 
 import json
+import math
 import mmap
 
 import numpy as np
@@ -291,15 +292,13 @@ VECTOR_READERS = {
     (reader, value)
     for reader in sorted({*MATRIX_READERS, *VECTOR_READERS}
                          - {"step JSON", "grid JSON"})
-    for value in sorted(UNREADABLE)
-    # a support is read by truthiness: 10**400 is an edge
-    if (reader, value) != ("SupportGraph", "past the float range")])
+    for value in sorted(UNREADABLE)])
 def test_a_value_numpy_cannot_read_as_real_is_an_input_error(reader, value):
     # numpy's bare ValueError and TypeError used to escape, complex
     # entries lost their imaginary parts (step(P, [[0, 1+1j], [1+1j, 0]])
     # built [[0, 1], [1, 0]] and transform_slopes returned slopes), and
     # strings were read as numbers, or as truth values by SupportGraph
-    # (all True for [["0", "0"], ["0", "0"]])
+    # (all True for [["0", "0"], ["0", "0"]], and 10**400 was an edge)
     matrix, vector = UNREADABLE[value]
     if reader == "SupportGraph":
         read = lambda m: SupportGraph(m, 0.0)  # noqa: E731
@@ -494,6 +493,11 @@ BAD_FIELDS = {
     "float classes": (np.array([[2, 1], [1, 2]]), np.array([0.0, 1.0])),
     "string classes": (np.array([[2, 1], [1, 2]]), np.array(["0", "1"])),
     "matrix classes": (np.array([[2, 1], [1, 2]]), np.array([[0, 1]])),
+    "classes past the levels": (np.array([[2, 1], [1, 2]]), np.array([0, 5])),
+    "negative classes": (np.array([[2, 1], [1, 2]]), np.array([-1, 0])),
+    "more classes than blocks": (np.array([[2, 1], [1, 2]]),
+                                 np.array([0, 1, 1])),
+    "fewer classes than blocks": (np.array([[2, 1], [1, 2]]), np.array([0])),
 }
 
 
@@ -506,3 +510,42 @@ def test_a_distance_field_keeps_integer_levels_and_classes(case):
         DistanceField("step", P2, levels, classes, True)
     fld = DistanceField("step", P2, [[2, 1], [1, 2]], np.array([0, 1]), True)
     assert fld.levels.dtype.kind in "iu" and fld.matrix[0, 1] == 1.0
+
+
+def test_a_distance_field_reads_permuted_classes():
+    # with as many classes as blocks, the matrix used to be the levels
+    # themselves whatever the classes: classes [1, 0] gave [[1, 2], [2, 3]]
+    # while within_block read [3, 1] and pointwise(0.25, 0.3) read 3
+    fld = DistanceField("step", P2, [[1, 2], [2, 3]], [1, 0], True)
+    assert fld.matrix.tolist() == [[3.0, 2.0], [2.0, 1.0]]
+    assert fld.within_block.tolist() == [3.0, 1.0]
+    assert fld.pointwise(0.25, 0.3) == 3 and fld.pointwise(0.25, 0.75) == 2
+
+
+@pytest.mark.parametrize("classes", [[0, 5], [2, 0], [-1, 0]])
+def test_distance_classes_out_of_range_are_an_input_error(classes):
+    # classes [0, 5] for two levels used to be kept, and failed only when
+    # a read indexed the levels with them
+    with pytest.raises(ValidationError, match="must lie in"):
+        DistanceField("step", P2, [[1, 2], [2, 3]], classes, True)
+
+
+def test_distance_classes_give_one_class_per_block():
+    # two classes for a 3-block partition used to be kept
+    with pytest.raises(ValidationError, match="2 classes for 3 blocks"):
+        DistanceField("step", Partition.uniform(3), [[1, 2], [2, 3]],
+                      [0, 1], True)
+
+
+@pytest.mark.parametrize("entry", [math.nan, 0.5, 2.0, 10**400],
+                         ids=["nan", "half", "two", "past the float range"])
+def test_a_support_entry_is_a_boolean_or_exactly_0_or_1(entry):
+    # a support entry used to be read by truthiness, so each of these
+    # became one edge
+    with pytest.raises(ValidationError):
+        SupportGraph([[entry]], 0.0)
+    with pytest.raises(ValidationError):
+        SupportGraph([[0, entry], [entry, 0]], 0.0)
+    for ok in ([[True]], [[1]], [[1.0]], np.ones((1, 1), dtype=np.int8)):
+        assert SupportGraph(ok, 0.0).matrix.tolist() == [[True]]
+    assert SupportGraph([[0.0]], 0.0).matrix.tolist() == [[False]]
