@@ -17,14 +17,24 @@ some pair is unreachable (one closing product finds the next level empty),
 and its largest level is the diameter.  A circulant class graph (row i is
 row 0 rotated by i: a ring graphon W(x, y) = f(|x - y| mod 1) on a uniform
 grid) takes those products on class 0's row alone and rotates its levels,
-since rotation by one class maps it onto itself; any other whose row 1
-is not row 0 rotated is turned away in O(k).
+since rotation by one class maps it onto itself (``_row_levels``); any
+other whose row 1 is not row 0 rotated is turned away in O(k).
+
+A graphon whose block matrix is circulant keeps its row 0, found once on
+construction (``core.StepGraphon``), and is walked from that row alone
+(``_walk``): its support row is ``row0 > eps``, its classes
+are i mod p for the row's least period p, and the one row walk runs on
+the p-circulant of the row's first p entries, whose packed rows are made
+as the walk takes them (``_Circulant``).  So building and walking it
+forms nothing of size n^2 but the graphon's own blocks: no support
+matrix, quotient or packed class graph.
 
 A graphon keeps one record per support threshold, ``_Walk``, in a
 ``weakref.WeakKeyDictionary`` keyed by the graphon (``_walk``): the
 read-only k x k class levels of its whole walk (k^2 bytes, 2 k^2 once the
-walk reaches level 256, against the graphon's own 8 n^2 bytes of blocks),
-the read-only class of each cell and the diameter.  The first
+walk reaches level 256, against the graphon's own 8 n^2 bytes of blocks;
+for a graphon walked from its row, the rotations of one level row, 2p
+bytes), the read-only class of each cell and the diameter.  The first
 ``distance_field``, ``diameter``, ``is_connected``, point or set query at
 a threshold builds it whole; every later one reads it and walks nothing
 (connected iff the diameter is finite), and a ``DistanceField`` shares
@@ -72,10 +82,10 @@ import weakref
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import (GridGraphon, ValidationError, _array, _mapped, _own,
-                   _readonly, _real, _square_matrix)
+from .core import (GridGraphon, ValidationError, _array, _circulant_row,
+                   _is_symmetric, _mapped, _own, _readonly, _real,
+                   _rotations, _square_matrix)
 
 #: explicit marker for unreachable pairs (never a large integer)
 UNREACHABLE = math.inf
@@ -113,7 +123,7 @@ class SupportGraph:
                     "or 1")
         _own(self, matrix=bool)
         m = _square_matrix(self.matrix, "support matrix", bool)
-        if not np.array_equal(m, m.T):
+        if not _is_symmetric(m):
             raise ValidationError("support matrix must be square and symmetric")
         object.__setattr__(self, "epsilon", _threshold(None, self.epsilon))
 
@@ -178,6 +188,16 @@ class _Bits:
         return cls(m.shape, np.arange(m.shape[0]), _pack(m))
 
     @property
+    def width(self) -> int:
+        """Words per packed row."""
+        return self.words.shape[1]
+
+    def take(self, index) -> np.ndarray:
+        """The packed rows at ``index`` (indices or a slice) of a matrix
+        that lists every row."""
+        return self.words[index]
+
+    @property
     def nnz(self) -> int:
         if self._nnz is None:
             self._nnz = _popcount(self.words)
@@ -203,6 +223,42 @@ class _Bits:
         dense = np.zeros(self.shape, dtype=bool)
         dense[self.rows] = bits
         return dense
+
+
+class _Circulant:
+    """The k x k circulant of a boolean row, row i being the row rotated
+    by i, as a right operand of ``_compose`` (which reads its ``shape``,
+    its ``width`` and the packed rows it ``take``s, as of a ``_Bits``
+    that lists every row), its packed rows made when taken, so nothing of
+    size k^2 is formed.
+
+    Row i is bits k - i .. 2k - i - 1 of the doubled row.  The doubled
+    row is packed once at each of the 8 bit offsets, so row i is
+    ceil(k / 8) consecutive bytes of the packing at offset (k - i) % 8,
+    from byte (k - i) // 8, with the bits past k in its last byte
+    cleared: k / 8 bytes gathered per row taken.
+    """
+
+    def __init__(self, row: np.ndarray):
+        k = row.size
+        self.shape, self.width = (k, k), -(-k // 64)
+        self._bytes = -(-k // 8)
+        span = k // 8 + self._bytes        # bytes read at any offset
+        doubled = np.zeros(8 * span + 8, dtype=bool)
+        doubled[:k] = doubled[k:2 * k] = row
+        packed = np.stack([np.packbits(doubled[r:r + 8 * span],
+                                       bitorder="little") for r in range(8)])
+        self._windows = np.lib.stride_tricks.sliding_window_view(
+            packed, self._bytes, axis=1)
+        self._tail = np.uint8(0xFF >> -k % 8)
+
+    def take(self, index) -> np.ndarray:
+        k = self.shape[0]
+        start, offset = np.divmod(k - np.arange(k)[index], 8)
+        out = np.zeros((start.size, 8 * self.width), dtype=np.uint8)
+        out[:, :self._bytes] = self._windows[offset, start]
+        out[:, self._bytes - 1] &= self._tail
+        return out.view(np.uint64)
 
 
 def _pack(m: np.ndarray) -> np.ndarray:
@@ -254,18 +310,17 @@ def _packed_step(a: _Bits, b: _Bits) -> _Bits:
     (top-down BFS step on bit-parallel rows), in slices of about
     ``GATHER_WORDS`` gathered words: nnz(a) * k / 64 word operations."""
     rows, cols = a.nonzero()
-    bits = b.words
     first = np.ones(rows.size, dtype=bool)
     np.not_equal(rows[1:], rows[:-1], out=first[1:])
     starts = first.nonzero()[0]
-    out = np.empty((starts.size, bits.shape[1]), dtype=np.uint64)
-    per = max(1, GATHER_WORDS // bits.shape[1])
+    out = np.empty((starts.size, b.width), dtype=np.uint64)
+    per = max(1, GATHER_WORDS // b.width)
     s = 0
     while s < starts.size:
         e = max(s + 1, int(starts.searchsorted(starts[s] + per)))
         lo, hi = starts[s], (starts[e] if e < starts.size else rows.size)
-        out[s:e] = np.bitwise_or.reduceat(bits[cols[lo:hi]], starts[s:e] - lo,
-                                          axis=0)
+        out[s:e] = np.bitwise_or.reduceat(b.take(cols[lo:hi]),
+                                          starts[s:e] - lo, axis=0)
         s = e
     return _Bits(a.shape, rows[starts], out)
 
@@ -283,14 +338,13 @@ def _table_step(a: _Bits, b: _Bits) -> _Bits:
     are reused for every group.
     """
     k = a.shape[1]
-    bits = b.words
     picks = a.words.view(np.uint8)
-    out = np.zeros((a.rows.size, bits.shape[1]), dtype=np.uint64)
-    table = np.zeros((256, bits.shape[1]), dtype=np.uint64)
+    out = np.zeros((a.rows.size, b.width), dtype=np.uint64)
+    table = np.zeros((256, b.width), dtype=np.uint64)
     chosen = np.empty_like(out)
     for g in range(-(-k // 8)):
         s = 1
-        for row in bits[8 * g:8 * g + 8]:
+        for row in b.take(slice(8 * g, 8 * g + 8)):
             np.bitwise_or(table[:s], row, out=table[s:2 * s])
             s *= 2
         # a byte never exceeds 255, so "clip" only spares the buffering
@@ -327,9 +381,9 @@ def _bfs(b: _Bits, sources: np.ndarray | None = None) -> np.ndarray:
 def _levels(b: _Bits, front: _Bits) -> np.ndarray:
     """The levels of ``_bfs`` on ``b`` from the first level ``front``:
     ``b`` itself, the neighbourhoods of source sets, or one row of ``b``
-    (the row walk of a circulant, ``_class_walk``)."""
+    (the row walk of a circulant, ``_row_levels``)."""
     dist = np.zeros(front.shape, dtype=np.uint8)
-    seen = np.zeros((front.shape[0], b.words.shape[1]), dtype=np.uint64)
+    seen = np.zeros((front.shape[0], b.width), dtype=np.uint64)
     reached = 0
     level = 1
     while True:
@@ -366,12 +420,27 @@ def _cell_levels(levels: np.ndarray, classes: np.ndarray) -> np.ndarray:
     return levels[np.ix_(classes, classes)]
 
 
-def _rotations(row: np.ndarray) -> np.ndarray:
-    """The k x k circulant of a length-k row, entry [i, j] = row[(j - i)
-    mod k]: a read-only strided view of the doubled row, so nothing of
-    size k^2 is copied."""
+def _row_levels(b) -> np.ndarray:
+    """The BFS levels of class 0 in a circulant class graph ``b`` (row i
+    is row 0 rotated by i), given with every row packed (``_Bits.of``) or
+    as rows made when the walk takes them (``_Circulant``): ``_levels``
+    from b's row 0 as the first level.  Rotation by one class maps the
+    circulant onto itself, so the levels of class i are these rotated by
+    i (``_rotations``), and class 0 reaches the largest level, so they
+    widen past 255 as a whole walk does."""
+    first = _Bits((1, b.shape[1]), np.zeros(1, dtype=np.intp),
+                  b.take(slice(0, 1)))
+    return _levels(b, first)[0]
+
+
+def _period(row: np.ndarray) -> int:
+    """The least p > 0 with row[j] == row[(j + p) mod k] for every j: a
+    divisor of k, since the shifts that fix a cyclic row are a subgroup
+    of Z_k, so only divisors are tried, each by one comparison."""
     k = row.size
-    return sliding_window_view(np.concatenate((row, row)), k)[k:0:-1]
+    small = [d for d in range(1, math.isqrt(k) + 1) if k % d == 0]
+    return next(p for p in small + [k // d for d in reversed(small)]
+                if np.array_equal(row[p:], row[:k - p]))
 
 
 def _class_walk(adj: np.ndarray):
@@ -379,31 +448,29 @@ def _class_walk(adj: np.ndarray):
     support (k x k small integers, 0 where no walk joins two classes; see
     ``_bfs``) and the class of each vertex.
 
-    A circulant class support, whose row i is row 0 rotated by i (a ring
-    graphon W(x, y) = f(|x - y| mod 1) on a uniform grid), walks class 0
-    alone: rotation by one class maps the support onto itself, so the
-    levels are the rotations of row 0's (``_rotations``), and row 0
-    reaches the largest level, so they widen past 255 as the whole walk
-    does.  Row 1 is compared first, so any other support is turned away
-    in O(k) unless it shares the first two rows of a circulant.
+    A circulant class support (``core._circulant_row``: row i is row 0
+    rotated by i, as on a ring graphon W(x, y) = f(|x - y| mod 1) on a
+    uniform grid) walks class 0 alone (``_row_levels``), and its levels
+    are the rotations of class 0's (``_rotations``).  Row 1 is compared
+    first, so any other support is turned away in O(k) unless it shares
+    the first two rows of a circulant.
     """
     reps, classes = _row_classes(np.packbits(adj, axis=1))
     if reps.size < adj.shape[0]:
         adj = adj[np.ix_(reps, reps)]
     b = _Bits.of(adj)
-    rotated = _rotations(adj[0])
-    if not (np.array_equal(adj[1:2], rotated[1:2])
-            and np.array_equal(adj, rotated)):
+    if _circulant_row(adj) is None:
         return _bfs(b), classes
-    row = _Bits((1, b.shape[1]), np.zeros(1, dtype=np.intp), b.words[:1])
-    return _rotations(_levels(b, row)[0]), classes
+    return _rotations(_row_levels(b)), classes
 
 
 @dataclass(frozen=True, eq=False)
 class _Walk:
     """The kept walk of a graphon at a threshold: the read-only ``levels``
-    and ``classes`` of ``_class_walk`` and the ``diameter``, their largest
-    level or ``UNREACHABLE`` when some pair has none."""
+    and ``classes`` of ``_class_walk`` (for a circulant graphon, the
+    levels the rotations of one level row in a map of 2p entries) and the
+    ``diameter``, their largest level or ``UNREACHABLE`` when some pair
+    has none."""
 
     levels: np.ndarray
     classes: np.ndarray
@@ -416,17 +483,31 @@ _WALKS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 def _walk(w, epsilon: float | None = None) -> _Walk:
     """The kept walk of a graphon at a threshold (``None`` for
-    ``default_epsilon(w)``), built whole on first use; a bad threshold is
-    rejected before anything is walked or kept."""
+    ``default_epsilon(w)``), built whole on first use, from the graphon's
+    row 0 when its blocks are circulant (the diameter then read off the
+    level row); a bad threshold is rejected before anything is walked or
+    kept."""
     eps = _threshold(w, epsilon)
     kept = _WALKS.setdefault(w, {})
     walk = kept.get(eps)
     if walk is None:
-        levels, classes = _class_walk(w.blocks > eps)
-        levels = _mapped(levels)
+        # ``reach`` holds every level: all of them, or class 0's
+        if w._circulant is None:
+            levels, classes = _class_walk(w.blocks > eps)
+            levels = reach = _mapped(levels)
+        else:
+            # rows i and j of the support are equal iff the row's least
+            # period p divides i - j: the classes are i mod p, numbered as
+            # ``_row_classes`` numbers them, and the class support is the
+            # circulant of the row's first p entries
+            row = w._circulant > eps
+            p = _period(row)
+            reach = _row_levels(_Circulant(row[:p]))
+            classes = np.arange(row.size) % p
+            levels = _rotations(reach, keep=True)
         walk = kept[eps] = _Walk(
             levels, _mapped(classes),
-            int(levels.max()) if levels.all() else UNREACHABLE)
+            int(reach.max()) if reach.all() else UNREACHABLE)
     return walk
 
 

@@ -27,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .connectivity import _class_walk, _distances, _row_classes
-from .core import ValidationError, _checked_count, _own, _readonly, _real
+from .core import (ValidationError, _checked_count, _is_symmetric, _own,
+                   _readonly, _real)
 from .varadhan import distance_field
 
 RNG_ALGORITHM = "numpy-pcg64"
@@ -49,7 +50,7 @@ class SampledGraph:
     def __post_init__(self):
         _own(self, coordinates=float, adjacency=bool)
         adj = self.adjacency
-        if adj.ndim != 2 or not np.array_equal(adj, adj.T):
+        if adj.ndim != 2 or not _is_symmetric(adj):
             raise ValidationError("a sampled graph's adjacency must be a "
                                   "symmetric matrix")
         if adj.diagonal().any():
@@ -73,6 +74,11 @@ def sample_graph(w, n: int, seed: int) -> SampledGraph:
     so memory is one n x n boolean adjacency plus a block.  A block's
     comparison is written into its rows of the adjacency, and each row's
     part at or below the diagonal is then cleared.
+
+    When every block value is exactly 0 or 1 no coin is drawn: a coin in
+    [0, 1) is always below 1 and never below 0, so the graph is the blow-up
+    of the support at the vertices' blocks, its diagonal cleared, which
+    is the graph the coins would give.
     """
     n = _checked_count(n, "n")
     # int(seed), not a float, so a seed past 2^53 stays exact
@@ -83,6 +89,11 @@ def sample_graph(w, n: int, seed: int) -> SampledGraph:
     rng = np.random.default_rng(seed)
     coords = rng.random(n)
     cells = w.partition.locate(coords)
+    support = w.blocks == 1.0
+    if np.all(support | (w.blocks == 0.0)):
+        adjacency = np.take(np.take(support, cells, 0), cells, 1)
+        np.fill_diagonal(adjacency, False)
+        return SampledGraph(_readonly(coords), _readonly(adjacency), seed)
     adjacency = np.empty((n, n), dtype=bool)
     step = max(1, SAMPLE_BLOCK // n)
     for lo in range(0, n, step):

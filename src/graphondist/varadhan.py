@@ -12,8 +12,9 @@ support classes of one whole-field walk (the support-twin quotient merges
 cells with identical support rows into one of k classes, which is exact),
 the class of each of the n cells and the diameter, built by the first
 query and read by every later one.  A ``DistanceField`` holds the levels
-and classes of that record, O(k^2 + n) bytes; its n x n float ``matrix``
-is derived only when read.
+and classes of that record, O(k^2 + n) bytes (O(p + n) for a circulant
+graphon, whose levels are the rotations of one row); its n x n float
+``matrix`` is derived only when read.
 
 The heat-trace route (slope of log <1_V, e^{tW} 1_U> against log t as t
 shrinks) recovers the same integers and is provided as an independent
@@ -60,6 +61,7 @@ from .core import (
     MathDomainError,
     Partition,
     ValidationError,
+    _is_symmetric,
     _own,
     _readonly,
     _real,
@@ -394,7 +396,7 @@ def _transform_operator(adjacency, weights, diag) -> np.ndarray:
     if a.shape != m.shape:
         raise ValidationError("adjacency and weight matrices must be of "
                               f"equal shape, got {a.shape} and {m.shape}")
-    if not np.array_equal(a, a.T):
+    if not _is_symmetric(a):
         raise ValidationError("adjacency pattern must be symmetric")
     if not np.array_equal(a != 0.0, m != 0.0):
         raise ValidationError(

@@ -142,3 +142,32 @@ def test_a_near_miss_is_walked_whole(k, steps, loop, data):
     assert rows == [k]
     assert np.array_equal(connectivity._distances(
         levels[np.ix_(classes, classes)]), walk_oracle(adj))
+
+
+@PROPERTIES
+@given(st.integers(1, 200), st.integers(0, 2**16))
+def test_rotated_rows_are_packed_as_the_whole_circulant(k, seed):
+    # the packed rows made on demand, at word and byte edges, by indices in
+    # any order and by slices, are the packed rows of the whole circulant
+    rng = np.random.default_rng(seed)
+    row = rng.random(k) < rng.uniform(0.1, 0.9)
+    rows = connectivity._Circulant(row)
+    whole = connectivity._Bits.of(circulant(row))
+    assert rows.shape == whole.shape and rows.width == whole.width
+    picked = rng.integers(0, k, 2 * k)
+    assert np.array_equal(rows.take(picked), whole.take(picked))
+    for lo in range(0, k, 8):
+        assert np.array_equal(rows.take(slice(lo, lo + 8)),
+                              whole.take(slice(lo, lo + 8)))
+
+
+@PROPERTIES
+@given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 2**16))
+def test_the_least_period_of_a_row(period, copies, seed):
+    # a row tiled from a base whose own least period is looked for by
+    # rotation, one shift at a time
+    base = np.random.default_rng(seed).random(period) < 0.5
+    row = np.tile(base, copies)
+    want = next(p for p in range(1, row.size + 1)
+                if np.array_equal(np.roll(row, p), row))
+    assert connectivity._period(row) == want

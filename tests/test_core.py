@@ -23,7 +23,7 @@ from graphondist import (
     step,
     to_grid,
 )
-from graphondist.core import _check_symmetric
+from graphondist.core import _check_symmetric, _is_symmetric
 from conftest import (
     cycle_adjacency,
     quadrature_block_average,
@@ -165,6 +165,43 @@ def test_step_graphon_checks_every_tile_pair(rng):
     bad[300, 599] = bad[599, 300] = np.nan
     with pytest.raises(ValidationError, match="must be finite"):
         StepGraphon(Partition.uniform(600), bad)
+
+
+@pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 600])
+def test_the_tiled_symmetry_test_is_exact(rng, n):
+    # one pair of tiles at a time, every pair: the answer of comparing the
+    # whole matrix with its transpose, for booleans and floats, a flipped
+    # entry in any tile pair, a NaN on or off the diagonal, a -0.0 against
+    # a 0.0, and a matrix that is not square
+    for dtype in (bool, float):
+        a = rng.random((n, n)) < 0.5 if dtype is bool else rng.random((n, n))
+        a = np.triu(a) | np.triu(a, 1).T if dtype is bool else (a + a.T) / 2
+        cases = [a]
+        i, j = rng.integers(0, n, 2)
+        flipped = a.copy()
+        flipped[i, j] = not flipped[i, j] if dtype is bool else 0.25
+        cases.append(flipped)
+        if dtype is float:
+            for at in [(i, i), (i, j)]:
+                nan = a.copy()
+                nan[at] = nan[at[::-1]] = np.nan
+                cases.append(nan)
+            zero = a.copy()
+            zero[i, j], zero[j, i] = 0.0, -0.0
+            cases.append(zero)
+        cases.append(a[:, :-1])
+        for m in cases:
+            assert _is_symmetric(m) == np.array_equal(m, m.T)
+
+
+def test_to_grid_gathers_what_ix_does(rng):
+    # the two takes give the bytes of blocks[np.ix_(idx, idx)]
+    for k in (1, 5, 30):
+        w = random_step_graphon(rng, k)
+        for res in (1, 7, 64, 301):
+            idx = w.partition.locate((np.arange(res) + 0.5) / res)
+            assert to_grid(w, res).blocks.tobytes() == \
+                w.blocks[np.ix_(idx, idx)].tobytes()
 
 
 # ---------------------------------------------------------------------------

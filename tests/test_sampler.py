@@ -7,6 +7,7 @@ import pytest
 from graphondist import (
     RNG_ALGORITHM,
     SampledGraph,
+    Partition,
     ValidationError,
     bipartite_graphon,
     circular_band_graphon,
@@ -17,6 +18,7 @@ from graphondist import (
     evaluate,
     lift,
     sample_graph,
+    step,
 )
 
 
@@ -78,6 +80,58 @@ def test_row_blocks_draw_the_full_matrix_stream():
     for n in (1, 2, 7, 65, 300, 2000):
         got = sample_graph(w, n, seed=n).adjacency
         assert np.array_equal(got, full_matrix_sample(w, n, n))
+
+
+def binary_step_graphon(rng):
+    """A random step graphon, random measures included, whose block values
+    are all exactly 0 or 1 (some of the zeros -0.0)."""
+    k = int(rng.integers(1, 9))
+    vals = np.triu(rng.random((k, k)) < rng.uniform(0.2, 0.8)).astype(float)
+    vals = vals + np.triu(vals, 1).T
+    vals[vals == 0.0] = rng.choice([0.0, -0.0], int((vals == 0.0).sum()))
+    mu = rng.uniform(0.5, 1.5, k)
+    return step(Partition(mu / mu.sum()), vals)
+
+
+def counted_draws(monkeypatch, w, n: int, seed: int):
+    """``sample_graph(w, n, seed)`` and the sizes of its uniform draws."""
+    sizes = []
+    default_rng = np.random.default_rng
+
+    class Counting:
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+
+        def random(self, size=None):
+            sizes.append(size)
+            return self.rng.random(size)
+
+    with monkeypatch.context() as m:
+        m.setattr(np.random, "default_rng", Counting)
+        return sample_graph(w, n, seed), sizes
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+def test_a_binary_graphon_draws_no_coins(monkeypatch, seed):
+    # every block value exactly 0 or 1: a coin in [0, 1) is always below 1
+    # and never below 0, so the sample is the support's blow-up, equal to
+    # the coin path's, and only the coordinates are drawn
+    rng = np.random.default_rng(seed)
+    graphons = [circular_band_graphon(1 / 7, 64), bipartite_graphon(),
+                er_graphon(0.0), er_graphon(1.0), er_graphon(-0.0)]
+    graphons += [binary_step_graphon(rng) for _ in range(4)]
+    for w in graphons:
+        for n in (1, 2, 65, 300):
+            got, sizes = counted_draws(monkeypatch, w, n, seed)
+            assert sizes == [n]
+            assert np.array_equal(got.adjacency,
+                                  full_matrix_sample(w, n, seed))
+            assert not got.adjacency.flags.writeable
+    # a value strictly between 0 and 1 draws its coins
+    got, sizes = counted_draws(monkeypatch, er_graphon(0.5), 300, seed)
+    assert sizes[0] == 300 and len(sizes) > 1
+    assert np.array_equal(got.adjacency,
+                          full_matrix_sample(er_graphon(0.5), 300, seed))
 
 
 def test_sampler_memory_is_one_boolean_adjacency():

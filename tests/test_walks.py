@@ -26,6 +26,7 @@ from graphondist import (
     distance_field,
     is_connected,
     lift,
+    permute_blocks,
     set_distance,
     step,
     support_graph,
@@ -439,12 +440,13 @@ def test_a_graphon_walks_once_per_threshold(monkeypatch):
     assert diameter(w) == fld.layer_count == 4 and is_connected(w)
     assert calls == {"packed": 6, "table": 0}
     # the queries after the field read its kept walk and walk nothing:
-    # one quotient and one walk per graphon
+    # one walk per graphon, and no quotient, since a circulant graphon's
+    # classes are read off its support row
     assert varadhan_distance(w, 0.1, 0.6) == 4
     assert set_distance(w, block_set([0], 512), block_set([256], 512)) == 4
     assert distance_field(w).levels is fld.levels
     assert calls == {"packed": 6, "table": 0}
-    assert quotients == [512, 512]
+    assert quotients == []
     # a disconnected support: is_connected walks the whole field and
     # keeps its levels, so diameter and later point and set queries walk
     # nothing
@@ -461,7 +463,7 @@ def test_a_graphon_walks_once_per_threshold(monkeypatch):
     assert set_distance(w, block_set([0], 12),
                         block_set([6], 12)) == UNREACHABLE
     assert calls == walked
-    assert quotients == [512, 512, 12]
+    assert quotients == [12]
 
 
 def test_thresholds_keep_their_own_walks():
@@ -522,19 +524,20 @@ def test_kept_walks_go_with_their_graphon(monkeypatch):
     assert len(memo) == 0
 
 
-@pytest.mark.parametrize("n", [6, 512])
-def test_kept_arrays_lie_in_maps_of_their_own(n):
-    # the levels and the classes, at any size, are copied into anonymous
-    # memory maps that go with them, and shared, not copied, by every
-    # field of the graphon
-    w = circular_band_graphon(1 / 7, n)
+def check_kept_maps(make, level_bytes: int) -> None:
+    """The kept levels and classes of the graphon ``make()`` lie in
+    anonymous memory maps that go with it, the levels' of ``level_bytes``
+    bytes, and every field of the graphon shares them, not copied."""
+    w = make()
+    n = w.size
     fld = distance_field(w)
     walk = kept_walk(w)
-    for name in ("levels", "classes"):
-        a = getattr(walk, name)
-        assert isinstance(a.base, core._Map) and len(a.base) == a.nbytes
-        assert not a.flags.writeable
-    del a
+    assert isinstance(walk.classes.base, core._Map)
+    assert len(walk.classes.base) == walk.classes.nbytes
+    assert isinstance(walk.levels.base, core._Map)
+    assert len(walk.levels.base) == level_bytes
+    assert not walk.levels.flags.writeable
+    assert not walk.classes.flags.writeable
     assert walk.levels.shape == (n, n) and walk.classes.shape == (n,)
     assert fld.levels is walk.levels and fld.classes is walk.classes
     again = DistanceField(fld.kind, fld.partition, fld.levels, fld.classes,
@@ -545,6 +548,26 @@ def test_kept_arrays_lie_in_maps_of_their_own(n):
     del w, fld, walk, again
     gc.collect()
     assert all(ref() is None for ref in maps)
+
+
+@pytest.mark.parametrize("n", [6, 512])
+def test_kept_arrays_lie_in_maps_of_their_own(n):
+    # the classes, at any size, are copied into an anonymous memory map;
+    # a circulant's levels are the rotations of its doubled level row, one
+    # byte a level, which lies in a map of 2n bytes
+    check_kept_maps(lambda: circular_band_graphon(1 / 7, n), 2 * n)
+
+
+@pytest.mark.parametrize("n", [20, 512])
+def test_kept_levels_of_a_relabelled_circulant_are_mapped_whole(n):
+    # the band relabelled is not circulant: its n x n levels are copied
+    # whole into a map of their own
+    def relabelled_band():
+        w = circular_band_graphon(1 / 7, n)
+        w = permute_blocks(w, np.random.default_rng(n).permutation(n))
+        assert w._circulant is None
+        return w
+    check_kept_maps(relabelled_band, n * n)
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/maps"),
